@@ -17,7 +17,7 @@ from .fields import GF, QQ
 from .groebner import groebner_basis, spoly_reduces_to_zero
 from .hudson import hudson_vector, load_table, match_table
 from .ideals import (IdealHandle, graded_piece_dim, hilbert_from_basis, intersect,
-                     multiplicity_at, quotient, sat_irrelevant, saturate)
+                     multiplicity_at, quotient, saturate)
 from .poly import parse_poly, ring
 from .rng import Rng, random_prime
 
@@ -348,7 +348,7 @@ def criterion_9(jobs=0, quick=False) -> CriterionResult:
     rng = Rng(900)
     try:
         psi1, p1, _ = families.a1_example(QQ)
-        gamma1, c11, c21 = line_preimage_split(psi1, rng.split("a1"))
+        gamma1, _, c21 = line_preimage_split(psi1, rng.split("a1"))
         m_union = multiplicity_at(IdealHandle(list(gamma1.gens), R, saturated=True),
                                   p1, rng.split("a1u"))
         m_c2 = multiplicity_at(c21.ideal, p1, rng.split("a1c2"))
@@ -366,7 +366,7 @@ def criterion_9(jobs=0, quick=False) -> CriterionResult:
         ]
         if not J2.equals(IdealHandle([parse_poly(s, R) for s in printed], R)):
             bad.append("a2: intersection ideal differs from the printed six cubics")
-        gamma2, c12, c22 = line_preimage_split(psi2, rng.split("a2"))
+        gamma2, c12, _ = line_preimage_split(psi2, rng.split("a2"))
         m_union = multiplicity_at(IdealHandle(list(gamma2.gens), R, saturated=True),
                                   p2, rng.split("a2u"))
         m_c1 = multiplicity_at(c12.ideal, p2, rng.split("a2c1"))

@@ -100,10 +100,12 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
             else:
                 ps = [random_prime(rng.split(f"p{round_}-{i}")) for i in (0, 1)]
             try:
-                reps = [analysis_report(psi.reduce_mod(p), seed, trials,
-                                        with_certificate, with_hudson, budget,
-                                        with_inverse=with_inverse)
-                        for p in ps]
+                # a pinned prime comes twice; each distinct prime is analysed once
+                by_prime = {p: analysis_report(psi.reduce_mod(p), seed, trials,
+                                               with_certificate, with_hudson, budget,
+                                               with_inverse=with_inverse)
+                            for p in dict.fromkeys(ps)}
+                reps = [by_prime[p] for p in ps]
             except FieldError:
                 reps = None  # bad prime (denominator); retry with fresh ones
                 continue
@@ -316,7 +318,7 @@ def scan_one(family: str, seed: int, prime: int, level: str = "invariants") -> d
            "ok": False, "error": None}
     try:
         field = GF(prime)
-        psi, spec = families.build(family, seed, field)
+        psi, _ = families.build(family, seed, field)
         full = level == "full"
         rep = analysis_report(psi, seed, trials=5 if full else 0,
                               with_certificate=full, with_hudson=full)

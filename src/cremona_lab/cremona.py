@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 from . import linalg
 from .fields import GF, GF2
 from .groebner import Budget, BudgetError, normal_form
-from .ideals import (DegenerateInput, IdealHandle, extract_points,
+from .ideals import (DegenerateInput, IdealHandle, candidate_lines,
                      hilbert_from_basis, ideal_sum, isolated_points,
                      piece_span, quotient, sat_irrelevant, saturate)
+# not used here since the line search moved to ideals; perfbench/test_tracer.py
+# spot-checks that the tracer rewraps this from-imported binding
+from .ideals import extract_points  # noqa: F401
 from .poly import Polynomial, Ring, ring
 from .rng import Rng
 
@@ -102,19 +105,9 @@ class RationalMap:
                            label=self.label, seed=self.seed)
 
     def components_independent(self) -> bool:
+        # the degree-d piece of the ideal is exactly the span of the components
         span, _ = piece_span(IdealHandle(list(self.components), self.ring), self.degree)
-        # span of component multiples includes more; check the raw 4 vectors
-        R = self.ring
-        F = R.field
-        mons = R.monomials_of_degree(self.degree)
-        idx = {m: i for i, m in enumerate(mons)}
-        rows = []
-        for f in self.components:
-            row = [F.zero] * len(mons)
-            for m, c in f.terms:
-                row[idx[m]] = c
-            rows.append(row)
-        return linalg.rank(F, rows) == 4
+        return len(span) == 4
 
 
 def new_map(f0, f1, f2, f3, label=None, seed=None) -> RationalMap:
@@ -200,7 +193,7 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
     h = hilbert_from_basis(J.groebner(), psi.ring)
     deg1 = h.degree if h.dimension == 1 else 0
     if h.dimension <= 0:
-        theta, count = isolated_points(J, None, rng.split("theta"), budget)
+        _, count = isolated_points(J, None, rng.split("theta"), budget)
         return J, 0, count
     if c2 is None:
         _, _, c2rec = line_preimage_split(psi, rng.split("split"), J, budget)
@@ -242,9 +235,8 @@ def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None
         if C1i.is_unit():
             last_err = "line preimage entirely inside the base locus"
             continue
-        C1i = IdealHandle(list(C1i.gens), R, saturated=True)
-        C2i = quotient(Gamma, C1i, budget)
-        C2i = IdealHandle(list(C2i.gens), R, saturated=True)
+        C1i = C1i.as_saturated()
+        C2i = quotient(Gamma, C1i, budget).as_saturated()
         # shared component <=> C1 + C2 still 1-dimensional
         both = sat_irrelevant(ideal_sum(C1i, C2i), budget)
         hb = hilbert_from_basis(both.groebner(), R)
@@ -345,7 +337,6 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     points supported on C1 meet C2 and on Theta.
     """
     R = psi.ring
-    F = R.field
     c1, c2 = analysis.c1, analysis.c2
     gamma = analysis.gamma
     for attempt in range(retries):
@@ -436,52 +427,17 @@ def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
     genus = 0.
     """
     R = psi.ring
-    F = R.field
     Sigma = common_singular_locus(psi, budget)
     if Sigma.is_unit():
         return False, None
     h = hilbert_from_basis(Sigma.groebner(), R)
     if h.dimension < 1:
         return False, None
-    # find the line: intersect Sigma with two generic planes, try point pairs
-    samples = []
-    for k in range(2):
-        sub = rng.split(f"ruled-plane-{k}")
-        hp = R.poly({R.pack(tuple(1 if j == i else 0 for j in range(4))): F.rand(sub)
-                     for i in range(4)})
-        cut = sat_irrelevant(IdealHandle(list(Sigma.gens) + [hp], R), budget)
-        if cut.is_unit():
-            return False, None
-        hc = hilbert_from_basis(cut.groebner(), R)
-        if hc.dimension != 0:
-            return False, None
-        pts, ext, _ = extract_points(cut, sub.split("pts"), budget)
-        samples.append(pts)
-    for a in samples[0]:
-        for b in samples[1]:
-            if a == b:
-                continue
-            forms = _line_forms(R, a, b)
-            if forms is None:
-                continue
-            l1, l2 = forms
-            sq = IdealHandle([l1 * l1, l1 * l2, l2 * l2], R)
-            if all(sq.contains(f) for f in psi.components):
-                return True, (l1, l2)
+    for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane", budget):
+        sq = IdealHandle([l1 * l1, l1 * l2, l2 * l2], R)
+        if all(sq.contains(f) for f in psi.components):
+            return True, (l1, l2)
     return False, None
-
-
-def _line_forms(R: Ring, a, b):
-    """Two independent linear forms vanishing on the line through a, b."""
-    F = R.field
-    null = linalg.nullspace(F, [list(a), list(b)], 4)
-    if len(null) != 2:
-        return None
-    out = []
-    for v in null:
-        out.append(R.poly({R.pack(tuple(1 if j == i else 0 for j in range(4))): c
-                           for i, c in enumerate(v) if c != F.zero}))
-    return out[0], out[1]
 
 
 # ----------------------------------------------------------------- inverse

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from . import linalg
 from .cremona import MapError, RationalMap, map_of_degree, new_map
 from .fields import GF, QQ, Field
-from .ideals import (DegenerateInput, IdealHandle, hilbert_from_basis, intersect,
-                     piece_span, quotient, sat_irrelevant, vectors_to_polys)
-from .hudson import classify_point
+from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, hilbert_from_basis,
+                     intersect, line_forms, piece_span, sat_irrelevant, vectors_to_polys)
+from .hudson import _rank4, classify_point
 from .poly import Polynomial, Ring, parse_poly, ring
 from .rng import Rng
 
@@ -81,32 +81,19 @@ def _mons3(R: Ring):
     return R.monomials_of_degree(3)
 
 
-def _vec(f: Polynomial, mons, idx):
-    F = f.ring.field
-    row = [F.zero] * len(mons)
-    for m, c in f.terms:
-        row[idx[m]] = c
-    return row
-
-
-def _span_constraints(F, rows, n):
-    """Functionals vanishing exactly on the row span."""
-    basis = linalg.row_space_basis(F, rows)
-    return linalg.nullspace(F, [list(r) for r in basis], n) if basis else \
-        [[F.one if i == j else F.zero for i in range(n)] for j in range(n)]
-
-
-def _eval_row(R: Ring, mons, p):
+def _span_conditions(R: Ring, polys) -> list:
+    """Linear conditions on cubic coefficient vectors (over `_mons3`) that
+    cut out exactly the span of the cubics `polys`."""
     F = R.field
-    row = []
-    for m in mons:
-        v = F.one
-        for i in range(4):
-            e = R.mexp(m, i)
-            for _ in range(e):
-                v = F.mul(v, p[i])
-        row.append(v)
-    return row
+    mons = _mons3(R)
+    idx = {m: i for i, m in enumerate(mons)}
+    rows = []
+    for f in polys:
+        row = [F.zero] * len(mons)
+        for m, c in f.terms:
+            row[idx[m]] = c
+        rows.append(row)
+    return linalg.nullspace(F, rows, len(mons))
 
 
 def _line_rows(R: Ring, mons, a, b):
@@ -157,13 +144,13 @@ def _contact_rows(R: Ring, mons, q, Hq_points):
     return rows
 
 
-def _solve_system(R: Ring, constraint_rows, expect_dim: int = 4):
-    """Nullspace of the stacked constraints as a list of cubics."""
+def _solve_system(R: Ring, constraint_rows):
+    """Nullspace of the stacked constraints as a list of 4 cubics."""
     F = R.field
     mons = _mons3(R)
     null = linalg.nullspace(F, constraint_rows, len(mons))
-    if len(null) != expect_dim:
-        raise DegenerateInput(f"system dimension {len(null)}, expected {expect_dim}")
+    if len(null) != 4:
+        raise DegenerateInput(f"system dimension {len(null)}, expected 4")
     return vectors_to_polys(null, mons, R)
 
 
@@ -179,13 +166,9 @@ def _rand_linear(R: Ring, rng: Rng, z3free: bool = False) -> Polynomial:
     F = R.field
     n = 3 if z3free else 4
     while True:
-        d = {}
-        for i in range(n):
-            c = F.rand(rng)
-            if c != F.zero:
-                d[R.pack(tuple(1 if j == i else 0 for j in range(4)))] = c
-        if d:
-            return R.poly(d)
+        f = R.linear_form([F.rand(rng) for _ in range(n)])
+        if f:
+            return f
 
 
 def _rand_form(R: Ring, deg: int, rng: Rng, z3free: bool = False) -> Polynomial:
@@ -225,7 +208,6 @@ def ruled(d: int, seed, field: Field, degenerate: bool = False) -> RationalMap:
     F = field
     rng0 = Rng(seed, f"ruled-{d}")
     mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         # ruled cubic S = z0^2 a + z0 z1 b + z1^2 c
@@ -272,7 +254,7 @@ def ruled(d: int, seed, field: Field, degenerate: bool = False) -> RationalMap:
         for (qq, v) in lines:
             rows.extend(_line_rows(R, mons, qq, v))
         for p in pts:
-            rows.append(_eval_row(R, mons, p))
+            rows.append(_eval_monomials(R, mons, p))
         try:
             comps = _solve_system(R, rows)
             psi = new_map(*comps, label=f"ruled_3_{d - (1 if degenerate else 0)}", seed=seed)
@@ -433,7 +415,6 @@ def dejonquieres(variant: str, seed, field: Field) -> RationalMap:
     if variant not in ("E3", "E3.5", "E4"):
         raise MapError(f"unknown de Jonquieres variant {variant}")
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, f"dejonquieres-{variant}")
     z3 = R.var(3)
     p = _origin(R)
@@ -461,16 +442,10 @@ def dejonquieres(variant: str, seed, field: Field) -> RationalMap:
         tag = classify_point(psi, p, rng.split("verify")).tag
         if tag != expect:
             continue
-        if variant == "E3" and _rank4_of(Q) != 4:
+        if variant == "E3" and _rank4(Q) != 4:
             continue
         return psi
     raise DegenerateInput(f"{variant} sampling failed for seed {seed}")
-
-
-def _rank4_of(q: Polynomial) -> int:
-    from .hudson import _rank4
-
-    return _rank4(q)
 
 
 # -------------------------------------------------------------- (3,4) maps
@@ -489,7 +464,6 @@ def cuboquartic(variant: str, seed, field: Field) -> RationalMap:
 def _pencil_matrix_maps(R: Ring, Ls, t):
     """The 2x4 matrix whose minors cut the quintic: rows
     (t z3, z0, -z1, -z2) and (t z3 L0 + Q, q1, q2, q3)."""
-    F = R.field
     z0, z1, z2, z3 = R.vars()
     L0, L1, L2, L3 = Ls
     Q = z0 * z3 - z1 * z2
@@ -512,19 +486,14 @@ def _build_e6(seed, field: Field, t=None) -> RationalMap:
     R = ring(field, 4)
     F = field
     rng0 = Rng(seed, "E6")
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         Ls = [_rand_linear(R, rng.split(f"L{i}")) for i in range(4)]
         tval = t if t is not None else F.rand_nonzero(rng.split("t"))
         minors = _pencil_matrix_maps(R, Ls, tval)
         p1 = _rand_point(R, rng.split("p1"))
-        rows = _span_constraints(F, [_vec(m, mons, idx) for m in minors], len(mons))
-        rows.append(_eval_row(R, mons, p1))
         try:
-            comps = _solve_system(R, rows)
-            return new_map(*comps, label="E6", seed=seed)
+            return _assemble(R, minors, [p1], label="E6", seed=seed)
         except (DegenerateInput, MapError):
             continue
     raise DegenerateInput(f"E6 sampling failed for seed {seed}")
@@ -540,8 +509,6 @@ def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
     z3 = R.var(3)
     p = _origin(R)
     expect = {"E7": "DoublePoint", "E7.5": "Binode", "E9": "DoubleContactPoint"}[variant]
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         ls = [_rand_linear(R, rng.split(f"l{i}"), z3free=True) for i in range(4)]
@@ -572,16 +539,13 @@ def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
         S2 = Ls[2] * Q1 + Ls[3] * Q2
         span = [R.var(i) * Q for i in range(3)] + [S1, S2]
         p1 = _rand_point(R, rng.split("p1"))
-        rows = _span_constraints(F, [_vec(m, mons, idx) for m in span], len(mons))
-        rows.append(_eval_row(R, mons, p1))
         try:
-            comps = _solve_system(R, rows)
-            psi = new_map(*comps, label=variant, seed=seed)
+            psi = _assemble(R, span, [p1], label=variant, seed=seed)
         except (DegenerateInput, MapError):
             continue
         if classify_point(psi, p, rng.split("verify")).tag != expect:
             continue
-        if variant in ("E7", "E7.5") and _rank4_of(Q) != 4:
+        if variant in ("E7", "E7.5") and _rank4(Q) != 4:
             continue
         return psi
     raise DegenerateInput(f"{variant} sampling failed for seed {seed}")
@@ -601,20 +565,14 @@ def _build_e8(seed, field: Field) -> RationalMap:
     rng0 = Rng(seed, "E8")
     z0, z1, z2, z3 = R.vars()
     p = (F.one, F.zero, F.zero, F.zero)
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     for attempt in range(12):
         rng = rng0.split(f"try-{attempt}")
 
         def lin_e0(sub):
             while True:
-                d = {}
-                for i in (1, 2, 3):
-                    c = F.rand(sub)
-                    if c != F.zero:
-                        d[R.pack(tuple(1 if j == i else 0 for j in range(4)))] = c
-                if d:
-                    return R.poly(d)
+                f = R.linear_form([F.zero] + [F.rand(sub) for _ in range(3)])
+                if f:
+                    return f
 
         def quad12(sub):
             d = {}
@@ -631,192 +589,19 @@ def _build_e8(seed, field: Field) -> RationalMap:
         Q1 = z0 * m + quad12(rng.split("c1"))
         Q2 = z0 * m.scale(gamma) + quad12(rng.split("c2"))
         Q = Ls[0] * Ls[3] - Ls[1] * Ls[2]
-        if _rank4_of(Q) != 3:
+        if _rank4(Q) != 3:
             continue
         S1 = Ls[0] * Q1 + Ls[1] * Q2
         S2 = Ls[2] * Q1 + Ls[3] * Q2
         span = [Q * z1, Q * z2, Q * z3, S1, S2]
-        rows = _span_constraints(F, [_vec(g, mons, idx) for g in span], len(mons))
-        rows.append(_eval_row(R, mons, _rand_point(R, rng.split("p1"))))
         try:
-            comps = _solve_system(R, rows)
-            psi = new_map(*comps, label="E8", seed=seed)
+            psi = _assemble(R, span, [_rand_point(R, rng.split("p1"))], label="E8", seed=seed)
         except (DegenerateInput, MapError):
             continue
         if classify_point(psi, p, rng.split("verify")).tag != "Binode":
             continue
         return psi
     raise DegenerateInput(f"E8 sampling failed for seed {seed}")
-
-
-def _cone_direction(R: Ring, Q, rng: Rng):
-    """Rational direction (d0,d1,d2) on the cone Q (z3-free quadric)."""
-    F = R.field
-    from . import univar
-
-    for k in range(20):
-        sub = rng.split(f"draw-{k}")
-        x = [F.rand(sub), F.rand(sub), F.rand(sub), F.zero]
-        y = [F.rand(sub), F.rand(sub), F.rand(sub), F.zero]
-        coeffs = [F.zero] * 3
-        for m, cf in Q.terms:
-            acc = {0: F.one}
-            for i in range(4):
-                for _e in range(R.mexp(m, i)):
-                    nxt = {}
-                    for k, cc in acc.items():
-                        if x[i] != F.zero:
-                            nxt[k] = F.add(nxt.get(k, F.zero), F.mul(cc, x[i]))
-                        if y[i] != F.zero:
-                            nxt[k + 1] = F.add(nxt.get(k + 1, F.zero), F.mul(cc, y[i]))
-                    acc = nxt
-            for k, cc in acc.items():
-                coeffs[k] = F.add(coeffs[k], F.mul(cf, cc))
-        if all(c == F.zero for c in coeffs):
-            continue
-        roots = univar.roots_gf(coeffs, F, sub) if isinstance(F, GF) else \
-            univar.roots_qq(coeffs, F)
-        for t in roots:
-            d = tuple(F.add(x[i], F.mul(F.of(t) if not isinstance(t, tuple) else t, y[i]))
-                      for i in range(3))
-            if any(c != F.zero for c in d):
-                return d
-    return None
-
-
-def _forms_through(R: Ring, pts):
-    F = R.field
-    null = linalg.nullspace(F, [list(p) for p in pts], 4)
-    if len(null) != 2:
-        return None
-    return [R.poly({R.pack(tuple(1 if k == j else 0 for k in range(4))): c
-                    for j, c in enumerate(v) if c != F.zero}) for v in null]
-
-
-def _linear_vanishing_at(R: Ring, d, rng: Rng) -> Polynomial:
-    """Random z3-free linear form vanishing on the direction d."""
-    F = R.field
-    null = linalg.nullspace(F, [[d[0], d[1], d[2]]], 3)
-    while True:
-        coeffs = [F.zero] * 3
-        for v in null:
-            c = F.rand(rng)
-            coeffs = [F.add(a, F.mul(c, b)) for a, b in zip(coeffs, v)]
-        if any(c != F.zero for c in coeffs):
-            return R.poly({R.pack(tuple(1 if k == j else 0 for k in range(4))): c
-                           for j, c in enumerate(coeffs) if c != F.zero})
-
-
-def _cubic_vanishing_at(R: Ring, d, rng: Rng) -> Polynomial:
-    """Random z3-free cubic vanishing at the direction point."""
-    F = R.field
-    mons = [m for m in R.monomials_of_degree(3) if R.mexp(m, 3) == 0]
-    pt = (d[0], d[1], d[2], F.zero)
-    while True:
-        dd = {m: F.rand(rng) for m in mons}
-        f = R.poly(dd)
-        if not f:
-            continue
-        v = f.evaluate(list(pt))
-        # correct the z2^3 (or first) coefficient to force vanishing
-        for m in mons:
-            mv = _monomial_value(R, m, pt)
-            if mv != F.zero:
-                cur = dd.get(m, F.zero)
-                dd[m] = F.sub(cur, F.div(v, mv))
-                f2 = R.poly(dd)
-                if f2:
-                    return f2
-                break
-        else:
-            return f
-
-
-def _monomial_value(R: Ring, m, p):
-    F = R.field
-    v = F.one
-    for i in range(4):
-        for _ in range(R.mexp(m, i)):
-            v = F.mul(v, p[i])
-    return v
-
-
-def _pick_steered_member(R: Ring, span, smons, hbar, known, rng: Rng):
-    """Element of the span, singular at p, quadratic part in hbar*(linear),
-    independent of the known members."""
-    F = R.field
-    idx = {m: i for i, m in enumerate(smons)}
-    n = len(smons)
-    # conditions on a cubic f: coeff z3^3 = 0; coeff z3^2 z_i = 0; quad part
-    # restricted to hbar = 0 plane vanishes
-    hvec = [F.zero] * 3
-    for m, c in hbar.terms:
-        for i in range(3):
-            if R.mexp(m, i):
-                hvec[i] = c
-    basisH = linalg.nullspace(F, [hvec], 3)
-    conds = []
-    row = [F.zero] * n
-    m33 = R.pack((0, 0, 0, 3))
-    if m33 in idx:
-        row[idx[m33]] = F.one
-    conds.append(row)
-    for i in range(3):
-        row = [F.zero] * n
-        mm = R.pack(tuple((2 if k == 3 else 0) + (1 if k == i else 0) for k in range(4)))
-        if mm in idx:
-            row[idx[mm]] = F.one
-        conds.append(row)
-    # quadratic part: coeff of z3 * (quadratic in z0..z2) as a form on the
-    # plane hbar = 0 spanned by basisH: 3 coefficient conditions
-    from .hudson import QUAD_MONS3
-
-    for (s_, t_) in ((0, 0), (0, 1), (1, 1)):
-        row = [F.zero] * n
-        for qi, qe in enumerate(QUAD_MONS3):
-            mm = R.pack((qe[0], qe[1], qe[2], 1))
-            if mm not in idx:
-                continue
-            v1, v2 = basisH[s_], basisH[t_]
-            val = _sym_eval(F, qe, v1, v2)
-            row[idx[mm]] = F.add(row[idx[mm]], val)
-        conds.append(row)
-    # restrict conditions to the span
-    mat = [[F.zero] * len(span) for _ in range(len(conds))]
-    for j, vec in enumerate(span):
-        for r, cond in enumerate(conds):
-            s = F.zero
-            for k in range(n):
-                if cond[k] != F.zero and vec[k] != F.zero:
-                    s = F.add(s, F.mul(cond[k], vec[k]))
-            mat[r][j] = s
-    null = linalg.nullspace(F, mat, len(span))
-    if not null:
-        return None
-    knownvecs = []
-    for f in known:
-        knownvecs.append(_vec(f, smons, idx))
-    kbasis = linalg.row_space_basis(F, knownvecs)
-    for coords in null:
-        vec = [F.zero] * n
-        for c, sv in zip(coords, span):
-            if c != F.zero:
-                vec = [F.add(a, F.mul(c, b)) for a, b in zip(vec, sv)]
-        if linalg.rank(F, kbasis + [vec]) > len(kbasis):
-            return vectors_to_polys([vec], smons, R)[0]
-    return None
-
-
-def _sym_eval(F, qe, v1, v2):
-    """Value of the symmetric bilinear form of the quadratic monomial qe on
-    (v1, v2): B(v1,v2) with q(v) = B(v,v)."""
-    i_s = [k for k in range(3) for _ in range(qe[k])]
-    i, j = i_s[0], i_s[1]
-    if i == j:
-        return F.mul(v1[i], v2[i])
-    two_inv = F.inv(F.of(2))
-    s = F.add(F.mul(v1[i], v2[j]), F.mul(v1[j], v2[i]))
-    return F.mul(s, two_inv)
 
 
 # -------------------------------------------------------------- (3,5) maps
@@ -838,15 +623,11 @@ def _twisted_cubic(R: Ring, M=None) -> IdealHandle:
     return IdealHandle(gens, R, saturated=True)
 
 
-def _assemble(R: Ring, span_polys, point_conds, expect_dim=4, label="", seed=None):
-    F = R.field
+def _assemble(R: Ring, span_polys, point_conds, label="", seed=None):
+    """The map of the cubics in the span of `span_polys` through `point_conds`."""
     mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
-    rows = _span_constraints(F, [_vec(g, mons, idx) for g in span_polys], len(mons))
-    for p in point_conds:
-        rows.append(_eval_row(R, mons, p))
-    comps = _solve_system(R, rows, expect_dim)
-    return new_map(*comps, label=label, seed=seed)
+    rows = _span_conditions(R, span_polys) + [_eval_monomials(R, mons, p) for p in point_conds]
+    return new_map(*_solve_system(R, rows), label=label, seed=seed)
 
 
 def _build_e12(seed, field: Field) -> RationalMap:
@@ -859,20 +640,18 @@ def _build_e12(seed, field: Field) -> RationalMap:
         M = linalg.random_invertible(F, 4, rng.split("M"))
         Gamma = _twisted_cubic(R, M)
         a, b = _rand_point(R, rng.split("la")), _rand_point(R, rng.split("lb"))
-        forms = _forms_through(R, [a, b])
+        forms = line_forms(R, a, b)
         if forms is None:
             continue
         ell = IdealHandle(forms, R, saturated=True)
         meet = sat_irrelevant(IdealHandle(list(Gamma.gens) + list(ell.gens), R))
         if not meet.is_unit():
             continue
-        mons = _mons3(R)
-        idx = {m: i for i, m in enumerate(mons)}
-        span_g, _ = piece_span(Gamma, 3)
+        span_g, mons = piece_span(Gamma, 3)
         span_l, _ = piece_span(ell, 3)
-        rows = _span_constraints(F, span_g, len(mons)) + _span_constraints(F, span_l, len(mons))
-        rows.append(_eval_row(R, mons, _rand_point(R, rng.split("p1"))))
-        rows.append(_eval_row(R, mons, _rand_point(R, rng.split("p2"))))
+        rows = linalg.nullspace(F, span_g, len(mons)) + linalg.nullspace(F, span_l, len(mons))
+        rows.append(_eval_monomials(R, mons, _rand_point(R, rng.split("p1"))))
+        rows.append(_eval_monomials(R, mons, _rand_point(R, rng.split("p2"))))
         try:
             comps = _solve_system(R, rows)
             return new_map(*comps, label="E12", seed=seed)
@@ -885,9 +664,7 @@ def _build_e13(seed, field: Field) -> RationalMap:
     """C2 a (2,2) complete intersection through p; system I_C2 * I_p plus
     two ordinary points."""
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, "E13")
-    p = _origin(R)
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         Q1 = _rand_form(R, 2, rng.split("Q1"), z3free=False)
@@ -911,14 +688,13 @@ def _build_e13(seed, field: Field) -> RationalMap:
 def _build_e14(seed, field: Field) -> RationalMap:
     """C2 = twisted cubic and a line meeting at p; system I_Gamma * I_ell."""
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, "E14")
     p = _origin(R)
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         Gamma = _twisted_cubic(R)  # contains (0:0:0:1)
         x = _rand_point(R, rng.split("x"))
-        forms = _forms_through(R, [p, x])
+        forms = line_forms(R, p, x)
         if forms is None:
             continue
         meet = sat_irrelevant(IdealHandle(list(Gamma.gens) + forms, R))
@@ -942,7 +718,6 @@ def _build_e19(seed, field: Field) -> RationalMap:
     """C2 = twisted cubic with the secant line through its two marked
     points; all cubics singular at both."""
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, "E19")
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
@@ -988,10 +763,7 @@ def _contact_point_rows(R: Ring, rng: Rng):
 
 def _build_e23(seed, field: Field) -> RationalMap:
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, "E23")
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
         a = _rand_linear(R, rng.split("a"))
@@ -999,7 +771,7 @@ def _build_e23(seed, field: Field) -> RationalMap:
         c = _rand_linear(R, rng.split("c"))
         Q, S0, S1, S2 = _e23_quartic(R, a, b, c)
         span = [R.var(i) * Q for i in range(4)] + [S0, S1, S2]
-        rows = _span_constraints(F, [_vec(g, mons, idx) for g in span], len(mons))
+        rows = _span_conditions(R, span)
         crow, q = _contact_point_rows(R, rng.split("ct"))
         rows.extend(crow)
         try:
@@ -1015,11 +787,8 @@ def _build_e23(seed, field: Field) -> RationalMap:
 
 def _build_e24(seed, field: Field) -> RationalMap:
     R = ring(field, 4)
-    F = field
     rng0 = Rng(seed, "E24")
     z0, z1, z2, z3 = ring(field, 4).vars()
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     p = _origin(R)
     for attempt in range(10):
         rng = rng0.split(f"try-{attempt}")
@@ -1029,7 +798,7 @@ def _build_e24(seed, field: Field) -> RationalMap:
         Q0 = z1 * z2 - z0 * z0
         Qp = a * z2 + b * z0 + c * z1
         span = [Q0 * v for v in (z0, z1, z2, z3)] + [Qp * z0, Qp * z1, Qp * z2]
-        rows = _span_constraints(F, [_vec(g, mons, idx) for g in span], len(mons))
+        rows = _span_conditions(R, span)
         crow, q = _contact_point_rows(R, rng.split("ct"))
         rows.extend(crow)
         try:
@@ -1079,14 +848,9 @@ def pro_inter(eps, field: Field, p2=None) -> RationalMap:
     z0z1 = pp("z0*z1")
     span = [z0z1 * R.var(0), z0z1 * R.var(1), z0z1 * R.var(2),
             pp("z0^2*z2") + pp("z0*z2^2").scale(eps), pp("z1^2*z3")]
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
-    rows = _span_constraints(F, [_vec(g, mons, idx) for g in span], len(mons))
     if p2 is None:
         p2 = (F.of(1), F.of(2), F.of(3), F.of(5))
-    rows.append(_eval_row(R, mons, p2))
-    comps = _solve_system(R, rows)
-    return new_map(*comps, label=f"pro-inter({eps})")
+    return _assemble(R, span, [p2], label=f"pro-inter({eps})")
 
 
 def a1_example(field: Field = QQ) -> tuple:
@@ -1104,13 +868,11 @@ def a1_example(field: Field = QQ) -> tuple:
     dpc = IdealHandle([pp("z2^2*z3 - z0*z1*z3")] +
                       [vectors_to_polys([v], R.monomials_of_degree(3), R)[0]
                        for v in _cube_ip3_span(R)], R)
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
-    span_c2, _ = piece_span(IC2, 3)
+    span_c2, mons = piece_span(IC2, 3)
     span_dpc, _ = piece_span(dpc, 3)
-    rows = _span_constraints(F, span_c2, len(mons)) + _span_constraints(F, span_dpc, len(mons))
-    rows.append(_eval_row(R, mons, (F.of(1), F.of(2), F.of(5), F.of(3))))
-    rows.append(_eval_row(R, mons, (F.of(3), F.of(1), F.of(4), F.of(7))))
+    rows = linalg.nullspace(F, span_c2, len(mons)) + linalg.nullspace(F, span_dpc, len(mons))
+    rows.append(_eval_monomials(R, mons, (F.of(1), F.of(2), F.of(5), F.of(3))))
+    rows.append(_eval_monomials(R, mons, (F.of(3), F.of(1), F.of(4), F.of(7))))
     comps = _solve_system(R, rows)
     psi = new_map(*comps, label="a1-example")
     return psi, _origin(R), IC2
@@ -1141,12 +903,10 @@ def a2_example(field: Field = QQ) -> tuple:
                       [vectors_to_polys([v], R.monomials_of_degree(3), R)[0]
                        for v in _cube_ip3_span(R)], R)
     J = intersect(IC2, dpc)
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
-    span_j, _ = piece_span(J, 3)
-    rows = _span_constraints(F, span_j, len(mons))
-    rows.append(_eval_row(R, mons, (F.of(1), F.of(2), F.of(5), F.of(3))))
-    rows.append(_eval_row(R, mons, (F.of(3), F.of(1), F.of(4), F.of(7))))
+    span_j, mons = piece_span(J, 3)
+    rows = linalg.nullspace(F, span_j, len(mons))
+    rows.append(_eval_monomials(R, mons, (F.of(1), F.of(2), F.of(5), F.of(3))))
+    rows.append(_eval_monomials(R, mons, (F.of(3), F.of(1), F.of(4), F.of(7))))
     comps = _solve_system(R, rows)
     psi = new_map(*comps, label="a2-example")
     return psi, _origin(R), IC2, J
@@ -1222,12 +982,10 @@ def e24_to_e23_map(t, seed, field: Field) -> RationalMap:
     S0 = a * (Z0 * Z2) + b * (Z0 * Z3) + c * (Z1 * Z3)
     S1 = a * (Z0 * Z0) + b * (Z0 * Z1) + c * (Z1 * Z1)
     S2 = a * (Z2 * Z2) + b * (Z2 * Z3) + c * (Z3 * Z3)
-    mons = _mons3(R)
-    idx = {m: i for i, m in enumerate(mons)}
     span = [Qt * v for v in (z0, z1, z2, z3)] + [S0, S1, S2]
-    rows = _span_constraints(F, [_vec(g, mons, idx) for g in span], len(mons))
+    rows = _span_conditions(R, span)
     # fixed contact structure along the path
-    crows, q = _contact_point_rows(R, rng.split("ct"))
+    crows, _ = _contact_point_rows(R, rng.split("ct"))
     rows.extend(crows)
     comps = _solve_system(R, rows)
     return new_map(*comps, label=f"E24_to_E23(t={t})", seed=seed)

@@ -165,7 +165,7 @@ class _Engine:
         keyf, cache = self.keyf, self.cache
         sf = lcm_m - f[0][1]
         out = []
-        for k, m, c in f:
+        for _, m, c in f:
             mm = m + sf
             kk = cache.get(mm)
             if kk is None:

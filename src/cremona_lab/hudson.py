@@ -28,8 +28,8 @@ from . import linalg
 from .cremona import CurveRecord, MapAnalysis, RationalMap
 from .fields import GF, GF2
 from .groebner import Budget
-from .ideals import (DegenerateInput, IdealHandle, count_points, extract_points,
-                     graded_piece_dim, hilbert_from_basis, ideal_sum,
+from .ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points,
+                     extract_points, graded_piece_dim, hilbert_from_basis,
                      multiplicity_at, piece_span, point_frame, quotient,
                      sat_irrelevant, vectors_to_polys)
 from .poly import Polynomial, Ring, ring
@@ -245,27 +245,18 @@ def _plane_back(l, M, FF, R: Ring):
     """Local linear form (3-vector) -> linear form on P^3 in original coords.
 
     The local coordinates are (M^-1 z)_0..2, so the plane is
-    sum l_i (M^-1 z)_i.
+    sum l_i (M^-1 z)_i.  Over the quadratic extension FF of R's field the
+    plane lives in the matching ring over FF.
     """
-    F = R.field
-    if FF == F:
-        Minv = linalg.inverse(F, M)
-        coeffs = [F.zero] * 4
-        for i in range(3):
-            for j in range(4):
-                coeffs[j] = F.add(coeffs[j], F.mul(l[i], Minv[i][j]))
-        return R.poly({R.pack(tuple(1 if k == j else 0 for k in range(4))): coeffs[j]
-                       for j in range(4) if coeffs[j] != F.zero})
-    # extension field: build the plane over GF(p^2)
-    R2 = ring(FF, 4, R.names)
-    M2 = [[FF.lift(c) for c in row] for row in M]
-    Minv = linalg.inverse(FF, M2)
+    if FF != R.field:
+        R = ring(FF, 4, R.names)
+        M = [[FF.lift(c) for c in row] for row in M]
+    Minv = linalg.inverse(FF, M)
     coeffs = [FF.zero] * 4
     for i in range(3):
         for j in range(4):
             coeffs[j] = FF.add(coeffs[j], FF.mul(l[i], Minv[i][j]))
-    return R2.poly({R2.pack(tuple(1 if k == j else 0 for k in range(4))): coeffs[j]
-                    for j in range(4) if coeffs[j] != FF.zero})
+    return R.linear_form(coeffs)
 
 
 # ------------------------------------------------------- special locus
@@ -408,7 +399,6 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
     if c2.degree == 0:
         return []
     R = c2.ideal.ring
-    F = R.field
     lines = []
     work = c2.ideal
     work_h = hilbert_from_basis(work.groebner(), R)
@@ -419,13 +409,11 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
         if line is None:
             break
         lines.append(line)
-        nxt = quotient(work, line, budget)
-        nxt = IdealHandle(list(nxt.gens), R, saturated=True)
+        nxt = quotient(work, line, budget).as_saturated()
         nh = hilbert_from_basis(nxt.groebner(), R)
-        if nh.dimension == 1 and nh.degree < work_h.degree:
-            work, work_h = nxt, nh
-        else:
-            work, work_h = nxt, nh
+        shrank = nh.dimension == 1 and nh.degree < work_h.degree
+        work, work_h = nxt, nh
+        if not shrank:
             break
     out = [("l", 1, 0) for _ in lines]
     if work_h.dimension == 1:
@@ -435,33 +423,10 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
 
 def _find_line_component(C: IdealHandle, rng: Rng, budget):
     """A line contained in the curve C, or None (field-rational search)."""
-    R = C.ring
-    F = R.field
-    samples = []
-    for k in range(2):
-        sub = rng.split(f"plane-{k}")
-        hp = R.poly({R.pack(tuple(1 if j == i else 0 for j in range(4))): F.rand(sub)
-                     for i in range(4)})
-        cut = sat_irrelevant(IdealHandle(list(C.gens) + [hp], R), budget)
-        if cut.is_unit():
-            return None
-        h = hilbert_from_basis(cut.groebner(), R)
-        if h.dimension != 0:
-            return None
-        pts, _, _ = extract_points(cut, sub.split("pts"), budget)
-        samples.append(pts)
-    for a in samples[0]:
-        for b in samples[1]:
-            if a == b:
-                continue
-            null = linalg.nullspace(F, [list(a), list(b)], 4)
-            if len(null) != 2:
-                continue
-            forms = [R.poly({R.pack(tuple(1 if k == j else 0 for k in range(4))): c
-                             for j, c in enumerate(v) if c != F.zero}) for v in null]
-            L = IdealHandle(forms, R, saturated=True)
-            if all(L.contains(g) for g in C.gens):
-                return L
+    for forms in candidate_lines(C, rng, "plane", budget):
+        L = IdealHandle(forms, C.ring, saturated=True)
+        if all(L.contains(g) for g in C.gens):
+            return L
     return None
 
 
@@ -607,11 +572,7 @@ def classify_component(analysis: MapAnalysis, hv: HudsonVector | None = None,
             if tag == "DoubleContactPoint":
                 return "E9"
             # binode: separate by the rank of the quadric through C2
-            q = _unique_quadric(analysis.c2)
-            if q is None:
-                return "E8"
-            rk = _rank4(q)
-            return "E7.5" if rk == 4 else "E8"
+            return "E7.5" if hv.quadric_rank == 4 else "E8"
         raise ClassificationError(f"Bir(3,4) with p_a(C2)={p2} is empty")
     # d == 5
     if p2 == -1:
@@ -636,10 +597,6 @@ def classify_component(analysis: MapAnalysis, hv: HudsonVector | None = None,
                 f"(3,5), p2=1, one singular point of C1 multiplicity {mult}")
         raise ClassificationError("(3,5) with p2=1 but no singular system point")
     raise ClassificationError(f"Bir(3,5) with p_a(C2)={p2} is empty")
-
-
-def _unique_quadric(c2: CurveRecord):
-    return _unique_quadric_of(c2)
 
 
 def _unique_quadric_of(c2: CurveRecord):

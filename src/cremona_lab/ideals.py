@@ -11,9 +11,16 @@ Hilbert data derived from it.  The constructions used throughout:
 * saturation I:J^oo  -- intersection of the single-generator saturations
   (valid because saturation only sees the zero locus of J).
 
+`saturate`, `sat_irrelevant` and `local_length` share one loop,
+`_intersect_distinct`, which skips unit parts, drops parts whose reduced
+basis was already seen and intersects the rest.
+
 Saturated zero-dimensional schemes additionally get point counting (degree
 of a squarefree generic eliminant) and point extraction over GF(p) and
-GF(p^2).
+GF(p^2).  `candidate_lines` is the one search for lines on a curve: cut
+with two generic planes, extract the points of each section and yield the
+line through each pair (`line_forms`).  Linear forms are built with
+`Ring.linear_form`.
 """
 
 from __future__ import annotations
@@ -65,6 +72,12 @@ class IdealHandle:
     def with_basis(self, order, basis) -> "IdealHandle":
         self._gb[order] = tuple(basis)
         return self
+
+    def as_saturated(self) -> "IdealHandle":
+        """The same ideal flagged as saturated, keeping the cached bases."""
+        out = IdealHandle(self.gens, self.ring, saturated=True)
+        out._gb.update(self._gb)
+        return out
 
     def nf(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         return normal_form(f, list(self.groebner(order)), order)
@@ -239,37 +252,13 @@ def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
     gens = [g for g in J.gens if g]
     if not gens or any(g.total_degree() == 0 for g in gens):
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
-    parts = []
-    for g in gens:
-        S = saturate_by_poly(I, g, budget)
-        if S.is_unit():
-            continue
-        parts.append(S)
-    if not parts:
-        return unit_ideal(I.ring)
-    seen = []
-    acc = None
-    for S in parts:
-        if any(S.groebner() == T for T in seen):
-            continue
-        seen.append(S.groebner())
-        acc = S if acc is None else intersect(acc, S, budget)
-    return acc
+    acc = _intersect_distinct([saturate_by_poly(I, g, budget) for g in gens], budget)
+    return unit_ideal(I.ring) if acc is None else acc
 
 
-def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """Saturation with respect to (z_0, ..., z_{n-1})."""
-    R = I.ring
-    if not I.gens:
-        return IdealHandle([], R, saturated=True)
-    parts = []
-    gb0 = I.groebner(GREVLEX, budget)
-    for i in range(R.nvars):
-        S = _saturate_variable(I, i, budget)
-        parts.append(S)
-    if all(tuple(S.groebner()) == tuple(gb0) for S in parts):
-        out = IdealHandle(list(gb0), R, saturated=True)
-        return out.with_basis(GREVLEX, gb0)
+def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
+    """Intersection of the non-unit ideals among `parts`, each distinct
+    reduced basis taken once; None when every part is the unit ideal."""
     acc = None
     seen = []
     for S in parts:
@@ -280,10 +269,23 @@ def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
             continue
         seen.append(g)
         acc = S if acc is None else intersect(acc, S, budget)
+    return acc
+
+
+def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+    """Saturation with respect to (z_0, ..., z_{n-1})."""
+    R = I.ring
+    if not I.gens:
+        return IdealHandle([], R, saturated=True)
+    gb0 = I.groebner(GREVLEX, budget)
+    parts = [_saturate_variable(I, i, budget) for i in range(R.nvars)]
+    if all(tuple(S.groebner()) == tuple(gb0) for S in parts):
+        out = IdealHandle(list(gb0), R, saturated=True)
+        return out.with_basis(GREVLEX, gb0)
+    acc = _intersect_distinct(parts, budget)
     if acc is None:
         return IdealHandle([R.one], R, saturated=True)
-    acc = IdealHandle(list(acc.gens), R, saturated=True)
-    return acc
+    return acc.as_saturated()
 
 
 def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHandle:
@@ -500,10 +502,6 @@ def piece_span(I: IdealHandle, d: int):
     return linalg.row_space_basis(F, rows), mons
 
 
-def piece_dim(I: IdealHandle, d: int) -> int:
-    return len(piece_span(I, d)[0])
-
-
 def vectors_to_polys(vectors, mons, R: Ring) -> list:
     F = R.field
     out = []
@@ -538,17 +536,8 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     M = point_frame(R, p)
     J = Isat.substituted(M)
     # strip the component at e_last: saturate by the point's maximal ideal
-    acc = None
-    seen = []
-    for i in range(R.nvars - 1):
-        S = _saturate_variable(J, i, budget)
-        if S.is_unit():
-            continue
-        g = S.groebner()
-        if any(g == T for T in seen):
-            continue
-        seen.append(g)
-        acc = S if acc is None else intersect(acc, S, budget)
+    acc = _intersect_distinct((_saturate_variable(J, i, budget) for i in range(R.nvars - 1)),
+                              budget)
     if acc is None or acc.is_unit():
         rest_deg = 0
     else:
@@ -579,9 +568,7 @@ def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None,
             cand[i0] = F.sub(cand[i0], corr)
             if any(c != F.zero for c in cand):
                 coeffs = cand
-        h = R.poly({R.pack(tuple(1 if j == i else 0 for j in range(R.nvars))): c
-                    for i, c in enumerate(coeffs) if c != F.zero})
-        section = IdealHandle(list(C.gens) + [h], R)
+        section = IdealHandle(list(C.gens) + [R.linear_form(coeffs)], R)
         try:
             val = local_length(section, p, budget)
         except DegenerateInput:
@@ -625,12 +612,8 @@ def _binary_eliminant(I: IdealHandle, rng: Rng, budget) -> list | None:
     S = ring(F, n + 2, R.names + ("s@", "t@"))
     lift = list(range(n))
     gens = [g.map_vars(S, lift) for g in I.gens]
-    u = [F.rand(rng) for _ in range(n)]
-    v = [F.rand(rng) for _ in range(n)]
-    lin_u = S.poly({S.pack(tuple(1 if j == i else 0 for j in range(n + 2))): c
-                    for i, c in enumerate(u) if c != F.zero})
-    lin_v = S.poly({S.pack(tuple(1 if j == i else 0 for j in range(n + 2))): c
-                    for i, c in enumerate(v) if c != F.zero})
+    lin_u = S.linear_form([F.rand(rng) for _ in range(n)])
+    lin_v = S.linear_form([F.rand(rng) for _ in range(n)])
     gens.append(S.var(n) - lin_u)
     gens.append(S.var(n + 1) - lin_v)
     # eliminate the original variables: they form the FIRST block
@@ -701,7 +684,6 @@ def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None,
     """Points of a 0-dimensional scheme: (rational points, GF(p^2) points,
     complete_flag).  Points are normalized projective tuples."""
     R = I.ring
-    F = R.field
     Isat = I if I.saturated else sat_irrelevant(I, budget)
     if Isat.is_unit():
         return [], [], True
@@ -859,8 +841,47 @@ def isolated_points(J: IdealHandle, curve_part: IdealHandle | None, rng: Rng,
     h = hilbert_from_basis(theta.groebner(), R)
     if h.dimension != 0:
         raise DegenerateInput("residual of the curve part is not 0-dimensional")
-    theta = IdealHandle(list(theta.gens), R, saturated=True)
+    theta = theta.as_saturated()
     return theta, count_points(theta, rng, budget)
+
+
+# ------------------------------------------------------------ line search
+
+
+def line_forms(R: Ring, a, b) -> list | None:
+    """Two independent linear forms cutting out the line through the points
+    a and b; None when the points coincide."""
+    null = linalg.nullspace(R.field, [list(a), list(b)], R.nvars)
+    if len(null) != 2:
+        return None
+    return [R.linear_form(v) for v in null]
+
+
+def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget | None):
+    """Lines that may lie on the 1-dimensional scheme V(C): cut C with two
+    generic planes (drawn from the streams `{plane_label}-0` and `-1`),
+    extract the field-rational points of each section and yield the linear
+    forms of the line through every pair of distinct points, one from each
+    section.  Yields nothing when a section is empty or not finite; the
+    caller decides which candidate actually lies on the scheme."""
+    R = C.ring
+    F = R.field
+    samples = []
+    for k in range(2):
+        sub = rng.split(f"{plane_label}-{k}")
+        plane = R.linear_form([F.rand(sub) for _ in range(R.nvars)])
+        cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R), budget)
+        if cut.is_unit() or hilbert_from_basis(cut.groebner(), R).dimension != 0:
+            return
+        pts, _, _ = extract_points(cut, sub.split("pts"), budget)
+        samples.append(pts)
+    for a in samples[0]:
+        for b in samples[1]:
+            if a == b:
+                continue
+            forms = line_forms(R, a, b)
+            if forms is not None:
+                yield forms
 
 
 # ---------------------------------------------------------- random forms
@@ -876,7 +897,6 @@ def random_form(R: Ring, degree: int, rng: Rng, constraints=()):
     """
     F = R.field
     mons = R.monomials_of_degree(degree)
-    idx = {m: i for i, m in enumerate(mons)}
     rows = []
     for c in constraints:
         kind = c[0]

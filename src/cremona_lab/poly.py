@@ -244,6 +244,11 @@ class Ring:
             d[m] = F.add(d.get(m, F.zero), F.of(c))
         return self.poly(d)
 
+    def linear_form(self, coeffs) -> "Polynomial":
+        """sum_i coeffs[i] * z_i (zero coefficients are dropped)."""
+        return self.poly({self.pack(tuple(1 if j == i else 0 for j in range(self.nvars))): c
+                          for i, c in enumerate(coeffs)})
+
     def var(self, i: int) -> "Polynomial":
         return self.poly({self.pack(tuple(1 if j == i else 0 for j in range(self.nvars))): self.field.one})
 
@@ -487,8 +492,7 @@ class Polynomial:
         F = R.field
         if check_invertible and linalg.det(F, M) == F.zero:
             raise PolyError("singular substitution matrix")
-        lin = [R.poly({R.pack(tuple(1 if j == k else 0 for k in range(R.nvars))): F.of(M[i][j])
-                       for j in range(R.nvars) if M[i][j] != F.zero}) for i in range(R.nvars)]
+        lin = [R.linear_form([F.of(c) for c in M[i]]) for i in range(R.nvars)]
         maxe = [0] * R.nvars
         for m, _ in self.terms:
             for i in range(R.nvars):

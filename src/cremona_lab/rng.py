@@ -71,11 +71,6 @@ class Rng:
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
-
 
 def random_prime(rng: Rng, lo: int = 10**6, hi: int = 2**31) -> int:
     """Random prime in (lo, hi), by trial sampling + Miller-Rabin."""

@@ -82,6 +82,27 @@ def test_analyze_qq_special_example(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pinned_prime_is_analysed_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli.analyze_map
+
+    def counting(psi, *args, **kwargs):
+        calls.append(psi.ring.field.p)
+        return real(psi, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_map", counting)
+    doc = cli.map_to_document(special_examples(QQ)["ruled-involution"])
+    f = tmp_path / "inv.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "rep.json"
+    assert run(["analyze", str(f), "--seed", "2", "--prime", "1000003", "--no-hudson",
+                "--out", str(out)]) == 0
+    assert calls == [1000003]
+    rep = json.loads(out.read_text())
+    assert rep["field"] == "q" and rep["primes"] == [1000003, 1000003]
+    capsys.readouterr()
+
+
 def test_deform_endpoints_exit_codes(tmp_path, capsys):
     out = tmp_path / "d.json"
     code = run(["deform", "--path", "ruled_jump", "--samples", "0,1",

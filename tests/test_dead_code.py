@@ -1,0 +1,47 @@
+"""Every private function or method of the package is used somewhere.
+
+A stdlib stand-in for an unused-code linter: a `_name` defined in
+`cremona_lab` must be referenced (as a name or an attribute) outside its
+own body, or it is dead and should be deleted.  A reference from inside a
+dead function does not count, so helpers only dead code calls are found too.
+"""
+
+import ast
+from pathlib import Path
+
+import cremona_lab
+
+PKG = Path(cremona_lab.__file__).parent
+
+
+def _private_defs_and_refs():
+    defs = []  # (module, name, node)
+    refs = []  # (name, node)
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defs.append((path.stem, name, node))
+            elif isinstance(node, ast.Name):
+                refs.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, node))
+    return defs, refs
+
+
+def test_no_unreferenced_private_functions():
+    defs, refs = _private_defs_and_refs()
+    assert defs, "the scan found no private functions at all"
+    body = {id(node): {id(n) for n in ast.walk(node)} for _, _, node in defs}
+    dead = {}
+    while True:
+        ignored = set().union(*(body[id(node)] for node in dead.values()))
+        found = {f"{module}.{name}": node for module, name, node in defs
+                 if not any(r == name and id(n) not in body[id(node)] and id(n) not in ignored
+                            for r, n in refs)}
+        if found.keys() == dead.keys():
+            break
+        dead = found
+    assert sorted(dead) == [], "private functions nothing live references"

@@ -3,9 +3,9 @@ import pytest
 from cremona_lab.fields import GF
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, eliminate,
                                 hilbert_from_basis, ideal_ops, intersect,
-                                quotient, random_form, sat_irrelevant, saturate,
-                                unit_ideal)
-from cremona_lab.poly import parse_poly, ring
+                                line_forms, quotient, random_form, sat_irrelevant,
+                                saturate, unit_ideal)
+from cremona_lab.poly import ElimBlock, parse_poly, ring
 from cremona_lab.rng import Rng
 
 R = ring(GF(10007), 4)
@@ -158,3 +158,35 @@ def test_random_form_empty_space():
     pts = [tuple(F.rand(rng) for _ in range(4)) for _ in range(5)]
     with pytest.raises(DegenerateInput):
         random_form(R, 1, Rng(3, "sample"), [("point", p) for p in pts])
+
+
+def test_line_forms_through_two_points():
+    a = (F.of(1), F.of(2), F.of(3), F.of(4))
+    b = (F.of(0), F.of(1), F.of(5), F.of(7))
+    forms = line_forms(R, a, b)
+    assert len(forms) == 2
+    for l in forms:
+        assert l.degree == 1
+        assert l.evaluate(list(a)) == F.zero and l.evaluate(list(b)) == F.zero
+    # independent: together they cut out a line (degree 1, dimension 1)
+    h = hilbert_from_basis(IdealHandle(forms).groebner(), R)
+    assert (h.dimension, h.degree) == (1, 1)
+    assert line_forms(R, a, a) is None
+    assert line_forms(R, a, tuple(F.mul(F.of(3), c) for c in a)) is None
+
+
+def test_as_saturated_keeps_cached_bases(monkeypatch):
+    from cremona_lab import ideals
+
+    I = IdealHandle([pp("z0*z2 - z1^2"), pp("z1*z3 - z2^2"), pp("z0*z3 - z1*z2")])
+    gb = I.groebner()
+    calls = []
+    real = ideals.groebner_basis
+    monkeypatch.setattr(ideals, "groebner_basis",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    S = I.as_saturated()
+    assert S.saturated and not I.saturated and S.gens == I.gens
+    assert S.groebner() == gb
+    assert calls == []
+    S.groebner(ElimBlock(1))  # an order not cached yet is computed
+    assert calls == [1]

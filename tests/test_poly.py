@@ -204,3 +204,17 @@ def test_gf_q_consistency_of_ops():
                                for _ in range(5)])
         assert (f * g).map_field(Rp) == f.map_field(Rp) * g.map_field(Rp)
         assert (f + g).map_field(Rp) == f.map_field(Rp) + g.map_field(Rp)
+
+
+def test_linear_form_is_sum_of_scaled_variables_without_zero_terms():
+    F = FP.field
+    coeffs = [F.of(3), F.zero, F.of(-2), F.of(5)]
+    f = FP.linear_form(coeffs)
+    want = FP.zero
+    for i, c in enumerate(coeffs):
+        want = want + FP.var(i).scale(c)
+    assert f == want
+    assert len(f.terms) == 3 and all(c != F.zero for _, c in f.terms)
+    assert not FP.linear_form([F.zero] * 4)
+    # fewer coefficients than variables: the trailing variables get 0
+    assert FQ.linear_form([1, 2]) == pq("z0 + 2*z1")
