@@ -21,7 +21,7 @@ from .ideals import (DegenerateInput, IdealHandle, candidate_lines,
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
 # spot-checks that the tracer rewraps this from-imported binding
 from .ideals import extract_points  # noqa: F401
-from .poly import Polynomial, Ring, ring
+from .poly import GREVLEX, Polynomial, Ring, ring
 from .rng import Rng
 
 
@@ -32,7 +32,7 @@ class MapError(ValueError):
 class RationalMap:
     """A rational self-map of P^3 given by 4 forms of a common degree."""
 
-    __slots__ = ("ring", "components", "degree", "label", "seed")
+    __slots__ = ("ring", "components", "degree", "label", "seed", "_base")
 
     def __init__(self, components, degree: int, label: str | None = None,
                  seed=None, _validated: bool = False):
@@ -54,12 +54,19 @@ class RationalMap:
         self.degree = degree
         self.label = label
         self.seed = seed
+        self._base = None
 
     def __repr__(self):
         return f"RationalMap<{self.label or 'deg %d' % self.degree}>({', '.join(map(str, self.components))})"
 
     def ideal(self) -> IdealHandle:
         return IdealHandle([f for f in self.components if f], self.ring)
+
+    def base_ideal(self, budget: Budget | None = None) -> IdealHandle:
+        """The saturated base ideal sat(f0, ..., f3), computed once per map."""
+        if self._base is None:
+            self._base = sat_irrelevant(self.ideal(), budget)
+        return self._base
 
     def apply(self, point):
         """Image of a point, or None if the point is in the base locus."""
@@ -129,8 +136,7 @@ def map_of_degree(components, degree, label=None) -> RationalMap:
 
 
 def base_dimension(psi: RationalMap) -> int:
-    J = sat_irrelevant(psi.ideal())
-    return hilbert_from_basis(J.groebner(), psi.ring).dimension
+    return hilbert_from_basis(psi.base_ideal().groebner(), psi.ring).dimension
 
 
 # ------------------------------------------------------------------ data
@@ -146,8 +152,8 @@ class CurveRecord:
     sing: list | None = None  # [(point, multiplicity)]; None = not computed
 
     @classmethod
-    def from_ideal(cls, I: IdealHandle) -> "CurveRecord":
-        h = hilbert_from_basis(I.groebner(), I.ring)
+    def from_ideal(cls, I: IdealHandle, budget: Budget | None = None) -> "CurveRecord":
+        h = hilbert_from_basis(I.groebner(GREVLEX, budget), I.ring)
         if h.dimension == -1:
             return cls(I, 0, 1)  # empty curve: HP = 0, p_a = 1 - HP(0)
         if h.dimension != 1:
@@ -189,8 +195,8 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
                budget: Budget | None = None):
     """(saturated base ideal, degree of its 1-dim part, count of isolated points)."""
     rng = rng or Rng(psi.seed or 0, "base")
-    J = sat_irrelevant(psi.ideal(), budget)
-    h = hilbert_from_basis(J.groebner(), psi.ring)
+    J = psi.base_ideal(budget)
+    h = hilbert_from_basis(J.groebner(GREVLEX, budget), psi.ring)
     deg1 = h.degree if h.dimension == 1 else 0
     if h.dimension <= 0:
         _, count = isolated_points(J, None, rng.split("theta"), budget)
@@ -227,24 +233,24 @@ def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None
         if not g1 or not g2:
             continue
         Gamma = IdealHandle([g1, g2], R, saturated=True)
-        h = hilbert_from_basis(Gamma.groebner(), R)
+        h = hilbert_from_basis(Gamma.groebner(GREVLEX, budget), R)
         if h.dimension != 1 or h.degree != psi.degree ** 2:
             last_err = f"degenerate line preimage (dim {h.dimension}, deg {h.degree})"
             continue
         C1i = saturate(Gamma, Ipsi, budget)
-        if C1i.is_unit():
+        if C1i.is_unit(budget):
             last_err = "line preimage entirely inside the base locus"
             continue
         C1i = C1i.as_saturated()
         C2i = quotient(Gamma, C1i, budget).as_saturated()
         # shared component <=> C1 + C2 still 1-dimensional
         both = sat_irrelevant(ideal_sum(C1i, C2i), budget)
-        hb = hilbert_from_basis(both.groebner(), R)
+        hb = hilbert_from_basis(both.groebner(GREVLEX, budget), R)
         if hb.dimension >= 1:
             last_err = "C1 and C2 share a component"
             continue
-        c1 = CurveRecord.from_ideal(C1i)
-        c2 = CurveRecord.from_ideal(C2i)
+        c1 = CurveRecord.from_ideal(C1i, budget)
+        c2 = CurveRecord.from_ideal(C2i, budget)
         if c1.degree + c2.degree != psi.degree ** 2:
             raise DegenerateInput(
                 f"liaison degree identity failed: {c1.degree} + {c2.degree} != {psi.degree ** 2}")
@@ -320,7 +326,7 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
     Fib = IdealHandle(gens, R)
     FibS = saturate(Fib, psi.ideal(), budget)
     FibS = sat_irrelevant(FibS, budget)
-    h = hilbert_from_basis(FibS.groebner(), R)
+    h = hilbert_from_basis(FibS.groebner(GREVLEX, budget), R)
     if h.dimension <= 0:
         return (h.degree if h.dimension == 0 else 0), 0
     return h.degree, h.dimension
@@ -342,21 +348,21 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     for attempt in range(retries):
         sub = rng.split(f"cert-{attempt}")
         S = psi.random_member(sub)
-        if gamma is not None and not normal_form(S, list(gamma.groebner())):
+        if gamma is not None and not normal_form(S, list(gamma.groebner(GREVLEX, budget))):
             continue  # S must be nonzero modulo the pencil cutting C1 u C2
         T = IdealHandle(list(c1.ideal.gens) + [S], R)
         T = sat_irrelevant(T, budget)
-        hT = hilbert_from_basis(T.groebner(), R)
+        hT = hilbert_from_basis(T.groebner(GREVLEX, budget), R)
         if hT.dimension != 0:
             continue
         if hT.degree != psi.degree * c1.degree:
             continue
         rest = saturate(T, ideal_sum(c1.ideal, c2.ideal), budget) if c2.degree else T
-        if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit():
+        if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
             rest = saturate(rest, analysis.theta_ideal, budget)
-        if rest.is_unit():
+        if rest.is_unit(budget):
             return 0
-        hr = hilbert_from_basis(rest.groebner(), R)
+        hr = hilbert_from_basis(rest.groebner(GREVLEX, budget), R)
         return hr.degree if hr.dimension == 0 else 0
     raise DegenerateInput("no suitable member for the certificate")
 
@@ -382,10 +388,10 @@ def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> in
             continue
         jac = IdealHandle(cubic.partials(), R3)
         sat3 = sat_irrelevant(jac, budget)
-        if sat3.is_unit():
+        if sat3.is_unit(budget):
             votes.append(1)
         else:
-            h = hilbert_from_basis(sat3.groebner(), R3)
+            h = hilbert_from_basis(sat3.groebner(GREVLEX, budget), R3)
             if h.dimension == 0 and h.degree == 1:
                 votes.append(0)  # a single node: rational cubic
             else:
@@ -428,14 +434,14 @@ def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
     """
     R = psi.ring
     Sigma = common_singular_locus(psi, budget)
-    if Sigma.is_unit():
+    if Sigma.is_unit(budget):
         return False, None
-    h = hilbert_from_basis(Sigma.groebner(), R)
+    h = hilbert_from_basis(Sigma.groebner(GREVLEX, budget), R)
     if h.dimension < 1:
         return False, None
     for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane", budget):
         sq = IdealHandle([l1 * l1, l1 * l2, l2 * l2], R)
-        if all(sq.contains(f) for f in psi.components):
+        if all(sq.contains(f, budget) for f in psi.components):
             return True, (l1, l2)
     return False, None
 
@@ -589,9 +595,9 @@ def analyze_map(psi: RationalMap, seed=0, trials: int = 5, with_certificate: boo
     rng = Rng(seed, f"analyze:{psi.label or ''}")
     an = MapAnalysis(psi=psi, seed=seed)
     an.gamma, an.c1, an.c2 = line_preimage_split(psi, rng.split("split"), budget=budget)
-    J = sat_irrelevant(psi.ideal(), budget)
+    J = psi.base_ideal(budget)
     an.base_ideal = J
-    hJ = hilbert_from_basis(J.groebner(), psi.ring)
+    hJ = hilbert_from_basis(J.groebner(GREVLEX, budget), psi.ring)
     an.base_dim = hJ.dimension
     an.deg1part = hJ.degree if hJ.dimension == 1 else 0
     an.theta_ideal, an.theta_count = isolated_points(

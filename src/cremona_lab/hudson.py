@@ -32,7 +32,7 @@ from .ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points
                      extract_points, graded_piece_dim, hilbert_from_basis,
                      multiplicity_at, piece_span, point_frame, quotient,
                      sat_irrelevant, vectors_to_polys)
-from .poly import Polynomial, Ring, ring
+from .poly import GREVLEX, Polynomial, Ring, ring
 from .rng import Rng
 
 TAGS = ("DoublePoint", "Binode", "DoubleContactPoint", "ContactPoint",
@@ -292,8 +292,8 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     pts: list = []
     ext: list = []
     unresolved = 0
-    if not spec.is_unit():
-        h = hilbert_from_basis(spec.groebner(), psi.ring)
+    if not spec.is_unit(budget):
+        h = hilbert_from_basis(spec.groebner(GREVLEX, budget), psi.ring)
         if h.dimension != 0:
             raise DegenerateInput("special locus is not finite (ruled map?)")
         got, got_ext, complete = extract_points(spec, rng.split("spec"), budget)
@@ -302,7 +302,7 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
         if not complete:
             total = count_points(spec, rng.split("spec-count"), budget)
             unresolved = max(0, total - len(got) - len(got_ext))
-    if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit():
+    if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
         got, got_ext, complete = extract_points(analysis.theta_ideal, rng.split("theta"), budget)
         for q in got:
             if q not in pts:
@@ -368,7 +368,7 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
             continue
         specials.append((p, pt))
         counts[pt.tag] = counts.get(pt.tag, 0) + 1
-        if theta is not None and not theta.is_unit():
+        if theta is not None and not theta.is_unit(budget):
             if all(g.evaluate(list(p)) == F.zero for g in theta.gens):
                 absorbed += 1
         prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"), budget)
@@ -401,7 +401,7 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
     R = c2.ideal.ring
     lines = []
     work = c2.ideal
-    work_h = hilbert_from_basis(work.groebner(), R)
+    work_h = hilbert_from_basis(work.groebner(GREVLEX, budget), R)
     for round_ in range(4):
         if work_h.dimension != 1:
             break
@@ -410,7 +410,7 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
             break
         lines.append(line)
         nxt = quotient(work, line, budget).as_saturated()
-        nh = hilbert_from_basis(nxt.groebner(), R)
+        nh = hilbert_from_basis(nxt.groebner(GREVLEX, budget), R)
         shrank = nh.dimension == 1 and nh.degree < work_h.degree
         work, work_h = nxt, nh
         if not shrank:
@@ -425,7 +425,7 @@ def _find_line_component(C: IdealHandle, rng: Rng, budget):
     """A line contained in the curve C, or None (field-rational search)."""
     for forms in candidate_lines(C, rng, "plane", budget):
         L = IdealHandle(forms, C.ring, saturated=True)
-        if all(L.contains(g) for g in C.gens):
+        if all(L.contains(g, budget) for g in C.gens):
             return L
     return None
 
@@ -632,7 +632,7 @@ def curve_singular_points(C: CurveRecord, rng: Rng, budget: Budget | None = None
     """
     I = C.ideal
     R = I.ring
-    gens = list(I.groebner())
+    gens = list(I.groebner(GREVLEX, budget))
     minors = []
     jac = [g.partials() for g in gens]
     for i in range(len(gens)):
@@ -643,9 +643,9 @@ def curve_singular_points(C: CurveRecord, rng: Rng, budget: Budget | None = None
                     if m:
                         minors.append(m)
     S = sat_irrelevant(IdealHandle(gens + minors, R), budget)
-    if S.is_unit():
+    if S.is_unit(budget):
         return []
-    h = hilbert_from_basis(S.groebner(), R)
+    h = hilbert_from_basis(S.groebner(GREVLEX, budget), R)
     if h.dimension != 0:
         return None
     pts, _, _ = extract_points(S, rng.split("pts"), budget)

@@ -9,7 +9,18 @@ Hilbert data derived from it.  The constructions used throughout:
   cheaper divide-out-the-last-variable shortcut when g is a variable and I
   is homogeneous;
 * saturation I:J^oo  -- intersection of the single-generator saturations
-  (valid because saturation only sees the zero locus of J).
+  (valid because saturation only sees the zero locus of J);
+* saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` first tries to
+  prove I saturated from its grevlex basis (Bayer-Stillman): when no lead is
+  divisible by z_last, or none is after z_last -> z_last + sum c_i z_i
+  (one more basis), a linear form h has I = I : h^oo, which contains I^sat.
+  The c_i come from a fixed stream and only decide whether the proof
+  succeeds.  A proved-saturated I whose zero set lies in no coordinate
+  hyperplane is returned as its reduced basis; finite length gives the
+  unit ideal; everything else takes the reference route
+  `_sat_irrelevant_by_parts` (one saturation per variable, intersected).
+  Every route returns the reference's exact generator tuple, because
+  downstream point extraction depends on the generating set.
 
 `saturate`, `sat_irrelevant` and `local_length` share one loop,
 `_intersect_distinct`, which skips unit parts, drops parts whose reduced
@@ -29,8 +40,8 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, QQ, Field
-from .groebner import Budget, groebner_basis, normal_form, exact_divide
-from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
+from .groebner import Budget, BudgetError, groebner_basis, normal_form, exact_divide
+from .poly import EXP_MAX, GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
 
@@ -79,14 +90,15 @@ class IdealHandle:
         out._gb.update(self._gb)
         return out
 
-    def nf(self, f: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        return normal_form(f, list(self.groebner(order)), order)
+    def nf(self, f: Polynomial, order: MonomialOrder = GREVLEX,
+           budget: Budget | None = None) -> Polynomial:
+        return normal_form(f, list(self.groebner(order, budget)), order)
 
-    def contains(self, f: Polynomial) -> bool:
-        return not self.nf(f)
+    def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
+        return not self.nf(f, GREVLEX, budget)
 
-    def is_unit(self) -> bool:
-        gb = self.groebner()
+    def is_unit(self, budget: Budget | None = None) -> bool:
+        gb = self.groebner(GREVLEX, budget)
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def is_zero(self) -> bool:
@@ -233,17 +245,25 @@ def _saturate_variable(I: IdealHandle, i: int, budget: Budget | None = None) -> 
         raise ValueError("variable saturation requires homogeneous input")
     perm = list(range(n))
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
-    moved = IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
+    # z_{n-1} is already cheapest: the permutation is the identity
+    moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
     gb = moved.groebner(GREVLEX, budget)
     out = []
     step = 1 << (8 * (n - 1))
     dstep = 1 << R.deg_shift
+    divided = False
     for g in gb:
         e = min(R.mexp(m, n - 1) for m, _ in g.terms)
         if e:
+            divided = True
             g = Polynomial(R, tuple((m - e * step - e * dstep, c) for m, c in g.terms))
         out.append(g.map_vars(R, perm))
-    return IdealHandle(out, R)
+    part = IdealHandle(out, R)
+    known = I._gb.get(GREVLEX)
+    if not divided and known is not None:
+        # no lead divisible by z_i: z_i is a non-zerodivisor mod I, the part is I
+        part.with_basis(GREVLEX, known)
+    return part
 
 
 def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
@@ -262,9 +282,9 @@ def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
     acc = None
     seen = []
     for S in parts:
-        if S.is_unit():
+        if S.is_unit(budget):
             continue
-        g = S.groebner()
+        g = S.groebner(GREVLEX, budget)
         if any(g == T for T in seen):
             continue
         seen.append(g)
@@ -273,19 +293,111 @@ def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
 
 
 def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """Saturation with respect to (z_0, ..., z_{n-1})."""
+    """Saturation with respect to (z_0, ..., z_{n-1}).
+
+    Returns exactly the generators `_sat_irrelevant_by_parts` returns; the
+    shortcuts only skip work.  A finite-length I gives the unit ideal.  A
+    proved-saturated I whose zero set lies in no coordinate hyperplane gives
+    its reduced grevlex basis, as the reference does: no part I : z_i^oo is
+    then the unit ideal, so either all parts equal I or at least two
+    distinct ones are intersected, and `intersect` eliminates down to the
+    reduced grevlex basis of I.  A lead z_last^a means z_last^a is in I, so
+    the zero set lies in z_last = 0 and the reference route is taken.
+    """
     R = I.ring
     if not I.gens:
         return IdealHandle([], R, saturated=True)
+    if any(not g.is_homogeneous() for g in I.gens):
+        raise ValueError("variable saturation requires homogeneous input")
+    gb0 = I.groebner(GREVLEX, budget)
+    h = hilbert_from_basis(gb0, R)
+    if h.dimension == -1:
+        return IdealHandle([R.one], R, saturated=True)
+    pure = _pure_power_leads(gb0, R)
+    if (R.nvars - 1 not in pure and _proved_saturated(gb0, R, budget)
+            and _off_coordinate_hyperplanes(gb0, h, pure, budget)):
+        return IdealHandle(list(gb0), R, saturated=True).with_basis(GREVLEX, gb0)
+    return _sat_irrelevant_by_parts(I, budget)
+
+
+def _sat_irrelevant_by_parts(I: IdealHandle, budget: Budget | None) -> IdealHandle:
+    """The reference route: saturate by each variable and intersect the
+    distinct parts."""
+    R = I.ring
     gb0 = I.groebner(GREVLEX, budget)
     parts = [_saturate_variable(I, i, budget) for i in range(R.nvars)]
-    if all(tuple(S.groebner()) == tuple(gb0) for S in parts):
+    if all(tuple(S.groebner(GREVLEX, budget)) == tuple(gb0) for S in parts):
         out = IdealHandle(list(gb0), R, saturated=True)
         return out.with_basis(GREVLEX, gb0)
     acc = _intersect_distinct(parts, budget)
     if acc is None:
         return IdealHandle([R.one], R, saturated=True)
     return acc.as_saturated()
+
+
+def _pure_power_leads(gb: tuple, R: Ring) -> set:
+    """Indices i such that some lead of `gb` is a power of z_i.  Every z_i
+    in the radical of the ideal is among them: z_i^k in I puts z_i^k in the
+    lead ideal, whose minimal generators are the leads of a reduced basis."""
+    out = set()
+    for g in gb:
+        m = g.lead()[0]
+        support = _support(m, R)
+        if len(support) == 1:
+            out.add(support[0])
+    return out
+
+
+def _proved_saturated(gb0: tuple, R: Ring, budget: Budget | None) -> bool:
+    """True when the reduced grevlex basis `gb0` of a homogeneous I proves
+    I saturated (Bayer-Stillman).  If no lead is divisible by the last
+    variable, z_last is a non-zerodivisor mod I, so I = I : z_last^oo, which
+    contains I^sat.  Otherwise the same test runs once after
+    z_last -> z_last + sum c_i z_i, for a linear form h in place of z_last.
+    The c_i come from a fixed stream; they only decide whether the proof
+    succeeds, never what is returned.  False means "not proved"."""
+    n = R.nvars
+    if not any(R.mexp(g.lead()[0], n - 1) for g in gb0):
+        return True
+    F = R.field
+    rng = Rng(0, "sat-irrelevant-certificate")
+    # small positive integers over Q keep the coefficients small
+    coeffs = [F.of(rng.randrange(F.char) if F.char else rng.randint(1, 16))
+              for _ in range(n - 1)]
+    M = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
+    M.append(coeffs + [F.one])
+    moved = [g.substitute_linear(M, check_invertible=False) for g in gb0]
+    try:
+        gb = groebner_basis(moved, GREVLEX, budget)
+    except BudgetError:
+        return False
+    return not any(R.mexp(g.lead()[0], n - 1) for g in gb)
+
+
+def _off_coordinate_hyperplanes(gb0: tuple, h: HilbertData, pure: set,
+                                budget: Budget | None) -> bool:
+    """True when no z_i lies in the radical of the saturated ideal with
+    reduced grevlex basis `gb0` and Hilbert data `h`, i.e. V(I) lies in no
+    coordinate hyperplane.  Only the indices in `pure` can fail.  For a
+    finite scheme of degree d each local ring has length <= d, so z_i is in
+    the radical iff z_i^d is in I.  Otherwise it suffices that adding the
+    product of those variables drops the dimension: then no top-dimensional
+    component lies in their hyperplanes.  False means "not proved"."""
+    if not pure:
+        return True
+    R = gb0[0].ring
+    if h.dimension == 0:
+        if h.degree > EXP_MAX:
+            return False
+        powers = (R.pack([h.degree if j == i else 0 for j in range(R.nvars)])
+                  for i in pure)
+        return all(normal_form(R.poly({m: R.field.one}), list(gb0)) for m in powers)
+    prod = R.pack([1 if i in pure else 0 for i in range(R.nvars)])
+    try:
+        cut = groebner_basis(list(gb0) + [R.poly({prod: R.field.one})], GREVLEX, budget)
+    except BudgetError:
+        return False
+    return hilbert_from_basis(cut, R).dimension < h.dimension
 
 
 def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHandle:
@@ -528,7 +640,7 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     """Length of the component of a 0-dimensional scheme at the point p."""
     R = I.ring
     Isat = I if I.saturated else sat_irrelevant(I, budget)
-    h = hilbert_from_basis(Isat.groebner(), R)
+    h = hilbert_from_basis(Isat.groebner(GREVLEX, budget), R)
     if h.dimension > 0:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
@@ -538,10 +650,10 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     # strip the component at e_last: saturate by the point's maximal ideal
     acc = _intersect_distinct((_saturate_variable(J, i, budget) for i in range(R.nvars - 1)),
                               budget)
-    if acc is None or acc.is_unit():
+    if acc is None or acc.is_unit(budget):
         rest_deg = 0
     else:
-        hr = hilbert_from_basis(acc.groebner(), R)
+        hr = hilbert_from_basis(acc.groebner(GREVLEX, budget), R)
         rest_deg = hr.degree if hr.dimension == 0 else 0
     return h.degree - rest_deg
 
@@ -588,7 +700,7 @@ def count_points(I: IdealHandle, rng: Rng, budget: Budget | None = None) -> int:
     draws, collisions only undercount)."""
     R = I.ring
     Isat = I if I.saturated else sat_irrelevant(I, budget)
-    if Isat.is_unit():
+    if Isat.is_unit(budget):
         return 0
     best = 0
     for k in range(3):
@@ -685,9 +797,9 @@ def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None,
     complete_flag).  Points are normalized projective tuples."""
     R = I.ring
     Isat = I if I.saturated else sat_irrelevant(I, budget)
-    if Isat.is_unit():
+    if Isat.is_unit(budget):
         return [], [], True
-    h = hilbert_from_basis(Isat.groebner(), R)
+    h = hilbert_from_basis(Isat.groebner(GREVLEX, budget), R)
     if h.dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
     pts, ext, complete = _extract_chart(Isat, rng, budget, allow_ext)
@@ -830,15 +942,15 @@ def isolated_points(J: IdealHandle, curve_part: IdealHandle | None, rng: Rng,
     """0-dimensional part of the base scheme: (theta_ideal, distinct count)."""
     R = J.ring
     Jsat = J if J.saturated else sat_irrelevant(J, budget)
-    if Jsat.is_unit():
+    if Jsat.is_unit(budget):
         return unit_ideal(R), 0
-    if curve_part is None or curve_part.is_unit() or not curve_part.gens:
+    if curve_part is None or curve_part.is_unit(budget) or not curve_part.gens:
         theta = Jsat
     else:
         theta = saturate(Jsat, curve_part, budget)
-    if theta.is_unit():
+    if theta.is_unit(budget):
         return theta, 0
-    h = hilbert_from_basis(theta.groebner(), R)
+    h = hilbert_from_basis(theta.groebner(GREVLEX, budget), R)
     if h.dimension != 0:
         raise DegenerateInput("residual of the curve part is not 0-dimensional")
     theta = theta.as_saturated()
@@ -871,7 +983,7 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget |
         sub = rng.split(f"{plane_label}-{k}")
         plane = R.linear_form([F.rand(sub) for _ in range(R.nvars)])
         cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R), budget)
-        if cut.is_unit() or hilbert_from_basis(cut.groebner(), R).dimension != 0:
+        if cut.is_unit(budget) or hilbert_from_basis(cut.groebner(GREVLEX, budget), R).dimension != 0:
             return
         pts, _, _ = extract_points(cut, sub.split("pts"), budget)
         samples.append(pts)

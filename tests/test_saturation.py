@@ -1,0 +1,167 @@
+"""sat_irrelevant: every shortcut returns exactly the generators of the
+reference route (saturate by each variable, intersect the distinct parts),
+costs the pinned number of Groebner bases, and the caller's budget reaches
+every Groebner call of an analysis."""
+
+import pytest
+
+from cremona_lab import cli, cremona, families, groebner, hudson, ideals
+from cremona_lab.cremona import analyze_map, new_map
+from cremona_lab.fields import GF, QQ
+from cremona_lab.groebner import Budget
+from cremona_lab.ideals import (IdealHandle, _sat_irrelevant_by_parts, ideal_product,
+                                intersect, sat_irrelevant)
+from cremona_lab.poly import parse_poly, ring
+from cremona_lab.rng import Rng, random_prime
+
+FIELDS = [GF(10007), QQ]
+# a small integer change of coordinates moves the curves off the
+# coordinate hyperplanes (and keeps the coefficients small over Q)
+MOVE = [[1, 2, 0, 1], [0, 1, 3, 1], [1, 0, 1, 2], [2, 1, 1, 1]]
+TWISTED = ("z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2")
+
+
+def _ideal(R, texts, moved=False):
+    gens = [parse_poly(t, R) for t in texts]
+    if moved:
+        gens = [g.substitute_linear(MOVE) for g in gens]
+    return IdealHandle(gens, R)
+
+
+def _irrelevant(R, power=1):
+    m = IdealHandle(R.vars(), R)
+    out = m
+    for _ in range(power - 1):
+        out = ideal_product(out, m)
+    return out
+
+
+def _inputs(F):
+    R = ring(F, 4)
+    curve = _ideal(R, TWISTED, moved=True)
+    return {
+        "finite length": _ideal(R, ("z0^2", "z1^2 + z0*z3", "z2^2", "z3^3")),
+        "unit": IdealHandle([R.one], R),
+        "saturated curve": curve,
+        "curve times (z0..z3)": ideal_product(_ideal(R, TWISTED, moved=True), _irrelevant(R)),
+        "curve meet (z0..z3)^3": intersect(_ideal(R, TWISTED, moved=True), _irrelevant(R, 3)),
+        # zero sets inside coordinate hyperplanes: here the reference returns
+        # a permuted-order basis, not the reduced grevlex basis
+        "coordinate point": _ideal(R, ("z1", "z2", "z3")),
+        "plane curve in z0 = 0": _ideal(R, ("z0", "z1^3 + z2^3 + z3^3 + z1*z2*z3")),
+        "two points, one on z3 = 0": intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3")),
+                                               _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0"))),
+    }
+
+
+def _same(got, want):
+    assert got.gens == want.gens
+    assert got.saturated and want.saturated
+    assert got.groebner() == want.groebner()
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf", "q"])
+@pytest.mark.parametrize("name", list(_inputs(GF(10007))))
+def test_sat_irrelevant_returns_the_reference_generators(F, name):
+    I = _inputs(F)[name]
+    want = _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring), None)
+    _same(sat_irrelevant(I), want)
+
+
+def test_finite_length_and_unit_inputs_give_the_unit_ideal():
+    for name in ("finite length", "unit"):
+        got = sat_irrelevant(_inputs(GF(10007))[name])
+        assert got.gens == (got.ring.one,) and got.saturated
+
+
+def test_non_homogeneous_input_is_refused():
+    R = ring(GF(10007), 4)
+    with pytest.raises(ValueError):
+        sat_irrelevant(_ideal(R, ("z0^2 + z1", "z2")))
+
+
+def _count_bases(monkeypatch):
+    calls = []
+    real = ideals.groebner_basis
+
+    def counted(gens, order=groebner.GREVLEX, budget=None, strategy="normal"):
+        calls.append(budget)
+        return real(gens, order, budget, strategy)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,bases", [
+    ("finite length", 1),            # the basis itself shows finite length
+    ("coordinate point", 7),         # reference route: basis, 3 moved, 3 parts (z0's is I)
+    ("saturated curve", 2),          # z3 a non-zerodivisor; + the coordinate-hyperplane test
+    ("two points, one on z3 = 0", 2),  # + the basis after z3 -> z3 + sum c_i z_i
+])
+def test_groebner_calls_per_branch(monkeypatch, name, bases):
+    I = _inputs(GF(10007))[name]
+    calls = _count_bases(monkeypatch)
+    sat_irrelevant(I)
+    assert len(calls) == bases
+
+
+def test_saturated_points_off_the_coordinate_hyperplanes_cost_one_basis(monkeypatch):
+    R = ring(GF(10007), 4)
+    I = intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0")),
+                  _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0")))
+    calls = _count_bases(monkeypatch)
+    got = sat_irrelevant(I)
+    assert len(calls) == 1
+    _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), R), None))
+
+
+def test_a_part_by_a_non_zerodivisor_reuses_the_basis_of_the_input():
+    I = _inputs(GF(10007))["saturated curve"]
+    gb0 = I.groebner()
+    for i in range(4):
+        part = ideals._saturate_variable(I, i)
+        assert part._gb.get(groebner.GREVLEX) == gb0
+        assert tuple(groebner.groebner_basis(list(part.gens))) == gb0
+
+
+def test_analyze_map_saturates_the_base_ideal_once(monkeypatch):
+    template, _ = families.build("E8", 1, GF(1000003))
+    seen = []
+    real = cremona.sat_irrelevant
+
+    def watched(I, budget=None):
+        seen.append(I.gens)
+        return real(I, budget)
+
+    monkeypatch.setattr(cremona, "sat_irrelevant", watched)
+    psi = new_map(*template.components, label=template.label, seed=1)
+    analyze_map(psi, seed=1, trials=0, with_certificate=False)
+    assert seen.count(psi.ideal().gens) == 1
+
+
+def test_analysis_report_passes_the_budget_to_every_groebner_call(monkeypatch):
+    psi, _ = families.build("E2", 1, GF(1000003))
+    calls = _count_bases(monkeypatch)
+    cli.analysis_report(psi, 1, with_hudson=False, budget=Budget(100000, 25))
+    assert calls and calls.count(None) == 0
+
+
+def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
+    """One invariants scan per stratum with every sat_irrelevant call
+    checked against the reference route."""
+    real = ideals.sat_irrelevant
+    checked = []
+
+    def compared(I, budget=None):
+        got = real(I, budget)
+        _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring), budget))
+        checked.append(I)
+        return got
+
+    for mod in (ideals, cremona, hudson, families):
+        monkeypatch.setattr(mod, "sat_irrelevant", compared)
+    rng = Rng(1, "scan-primes")
+    for k, fam in enumerate(families.FAMILY_LABELS):
+        rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")))
+        assert rec["ok"], rec
+    assert len(checked) > 100
