@@ -292,6 +292,33 @@ def groebner_basis(
     return [eng.from_list(lst) for lst in minimal]
 
 
+class Reducer:
+    """Normal forms modulo one fixed Groebner basis.  The engine and the
+    basis' monic term lists are built once, so a caller reducing many
+    polynomials against the same basis pays the conversion once; each
+    result equals `normal_form(f, basis, order)`."""
+
+    def __init__(self, basis: list, order: MonomialOrder = GREVLEX,
+                 budget: Budget | None = None):
+        basis = list(basis)
+        self._eng = None
+        if not basis:
+            return
+        ring = basis[0].ring
+        if any(g.ring != ring for g in basis):
+            raise ValueError("order/ring mismatch")
+        self._eng = eng = _Engine(ring, order, budget or DEFAULT_BUDGET)
+        self._G = sorted((eng.to_list(g.monic()) for g in basis if g), key=lambda l: l[0][0])
+
+    def __call__(self, f: Polynomial) -> Polynomial:
+        eng = self._eng
+        if eng is None or not f:
+            return f
+        if f.ring != eng.ring:
+            raise ValueError("order/ring mismatch")
+        return eng.from_list(eng.reduce_full(eng.to_list(f), self._G))
+
+
 def normal_form(
     f: Polynomial,
     basis: list,
@@ -305,13 +332,7 @@ def normal_form(
     """
     if not basis or not f:
         return f
-    ring = f.ring
-    for g in basis:
-        if g.ring != ring:
-            raise ValueError("order/ring mismatch")
-    eng = _Engine(ring, order, budget or DEFAULT_BUDGET)
-    G = sorted((eng.to_list(g.monic()) for g in basis if g), key=lambda l: l[0][0])
-    return eng.from_list(eng.reduce_full(eng.to_list(f), G))
+    return Reducer(basis, order, budget)(f)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:

@@ -8,8 +8,14 @@ Hilbert data derived from it.  The constructions used throughout:
 * saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), with the
   cheaper divide-out-the-last-variable shortcut when g is a variable and I
   is homogeneous;
-* saturation I:J^oo  -- intersection of the single-generator saturations
-  (valid because saturation only sees the zero locus of J);
+* saturation I:J^oo  -- one Rabinowitsch saturation K = I:h^oo by a fixed
+  generic combination h of J's generators (degrees padded by a linear
+  form), accepted when a normal-form certificate shows g^N k in I for every
+  generator g of J and k of K; otherwise the reference route
+  `_saturate_by_parts`, the intersection of the single-generator
+  saturations (valid because saturation only sees the zero locus of J).
+  Where the shortcut applies, both routes return the reduced grevlex basis
+  of I:J^oo;
 * saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` first tries to
   prove I saturated from its grevlex basis (Bayer-Stillman): when no lead is
   divisible by z_last, or none is after z_last -> z_last + sum c_i z_i
@@ -40,7 +46,8 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, QQ, Field
-from .groebner import Budget, BudgetError, groebner_basis, normal_form, exact_divide
+from .groebner import (DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide,
+                       groebner_basis, normal_form)
 from .poly import EXP_MAX, GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -162,12 +169,18 @@ def intersect(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> I
     lift = [i + 1 for i in range(R.nvars)]
     gens = [t * g.map_vars(S, lift) for g in I.gens]
     gens += [one_minus_t * g.map_vars(S, lift) for g in J.gens]
+    return _eliminate_t(gens, R, S, budget)
+
+
+def _eliminate_t(gens: list, R: Ring, S: Ring, budget: Budget | None) -> IdealHandle:
+    """The t-free part of the reduced ElimBlock(1) basis of `gens` in the
+    scratch ring S, moved back to R.  ElimBlock(1) restricted to t-free
+    monomials is grevlex, so that part is the reduced grevlex basis of the
+    elimination ideal and is attached as its cached basis."""
     gb = groebner_basis(gens, ElimBlock(1), budget)
-    out = []
-    for g in gb:
-        if all(S.mexp(m, 0) == 0 for m, _ in g.terms):
-            out.append(g.map_vars(R, _drop_first(R)))
-    return IdealHandle(out, R)
+    out = [g.map_vars(R, _drop_first(R)) for g in gb
+           if all(S.mexp(m, 0) == 0 for m, _ in g.terms)]
+    return IdealHandle(out, R).with_basis(GREVLEX, out)
 
 
 def _drop_first(R: Ring):
@@ -211,16 +224,18 @@ def saturate_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None
     vi = _single_variable(g)
     if vi is not None:
         return _saturate_variable(I, vi, budget)
+    return _rabinowitsch(I, g, budget)
+
+
+def _rabinowitsch(I: IdealHandle, g: Polynomial, budget: Budget | None) -> IdealHandle:
+    """(I : g^oo) = (I + (t*g - 1)) meet k[z], for any polynomial g."""
     R = I.ring
     S = _scratch_ring(R)
     t = S.var(0)
     lift = [i + 1 for i in range(R.nvars)]
     gens = [f.map_vars(S, lift) for f in I.gens]
     gens.append(t * g.map_vars(S, lift) - S.one)
-    gb = groebner_basis(gens, ElimBlock(1), budget)
-    out = [h.map_vars(R, _drop_first(R)) for h in gb
-           if all(S.mexp(m, 0) == 0 for m, _ in h.terms)]
-    return IdealHandle(out, R)
+    return _eliminate_t(gens, R, S, budget)
 
 
 def _single_variable(g: Polynomial):
@@ -267,13 +282,85 @@ def _saturate_variable(I: IdealHandle, i: int, budget: Budget | None = None) -> 
 
 
 def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """(I : J^oo) = intersection over generators g of (I : g^oo)."""
+    """(I : J^oo), with exactly the generators `_saturate_by_parts` returns.
+
+    When J has at least two generators, none constant or a variable (a
+    variable's part in the reference is not a reduced basis), it is first
+    computed as K = I : h^oo for one combination
+    h = sum_i c_i l^(D - d_i) g_i of J's generators, padded to the top
+    degree D (l and the c_i from a fixed stream).  I : J^oo lies in K
+    because h lies in J.  K lies in I : J^oo when `_certified` shows that
+    every generator g of J has g^N k in I for every generator k of K.  Then
+    K, the reduced grevlex basis of I : J^oo, is returned; it is also what
+    the reference returns, since Rabinowitsch parts and intersections are
+    reduced grevlex bases.  An unproved K, or a BudgetError inside the
+    shortcut, takes the reference route.
+    """
+    _same_ring(I, J)
+    gens = [g for g in J.gens if g]
+    if len(gens) >= 2 and all(g.total_degree() > 0 and _single_variable(g) is None
+                              for g in gens):
+        try:
+            K = _rabinowitsch(I, _generic_combination(gens), budget)
+            if _certified(I, K, gens, budget):
+                return K
+        except BudgetError:
+            pass
+    return _saturate_by_parts(I, J, budget)
+
+
+def _saturate_by_parts(I: IdealHandle, J: IdealHandle, budget: Budget | None) -> IdealHandle:
+    """The reference route: (I : J^oo) as the intersection over generators
+    g of J of (I : g^oo)."""
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
     if not gens or any(g.total_degree() == 0 for g in gens):
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
     acc = _intersect_distinct([saturate_by_poly(I, g, budget) for g in gens], budget)
     return unit_ideal(I.ring) if acc is None else acc
+
+
+def _generic_combination(gens: list) -> Polynomial:
+    """sum_i c_i l^(D - d_i) g_i for D the top degree of `gens`, with the
+    linear form l and the c_i from the fixed stream "saturate-combination"."""
+    R = gens[0].ring
+    rng = Rng(0, "saturate-combination")
+    ell = R.linear_form(_small_coefficients(R.field, rng, R.nvars))
+    coeffs = _small_coefficients(R.field, rng, len(gens))
+    top = max(g.total_degree() for g in gens)
+    h = R.zero
+    for c, g in zip(coeffs, gens):
+        term = g.scale(c)
+        for _ in range(top - g.total_degree()):
+            term = term * ell
+        h = h + term
+    return h
+
+
+def _small_coefficients(F: Field, rng: Rng, k: int) -> list:
+    """k draws from `rng`: uniform over GF(p), small positive integers over
+    Q (which keep the coefficients of the generic choices small)."""
+    return [F.of(rng.randrange(F.char) if F.char else rng.randint(1, 16)) for _ in range(k)]
+
+
+def _certified(I: IdealHandle, K: IdealHandle, gens: list, budget: Budget | None) -> bool:
+    """True when every generator k of K has g^N k in I for every g in
+    `gens`: then J^M k lies in I for M = len(gens) * (N - 1) + 1, so K lies
+    in I : J^oo.  r <- NF(g * r) modulo I's grevlex basis, from r = NF(k),
+    reaches 0 after N steps.  False when some g^N k would exceed the degree
+    budget first."""
+    max_degree = (budget or DEFAULT_BUDGET).max_degree
+    nf = Reducer(I.groebner(GREVLEX, budget), GREVLEX, budget)
+    for k in K.gens:
+        for g in gens:
+            r = nf(k)
+            degree = k.total_degree()
+            while r:
+                degree += g.total_degree()
+                if degree > max_degree:
+                    return False
+                r = nf(g * r)
+    return True
 
 
 def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
@@ -360,10 +447,7 @@ def _proved_saturated(gb0: tuple, R: Ring, budget: Budget | None) -> bool:
     if not any(R.mexp(g.lead()[0], n - 1) for g in gb0):
         return True
     F = R.field
-    rng = Rng(0, "sat-irrelevant-certificate")
-    # small positive integers over Q keep the coefficients small
-    coeffs = [F.of(rng.randrange(F.char) if F.char else rng.randint(1, 16))
-              for _ in range(n - 1)]
+    coeffs = _small_coefficients(F, Rng(0, "sat-irrelevant-certificate"), n - 1)
     M = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
     M.append(coeffs + [F.one])
     moved = [g.substitute_linear(M, check_invertible=False) for g in gb0]
@@ -391,7 +475,8 @@ def _off_coordinate_hyperplanes(gb0: tuple, h: HilbertData, pure: set,
             return False
         powers = (R.pack([h.degree if j == i else 0 for j in range(R.nvars)])
                   for i in pure)
-        return all(normal_form(R.poly({m: R.field.one}), list(gb0)) for m in powers)
+        nf = Reducer(gb0)
+        return all(nf(R.poly({m: R.field.one})) for m in powers)
     prod = R.pack([1 if i in pure else 0 for i in range(R.nvars)])
     try:
         cut = groebner_basis(list(gb0) + [R.poly({prod: R.field.one})], GREVLEX, budget)

@@ -13,6 +13,7 @@ orders.
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable
 
 from .fields import Field, QQ
@@ -289,10 +290,13 @@ class Ring:
         return f
 
 
-_ring_cache: dict = {}
+# held weakly: a scan draws a fresh prime per sample, and every ring keeps a
+# monomial-key cache, so strong references would grow for the whole process
+_ring_cache: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def ring(field: Field, nvars: int, names: tuple | None = None) -> Ring:
+    """The ring over `field` in `nvars` variables, shared while it is in use."""
     key = (field, nvars, names)
     R = _ring_cache.get(key)
     if R is None:

@@ -1,7 +1,7 @@
 import pytest
 
 from cremona_lab.fields import GF, QQ
-from cremona_lab.groebner import (Budget, BudgetError, exact_divide, groebner_basis,
+from cremona_lab.groebner import (Budget, BudgetError, Reducer, exact_divide, groebner_basis,
                                   normal_form, spoly_reduces_to_zero)
 from cremona_lab.poly import LEX, ElimBlock, parse_poly, ring
 from cremona_lab.rng import Rng
@@ -114,3 +114,17 @@ def test_qq_groebner():
     gb = groebner_basis(gens)
     assert len(gb) == 3
     assert normal_form(parse_poly("z1^2", RQ), gb) == parse_poly("z0*z2", RQ)
+
+
+@pytest.mark.parametrize("F", [GF(10007), QQ], ids=["gf", "q"])
+def test_a_prepared_reducer_gives_the_normal_forms(F):
+    S = ring(F, 4)
+    basis = groebner_basis([parse_poly(t, S) for t in
+                            ("z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2", "z0 + 3*z3")])
+    nf = Reducer(basis)
+    for t in ("z0^3 + 2*z1*z2*z3", "z3^4 - 5*z0*z1*z2^2", "z1*z3 - z2^2", "7", "0"):
+        f = parse_poly(t, S)
+        assert nf(f) == normal_form(f, basis)
+    assert Reducer([])(f) == f
+    with pytest.raises(ValueError):
+        nf(ring(GF(101), 4).var(0))

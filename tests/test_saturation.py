@@ -1,7 +1,10 @@
-"""sat_irrelevant: every shortcut returns exactly the generators of the
-reference route (saturate by each variable, intersect the distinct parts),
-costs the pinned number of Groebner bases, and the caller's budget reaches
-every Groebner call of an analysis."""
+"""sat_irrelevant and saturate: every shortcut returns exactly the
+generators of the reference route (saturate by each variable or by each
+generator, intersect the distinct parts), costs the pinned number of
+Groebner bases, and the caller's budget reaches every Groebner call of an
+analysis."""
+
+import gc
 
 import pytest
 
@@ -9,9 +12,10 @@ from cremona_lab import cli, cremona, families, groebner, hudson, ideals
 from cremona_lab.cremona import analyze_map, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
-from cremona_lab.ideals import (IdealHandle, _sat_irrelevant_by_parts, ideal_product,
-                                intersect, sat_irrelevant)
-from cremona_lab.poly import parse_poly, ring
+from cremona_lab.ideals import (IdealHandle, _certified, _sat_irrelevant_by_parts,
+                                _saturate_by_parts, ideal_product, intersect, sat_irrelevant,
+                                saturate, saturate_by_poly)
+from cremona_lab.poly import _ring_cache, parse_poly, ring
 from cremona_lab.rng import Rng, random_prime
 
 FIELDS = [GF(10007), QQ]
@@ -36,6 +40,11 @@ def _irrelevant(R, power=1):
     return out
 
 
+def _fresh(I):
+    """I without its cached bases (e.g. the one `intersect` attaches)."""
+    return IdealHandle(list(I.gens), I.ring)
+
+
 def _inputs(F):
     R = ring(F, 4)
     curve = _ideal(R, TWISTED, moved=True)
@@ -44,13 +53,15 @@ def _inputs(F):
         "unit": IdealHandle([R.one], R),
         "saturated curve": curve,
         "curve times (z0..z3)": ideal_product(_ideal(R, TWISTED, moved=True), _irrelevant(R)),
-        "curve meet (z0..z3)^3": intersect(_ideal(R, TWISTED, moved=True), _irrelevant(R, 3)),
+        "curve meet (z0..z3)^3": _fresh(intersect(_ideal(R, TWISTED, moved=True),
+                                                  _irrelevant(R, 3))),
         # zero sets inside coordinate hyperplanes: here the reference returns
         # a permuted-order basis, not the reduced grevlex basis
         "coordinate point": _ideal(R, ("z1", "z2", "z3")),
         "plane curve in z0 = 0": _ideal(R, ("z0", "z1^3 + z2^3 + z3^3 + z1*z2*z3")),
-        "two points, one on z3 = 0": intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3")),
-                                               _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0"))),
+        "two points, one on z3 = 0": _fresh(intersect(
+            _ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3")),
+            _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0")))),
     }
 
 
@@ -107,8 +118,8 @@ def test_groebner_calls_per_branch(monkeypatch, name, bases):
 
 def test_saturated_points_off_the_coordinate_hyperplanes_cost_one_basis(monkeypatch):
     R = ring(GF(10007), 4)
-    I = intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0")),
-                  _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0")))
+    I = _fresh(intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0")),
+                         _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0"))))
     calls = _count_bases(monkeypatch)
     got = sat_irrelevant(I)
     assert len(calls) == 1
@@ -146,11 +157,19 @@ def test_analysis_report_passes_the_budget_to_every_groebner_call(monkeypatch):
     assert calls and calls.count(None) == 0
 
 
+def _cached_basis_is_exact(I):
+    """The cached grevlex basis, if any, is the basis of I's generators."""
+    gb = I._gb.get(groebner.GREVLEX)
+    assert gb is None or gb == tuple(groebner.groebner_basis(list(I.gens)))
+
+
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
-    """One invariants scan per stratum with every sat_irrelevant call
-    checked against the reference route."""
+    """One invariants scan per stratum with every sat_irrelevant and every
+    saturate call checked against its reference route."""
     real = ideals.sat_irrelevant
+    real_saturate = ideals.saturate
     checked = []
+    checked_saturate = []
 
     def compared(I, budget=None):
         got = real(I, budget)
@@ -158,10 +177,102 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         checked.append(I)
         return got
 
+    def compared_saturate(I, J, budget=None):
+        got = real_saturate(I, J, budget)
+        want = _saturate_by_parts(_fresh(I), J, budget)
+        assert got.gens == want.gens and got.saturated == want.saturated
+        _cached_basis_is_exact(got)
+        checked_saturate.append(I)
+        return got
+
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", compared)
+    for mod in (ideals, cremona):
+        monkeypatch.setattr(mod, "saturate", compared_saturate)
     rng = Rng(1, "scan-primes")
     for k, fam in enumerate(families.FAMILY_LABELS):
         rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")))
         assert rec["ok"], rec
     assert len(checked) > 100
+    assert len(checked_saturate) >= 2 * len(families.FAMILY_LABELS)
+
+
+def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
+    """I = I_P meet I_Q with P = (1:2:3:5), Q = (1:1:1:1); g1 vanishes at P
+    only, g2 at neither, so I : g1^oo = I_Q is strictly larger than
+    I : (g1, g2)^oo = I."""
+    R = ring(GF(10007), 4)
+    I = intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0")),
+                  _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0")))
+    J = _ideal(R, ("z1^2 + z2*z3 - 19*z0^2", "z0^2 + z1^2 + z2^2 + z3^2"))
+    g1, g2 = J.gens
+    too_big = saturate_by_poly(I, g1)
+    assert not too_big.equals(I)
+    assert not _certified(I, too_big, [g1, g2], None)
+    assert _certified(I, saturate_by_poly(I, g2), [g1, g2], None)
+    # a combination that is only g1 is refused and the reference is returned
+    monkeypatch.setattr(ideals, "_generic_combination", lambda gens: gens[0])
+    got = saturate(I, J)
+    assert got.gens == _saturate_by_parts(_fresh(I), J, None).gens and got.equals(I)
+
+
+def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
+    """saturate(Gamma, I_psi) on an E8 map: one Rabinowitsch basis (the
+    reference costs a basis per generator), and is_unit on the result is
+    free because the basis comes attached."""
+    psi, _ = families.build("E8", 1, GF(1000003))
+    F = psi.ring.field
+    sub = Rng(1, "one-basis")
+    rows = [[F.rand(sub) for _ in range(4)] for _ in range(2)]
+    Gamma = IdealHandle([psi.member(r) for r in rows], psi.ring, saturated=True)
+    Gamma.groebner()
+    calls = _count_bases(monkeypatch)
+    got = saturate(Gamma, psi.ideal())
+    assert len(calls) == 1
+    assert not got.is_unit()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).gens
+
+
+def _cubic_and_line(F):
+    R = ring(F, 4)
+    return _ideal(R, TWISTED, moved=True), _ideal(R, ("z0 + z1 - z2", "z1 + 2*z3 - z0"))
+
+
+def test_saturate_over_q_takes_one_combination(monkeypatch):
+    """A twisted cubic plus a line over Q: saturating by the line's ideal
+    leaves the cubic, through the combination and without the reference."""
+    cubic, line = _cubic_and_line(QQ)
+    I = intersect(cubic, line)
+
+    def refused(*args):
+        raise AssertionError("the reference route was taken")
+
+    monkeypatch.setattr(ideals, "_saturate_by_parts", refused)
+    got = saturate(I, line)
+    monkeypatch.undo()
+    assert got.gens == _saturate_by_parts(_fresh(I), line, None).gens
+    assert got.equals(cubic)
+    _cached_basis_is_exact(got)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf", "q"])
+def test_intersections_and_rabinowitsch_parts_carry_their_reduced_basis(F):
+    cubic, line = _cubic_and_line(F)
+    meet = intersect(cubic, line)
+    part = saturate_by_poly(meet, line.gens[0])
+    for I in (meet, part):
+        assert I._gb.get(groebner.GREVLEX) is not None
+        _cached_basis_is_exact(I)
+
+
+def test_rings_are_released_with_their_last_polynomial():
+    rng = Rng(1, "released-rings")
+    primes = {random_prime(rng.split(f"p{k}")) for k in range(50)}
+    rings = [ring(GF(p), 4) for p in primes]
+    for R in rings:
+        parse_poly("z0*z1 + z2^2 - z3^2", R)
+    del rings, R
+    gc.collect()
+    assert not [key for key in _ring_cache.keys() if key[0].char in primes]
