@@ -1,4 +1,10 @@
-"""Buchberger's algorithm with product/chain criteria and resource budgets.
+"""Buchberger's algorithm with the Gebauer-Moeller pair update and resource
+budgets.
+
+A new basis element is paired only with the elements whose lead no later
+lead divides, and its new pairs are thinned by the product criterion and
+Gebauer-Moeller's criteria M and F; the chain criterion is applied when a
+pair is popped.
 
 The engine works on term lists [(key, monomial, coeff), ...] sorted
 descending by the active order key; prime-field coefficients get a dedicated
@@ -21,6 +27,13 @@ class BudgetError(RuntimeError):
 
 
 class Budget:
+    """Limits of one Groebner computation.  `max_pairs` counts the S-pairs
+    that pass the pair criteria and get reduced, not every pair of basis
+    elements; the Gebauer-Moeller update leaves fewer such pairs than the
+    product and chain criteria alone, so a given budget admits larger
+    computations than it did with those two.  `max_degree` bounds the
+    degree of a reduced pair's lcm."""
+
     __slots__ = ("max_pairs", "max_degree")
 
     def __init__(self, max_pairs: int | None = None, max_degree: int | None = None):
@@ -216,14 +229,12 @@ def groebner_basis(
     G: list = []
     lead: list = []  # packed lead monomials, parallel to G
     sugars: list = []
+    active: list = []  # indices into G whose lead no later lead divides
     pending: list = []  # heap of (sel, lcm_key, i, j, lcm)
     npairs = 0
 
-    def push_pair(i: int, j: int):
+    def push_pair(i: int, j: int, lcm_m: int):
         li, lj = lead[i], lead[j]
-        lcm_m = mlcm(li, lj)
-        if lcm_m == li + lj:  # coprime leads: S-pair reduces to zero
-            return
         lk = eng.cache.get(lcm_m)
         if lk is None:
             lk = eng.keyf(lcm_m)
@@ -235,12 +246,27 @@ def groebner_basis(
         heapq.heappush(pending, (sel, lk, i, j, lcm_m))
 
     def add_element(lst: list, sugar: int):
-        idx = len(G)
+        # Gebauer-Moeller update: pair the new element h only with the active
+        # elements; a new pair goes (criteria M and F) when the lcm of a later
+        # new pair or of a kept one divides its lcm, unless its leads are
+        # coprime; kept coprime pairs reduce to zero and are not pushed
+        h = len(G)
+        lh = lst[0][1]
         G.append(lst)
-        lead.append(lst[0][1])
+        lead.append(lh)
         sugars.append(sugar)
-        for i in range(idx):
-            push_pair(i, idx)
+        new = [(i, mlcm(lead[i], lh)) for i in active]
+        kept: list = []
+        for n, (i, lcm_m) in enumerate(new):
+            if lcm_m == lead[i] + lh or not (
+                any(mdiv(l, lcm_m) for _, l in new[n + 1:]) or any(mdiv(l, lcm_m) for _, l in kept)
+            ):
+                kept.append((i, lcm_m))
+        for i, lcm_m in kept:
+            if lcm_m != lead[i] + lh:
+                push_pair(i, h, lcm_m)
+        active[:] = [i for i in active if not mdiv(lh, lead[i])]
+        active.append(h)
 
     for lst in sorted((eng.to_list(g.monic()) for g in gens), key=lambda l: l[0][0]):
         add_element(lst, max(mdeg(t[1]) for t in lst))

@@ -171,7 +171,6 @@ class Ring:
         self.order = GREVLEX
         self._grevlex_key = GREVLEX.key_func(self)
         self._key_cache: dict = {}
-        self.zero = Polynomial(self, ())
 
     def __eq__(self, other):
         return (
@@ -258,6 +257,13 @@ class Ring:
 
     def constant(self, c) -> "Polynomial":
         return self.poly({0: self.field.of(c)})
+
+    @property
+    def zero(self) -> "Polynomial":
+        # built on demand: a stored zero polynomial would refer back to its
+        # ring, and the cycle would keep a dead ring in `_ring_cache` until
+        # the cyclic collector runs
+        return Polynomial(self, ())
 
     @property
     def one(self) -> "Polynomial":

@@ -1,5 +1,6 @@
 import pytest
 
+from cremona_lab import groebner
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import (Budget, BudgetError, Reducer, exact_divide, groebner_basis,
                                   normal_form, spoly_reduces_to_zero)
@@ -72,6 +73,24 @@ def test_budget_errors():
         groebner_basis(gens, budget=Budget(max_pairs=1))
     with pytest.raises(BudgetError):
         groebner_basis(gens, budget=Budget(max_degree=2))
+
+
+def test_pair_count_and_the_exact_pair_budget(monkeypatch):
+    # four random cubics: the Gebauer-Moeller update leaves 75 S-pairs to
+    # reduce (117 with the product and chain criteria alone) for the same
+    # 29-element basis; max_pairs counts exactly these pairs
+    rng = Rng(4)
+    gens = [R.random_poly(3, rng.split(str(i))) for i in range(4)]
+    reduced = []
+    spoly = groebner._Engine.spoly
+    monkeypatch.setattr(groebner._Engine, "spoly",
+                        lambda self, *args: reduced.append(args[2]) or spoly(self, *args))
+    gb = groebner_basis(gens)
+    assert len(reduced) == 75
+    assert len(gb) == 29
+    assert groebner_basis(gens, budget=Budget(max_pairs=75)) == gb
+    with pytest.raises(BudgetError):
+        groebner_basis(gens, budget=Budget(max_pairs=74))
 
 
 def test_exact_divide():

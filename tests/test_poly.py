@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from cremona_lab import linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.poly import (GREVLEX, LEX, ElimBlock, ParseError, PolyError,
-                              WeightedGrevlex, parse_poly, poly_arith, print_poly,
-                              ring)
-from cremona_lab.rng import Rng
+                              WeightedGrevlex, _ring_cache, parse_poly, poly_arith,
+                              print_poly, ring)
+from cremona_lab.rng import Rng, random_prime
 
 FQ = ring(QQ, 4)
 FP = ring(GF(10007), 4)
@@ -218,3 +219,17 @@ def test_linear_form_is_sum_of_scaled_variables_without_zero_terms():
     assert not FP.linear_form([F.zero] * 4)
     # fewer coefficients than variables: the trailing variables get 0
     assert FQ.linear_form([1, 2]) == pq("z0 + 2*z1")
+
+
+def test_a_dropped_ring_leaves_the_cache_without_the_cyclic_collector():
+    rng = Rng(1, "dropped-rings")
+    primes = {random_prime(rng.split(f"p{k}")) for k in range(50)}
+    gc.disable()
+    try:
+        rings = [ring(GF(p), 4) for p in primes]
+        for R in rings:
+            assert not (parse_poly("z0*z1 + z2^2 - z3^2", R) * R.zero)
+        del rings, R
+        assert not [key for key in _ring_cache.keys() if key[0].char in primes]
+    finally:
+        gc.enable()

@@ -1,9 +1,12 @@
 """Hypothesis property checks on the kernel (deterministic profile)."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona_lab.fields import GF
-from cremona_lab.groebner import groebner_basis, normal_form
+from cremona_lab.fields import GF, QQ
+from cremona_lab.groebner import groebner_basis, normal_form, spoly_reduces_to_zero
 from cremona_lab.ideals import IdealHandle, saturate
 from cremona_lab.poly import parse_poly, print_poly, ring
 
@@ -49,3 +52,41 @@ def test_saturation_monotone(mons, vi):
     S = saturate(I, J)
     assert all(S.contains(g) for g in I.gens)
     assert saturate(S, J).equals(S)
+
+
+# exponent vectors of total degree at most 3 in four variables
+SMALL_EXPS = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
+
+
+@st.composite
+def generator_terms(draw, homogeneous):
+    """One to four generators, each up to four terms with small coefficients;
+    a homogeneous generator draws its monomials from one degree."""
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        pool = SMALL_EXPS
+        if homogeneous:
+            d = draw(st.integers(1, 3))
+            pool = [e for e in SMALL_EXPS if sum(e) == d]
+        mons = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+        gens.append([(e, draw(st.integers(-9, 9).filter(bool))) for e in mons])
+    return gens
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "affine"])
+@pytest.mark.parametrize("field", [GF(10007), QQ], ids=["gf", "q"])
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_groebner_basis_is_reduced(field, homogeneous, data):
+    S = ring(field, 4)
+    gens = [S.from_exp_terms(ts) for ts in data.draw(generator_terms(homogeneous))]
+    gb = groebner_basis(gens)
+    assert all(g.lead()[1] == field.one for g in gb)
+    for i, j in itertools.combinations(range(len(gb)), 2):
+        assert spoly_reduces_to_zero(gb, i, j)
+    assert all(normal_form(f, gb).is_zero() for f in gens)
+    leads = [g.lead()[0] for g in gb]
+    for a, g in enumerate(gb):
+        assert not any(S.mdivides(lm, m) for b, lm in enumerate(leads) if b != a
+                       for m, _ in g.terms)
+    assert groebner_basis(gens, strategy="sugar") == gb
