@@ -5,9 +5,10 @@ coefficients are carried as exact strings; re-running any command with the
 same inputs, seed and prime reproduces the output byte for byte (timing is
 never part of the payload).
 
-Exit codes: 0 success (analyze: birational), 2 constructor failure,
-3 non-birational input, 4 budget exceeded, 5 parse error, 6 deformation
-endpoint mismatch.
+Exit codes: 0 success (analyze: birational), 2 constructor failure or bad
+arguments (argparse, e.g. a malformed --field), 3 non-birational input,
+4 budget exceeded, 5 unreadable or malformed map document (one line on
+stderr, never a traceback), 6 deformation endpoint mismatch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .fields import GF, QQ, FieldError, field_descriptor, field_from_descriptor
 from .groebner import Budget, BudgetError
 from .hudson import classify_component, hudson_vector, load_table, match_table
 from .ideals import DegenerateInput
-from .poly import ParseError, print_poly, ring
+from .poly import print_poly, ring
 from .rng import Rng, random_prime
 from . import families
 
@@ -56,17 +57,25 @@ def map_to_document(psi: RationalMap, provenance: dict | None = None,
 
 
 def document_to_map(doc: dict) -> RationalMap:
-    if doc.get("schema") != SCHEMA_MAP:
-        raise MapError(f"unsupported document schema {doc.get('schema')!r}")
-    F = field_from_descriptor(doc["field"])
-    R = ring(F, 4, tuple(doc["variables"]))
-    comps = []
-    for terms in doc["components"]:
-        d = {}
-        for coeff, exps in terms:
-            d[R.pack(tuple(exps))] = F.parse(coeff)
-        comps.append(R.poly(d))
-    label = (doc.get("provenance") or {}).get("label")
+    """The map of a map-v1 document; MapError names what is malformed."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_MAP:
+        schema = doc.get("schema") if isinstance(doc, dict) else type(doc).__name__
+        raise MapError(f"unsupported document schema {schema!r}")
+    try:
+        F = field_from_descriptor(doc["field"])
+        R = ring(F, 4, tuple(doc["variables"]))
+        comps = []
+        for terms in doc["components"]:
+            d = {}
+            for coeff, exps in terms:
+                if len(exps) != R.nvars:
+                    raise MapError(f"exponent vector {exps!r} needs {R.nvars} entries")
+                d[R.pack(tuple(exps))] = F.parse(coeff)
+            comps.append(R.poly(d))
+    except (TypeError, ValueError) as e:  # FieldError, PolyError, MapError are ValueErrors
+        raise MapError(f"malformed document: {e}") from e
+    prov = doc.get("provenance")
+    label = prov.get("label") if isinstance(prov, dict) else None
     return map_of_degree(comps, doc.get("degree", 3), label=label)
 
 
@@ -217,13 +226,12 @@ def _family_label(args) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        doc = _read_json(args.mapfile)
-        psi = document_to_map(doc)
-    except (json.JSONDecodeError, ParseError, KeyError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 5
+        psi = document_to_map(_read_json(args.mapfile))
     except MapError as e:
         print(f"invalid map: {e}", file=sys.stderr)
+        return 5
+    except (OSError, ValueError, KeyError) as e:  # ValueError covers JSONDecodeError
+        print(f"parse error: {e}", file=sys.stderr)
         return 5
     budget = Budget(args.max_pairs, args.max_degree)
     primes = [args.prime] * 2 if args.prime else None
@@ -421,7 +429,17 @@ def cmd_table(args) -> int:
 def _field_arg(args, rng: Rng):
     if args.field == "random":
         return GF(random_prime(rng))
-    return field_from_descriptor(args.field)
+    return args.field
+
+
+def _field_type(text: str):
+    """argparse type of --field: "random" or the field of a descriptor."""
+    if text == "random":
+        return text
+    try:
+        return field_from_descriptor(text)
+    except ValueError as e:  # FieldError, or a non-integer p
+        raise argparse.ArgumentTypeError(f"bad field {text!r}: {e}") from None
 
 
 def _read_json(path: str) -> dict:
@@ -451,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=int, help="inverse degree for ruled (2..5)")
     c.add_argument("--name", help="name of a pinned special example")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--field", default="random", help="q | gf:P | random")
+    c.add_argument("--field", type=_field_type, default="random", help="q | gf:P | random")
     c.add_argument("--out")
     c.set_defaults(func=cmd_construct)
 
@@ -473,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--path", required=True, choices=sorted(families.PATHS))
     d.add_argument("--samples", default="0,1,2")
     d.add_argument("--seed", type=int, default=0)
-    d.add_argument("--field", default="random")
+    d.add_argument("--field", type=_field_type, default="random", help="q | gf:P | random")
     d.add_argument("--out")
     d.set_defaults(func=cmd_deform)
 

@@ -5,7 +5,9 @@ scheme, splits the preimage of a generic line into the part supported on
 the base locus and its liaison residual, derives the bidegree and genus,
 decides ruledness, runs the fiber-sampling birationality oracle and its
 independent local-length certificate, and (best effort) extracts the
-inverse map by linear algebra on the graph.
+inverse map from the linear conditions that sampled points of the graph put
+on its coefficients (exact with high probability by the Schwartz-Zippel
+lemma, and checked on independent points; see `inverse`).
 """
 
 from __future__ import annotations
@@ -130,8 +132,8 @@ def new_map(f0, f1, f2, f3, label=None, seed=None) -> RationalMap:
 
 
 def map_of_degree(components, degree, label=None) -> RationalMap:
-    """Generic-degree variant (no common-factor check); used by tests and
-    by inverse extraction."""
+    """Generic-degree variant (no common-factor check); used for map
+    documents, the pinned special examples and tests."""
     return RationalMap(components, degree, label=label)
 
 
@@ -454,63 +456,65 @@ class InverseUnavailable(RuntimeError):
 
 
 def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMap:
-    """Inverse map of a birational psi with known inverse degree.
+    """Inverse map of a birational psi with known inverse degree d'.
 
-    Solves, by plain linear algebra, for a 4-tuple g of degree-d' forms with
-    g(psi(x)) parallel to x identically; the solution space must be a line.
-    Raises InverseUnavailable when the system is too large for the field
-    backend or the solution space has the wrong shape.
+    Solves for a 4-tuple g of degree-d' forms with g(psi(x)) parallel to x.
+    Each point x off the base locus, y = psi(x), gives three linear conditions
+    x_0 g_k(y) - x_k g_0(y) = 0 on the 4N coefficients of g (N degree-d'
+    monomials); points come from the "graph" stream until there are at least
+    4N + 24 conditions, and `linalg.nullspace_gfp` solves them in one batch.
+
+    Exactness: the sampled kernel contains the exact one, and its basis is
+    read off the RREF, a canonical form, so equal kernels give equal vectors
+    (a line is normalised to 1 at the largest index of its support) whatever
+    the rows.  So a line is the exact one or the exact kernel is 0; then some
+    x_i g_j(psi) - x_j g_i(psi) is a nonzero form of degree 3d'+1, and by the
+    Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980) each of the 5
+    independent verification points passes with probability at most
+    (3d'+1)/p, all five with at most ((3d'+1)/p)^5: about 1e-24 for d' = 5
+    at p = 1000003.
+
+    Raises InverseUnavailable unless the field is GF(p) with p < 2^20, the
+    sampled solution space is a line and the candidate passes verification.
     """
     R = psi.ring
     F = R.field
     rng = rng or Rng(psi.seed or 0, "inverse")
-    mons_d = R.monomials_of_degree(dprime)
-    N = len(mons_d)
-    # compositions psi^alpha for every degree-d' monomial alpha
-    comp_cache: dict = {}
-
-    def psi_power(i, e):
-        key = (i, e)
-        got = comp_cache.get(key)
-        if got is None:
-            got = R.one
-            for _ in range(e):
-                got = got * psi.components[i]
-            comp_cache[key] = got
-        return got
-
-    comps = []
-    for m in mons_d:
-        f = R.one
-        for i in range(4):
-            e = R.mexp(m, i)
-            if e:
-                f = f * psi_power(i, e)
-        comps.append(f)
-    big_mons = R.monomials_of_degree(psi.degree * dprime + 1)
-    bidx = {m: i for i, m in enumerate(big_mons)}
-    Mrows = len(big_mons)
-    xs = [R.pack(tuple(1 if j == i else 0 for j in range(4))) for i in range(4)]
-
-    # unknowns: (k, alpha) for k in 0..3; identities: g_k * x_0 - g_0 * x_k
-    ncols = 4 * N
-    if isinstance(F, GF) and not isinstance(F, GF2) and F.p < (1 << 20):
-        rows = _inverse_rows_numpy(R, comps, xs, bidx, N, Mrows, F.p)
-        null = _nullspace_gfp_numpy(rows, ncols, F.p)
-    else:
+    if not (isinstance(F, GF) and not isinstance(F, GF2) and F.p < (1 << 20)):
         raise InverseUnavailable(
             "inverse extraction needs a prime field with p < 2^20 (budget)")
+    import numpy as np  # loaded on the first inverse only, as in linalg.nullspace_gfp
+
+    p = F.p
+    mons_d = R.monomials_of_degree(dprime)
+    N = len(mons_d)
+    need = -(-(4 * N + 24) // 3)
+    sub = rng.split("graph")
+    pts = []
+    for _ in range(50 * need):
+        x = tuple(F.rand(sub) for _ in range(4))
+        y = psi.apply(x) if any(x) else None
+        if y is not None:
+            pts.append(x + y)
+            if len(pts) == need:
+                break
+    else:
+        raise InverseUnavailable("could not sample enough points off the base locus")
+    X, Y = np.hsplit(np.array(pts, dtype=np.int64), 2)
+    vals = np.ones((need, N), dtype=np.int64)  # vals[s, a] = y_s^alpha_a
+    for i, col in enumerate(np.array([R.unpack(m) for m in mons_d]).T):
+        for e in range(1, dprime + 1):
+            vals = np.where(col >= e, vals * Y[:, i:i + 1] % p, vals)
+    # column k*N + a holds the coefficient of monomial a in g_k
+    rows = np.zeros((3, need, 4 * N), dtype=np.int64)
+    for k in (1, 2, 3):
+        rows[k - 1, :, k * N:(k + 1) * N] = X[:, :1] * vals
+        rows[k - 1, :, :N] = -X[:, k:k + 1] * vals
+    null = linalg.nullspace_gfp(rows.reshape(-1, 4 * N), p)
     if len(null) != 1:
         raise InverseUnavailable(f"graph solution space has dimension {len(null)}")
     vec = null[0]
-    comps_out = []
-    for k in range(4):
-        d = {}
-        for a in range(N):
-            c = int(vec[k * N + a]) % F.p
-            if c:
-                d[mons_d[a]] = c
-        comps_out.append(R.poly(d))
+    comps_out = [R.poly({m: vec[k * N + a] for a, m in enumerate(mons_d)}) for k in range(4)]
     g = RationalMap(comps_out, dprime, label="inverse")
     # verify g o psi = id up to scalar on random points
     for t in range(5):
@@ -535,55 +539,6 @@ def _parallel(F, a, b) -> bool:
             if F.sub(F.mul(a[i], b[j]), F.mul(a[j], b[i])) != F.zero:
                 return False
     return True
-
-
-def _inverse_rows_numpy(R, comps, xs, bidx, N, Mrows, p):
-    import numpy as np
-
-    # identities k = 1..3:   g_k(psi) * x_0 - g_0(psi) * x_k = 0
-    rows = np.zeros((3 * Mrows, 4 * N), dtype=np.int64)
-    for a, f in enumerate(comps):
-        for m, c in f.terms:
-            for k in (1, 2, 3):
-                r0 = (k - 1) * Mrows
-                rows[r0 + bidx[m + xs[0]], k * N + a] += c
-                rows[r0 + bidx[m + xs[k]], 0 * N + a] -= c
-    return rows % p
-
-
-def _nullspace_gfp_numpy(rows, ncols, p):
-    import numpy as np
-
-    A = rows % p
-    A = A[~np.all(A == 0, axis=1)]
-    m = A.shape[0]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
-        col = A[:, c].copy()
-        col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = np.zeros(ncols, dtype=np.int64)
-        v[fc] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = (-A[rr, fc]) % p
-        out.append(v)
-    return out
 
 
 # ------------------------------------------------------------ orchestration

@@ -328,7 +328,7 @@ def field_from_descriptor(desc: str) -> Field:
     """Parse "q" or "gf:<p>"."""
     if desc == "q":
         return QQ
-    if desc.startswith("gf:"):
+    if isinstance(desc, str) and desc.startswith("gf:"):
         return GF(int(desc[3:]))
     raise FieldError(f"unknown field descriptor {desc!r}")
 

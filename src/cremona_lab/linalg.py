@@ -1,7 +1,10 @@
-"""Dense exact linear algebra over a Field (small systems only).
+"""Dense exact linear algebra over a Field.
 
-Matrices are lists of row lists of field values.  Everything here is
-deterministic: pivoting always takes the first nonzero entry.
+Matrices are lists of row lists of field values, in pure Python for the
+small systems of the package.  `nullspace_gfp` is the one numpy eliminator,
+over GF(p), for large systems such as the graph equations of the inverse
+map.  Everything here is deterministic: pivoting always takes the first
+nonzero entry.
 """
 
 from __future__ import annotations
@@ -66,27 +69,50 @@ def nullspace(F: Field, A, n=None):
     return basis
 
 
+def nullspace_gfp(rows, p: int):
+    """Basis of {x : A x = 0} over GF(p) for a 2-D integer matrix A, in numpy.
+
+    The dense GF(p) eliminator for systems too large for `nullspace`: the
+    same RREF (first nonzero pivot, one basis vector per free column, 1 in
+    that column), so it returns the vectors `nullspace(GF(p), A)` returns, as
+    lists of ints in [0, p).  Entries of A may be any int64 values; p < 2^31
+    keeps every product of two residues inside int64.
+    """
+    import numpy as np
+
+    A = np.asarray(rows, dtype=np.int64) % p
+    ncols = A.shape[1]
+    A = A[A.any(axis=1)]
+    m = A.shape[0]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= m:
+            break
+        nz = np.nonzero(A[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        A[[r, pr]] = A[[pr, r]]
+        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
+        col = A[:, c].copy()
+        col[r] = 0
+        A = (A - np.outer(col, A[r])) % p
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    out = np.zeros((len(free), ncols), dtype=np.int64)
+    out[:, free] = np.eye(len(free), dtype=np.int64)
+    out[:, pivots] = (-A[:len(pivots), free] % p).T
+    return out.tolist()
+
+
 def row_space_basis(F: Field, A):
     """Nonzero rows of the rref: canonical basis of the row span."""
     if not A:
         return []
     R, pivots = rref(F, A)
     return [R[i] for i in range(len(pivots))]
-
-
-def solve(F: Field, A, b):
-    """One solution of A x = b, or None if inconsistent."""
-    if not A:
-        return None
-    n = len(A[0])
-    aug = [row + [bb] for row, bb in zip(A, b)]
-    R, pivots = rref(F, aug, n + 1)
-    if n in pivots:
-        return None
-    x = [F.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
-    return x
 
 
 def det(F: Field, A):

@@ -3,7 +3,10 @@
 import json
 import os
 
+import pytest
+
 from cremona_lab import cli
+from cremona_lab.cremona import MapError
 from cremona_lab.families import special_examples
 from cremona_lab.fields import QQ
 
@@ -59,6 +62,63 @@ def test_analyze_parse_error_exit_5(tmp_path):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps({"schema": "nope"}))
     assert run(["analyze", str(bad2)]) == 5
+
+
+# the classical involution as a map-v1 document, and malformed variants of it
+GOOD_DOC = {"schema": cli.SCHEMA_MAP, "field": "gf:10007", "degree": 3,
+            "variables": ["z0", "z1", "z2", "z3"], "provenance": {},
+            "components": [[["1", [1, 2, 0, 0]]], [["1", [2, 1, 0, 0]]],
+                           [["1", [2, 0, 1, 0]]], [["1", [0, 2, 0, 1]]]]}
+
+
+def _with(**changes):
+    doc = json.loads(json.dumps(GOOD_DOC))
+    doc.update(changes)
+    return doc
+
+
+def _first_term(term):
+    return _with(components=[[term]] + GOOD_DOC["components"][1:])
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with(field="gf:12"), id="field-not-prime"),
+    pytest.param(_with(field="zz"), id="field-unknown"),
+    pytest.param(_with(field=5), id="field-not-a-string"),
+    pytest.param(_first_term(["1", [-1, 2, 0, 0]]), id="negative-exponent"),
+    pytest.param(_with(variables=["a", "b"]), id="two-variables"),
+    pytest.param(_first_term(["abc", [1, 2, 0, 0]]), id="coefficient-not-a-number"),
+    pytest.param(_with(components=[5] + GOOD_DOC["components"][1:]), id="component-is-int"),
+    pytest.param([GOOD_DOC], id="top-level-array"),
+    pytest.param(_first_term(["1", [1, 2, 0]]), id="exponent-vector-of-length-3"),
+    pytest.param(None, id="missing-file"),
+])
+def test_analyze_malformed_document_exit_5(tmp_path, capsys, doc):
+    f = tmp_path / "doc.json"
+    if doc is not None:
+        f.write_text(json.dumps(doc))
+        with pytest.raises(MapError):
+            cli.document_to_map(doc)
+    assert run(["analyze", str(f), "--no-hudson", "--trials", "1"]) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_the_unmodified_document_parses():
+    assert cli.document_to_map(GOOD_DOC).components[0].total_degree() == 3
+    assert cli.document_to_map(_with(provenance=["not", "a", "dict"])).label is None
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--family", "E2"],
+    ["deform", "--path", "ruled_jump", "--samples", "0"],
+], ids=["construct", "deform"])
+@pytest.mark.parametrize("field", ["1000003", "gf:abc", "gf:12"])
+def test_bad_field_argument_exit_2(capsys, command, field):
+    with pytest.raises(SystemExit) as ei:
+        run(command + ["--field", field])
+    assert ei.value.code == 2
+    assert "bad field" in capsys.readouterr().err
 
 
 def test_analyze_nonbirational_exit_3(tmp_path, capsys):

@@ -144,6 +144,42 @@ def test_inverse_unavailable_on_big_prime():
         inverse(psi, 3, Rng(13))
 
 
+def _e8_big():
+    from cremona_lab.families import build
+
+    psi, spec = build("E8", 1, GF(1000003))
+    assert spec.bidegree == (3, 4)
+    return psi
+
+
+@pytest.mark.parametrize("dprime,dim", [(5, 4), (3, 0)])
+def test_inverse_wrong_degree_error_texts(dprime, dim):
+    # these texts reach reports as "inverse unavailable (...)"
+    with pytest.raises(InverseUnavailable,
+                       match=f"^graph solution space has dimension {dim}$"):
+        inverse(_e8_big(), dprime, Rng(1, "inverse"))
+
+
+def test_inverse_rejects_a_wrong_line_by_point_verification(monkeypatch):
+    psi = _e8_big()
+    assert inverse(psi, 4, Rng(1, "inverse")).degree == 4
+    exact = linalg.nullspace_gfp
+    monkeypatch.setattr(linalg, "nullspace_gfp",
+                        lambda rows, p: [[(v[0] + 1) % p] + v[1:] for v in exact(rows, p)])
+    with pytest.raises(InverseUnavailable,
+                       match="^candidate inverse fails point verification$"):
+        inverse(psi, 4, Rng(1, "inverse"))
+
+
+def test_inverse_gives_up_when_no_point_avoids_the_base_locus():
+    # over GF(2) every z_i^2 z_j + z_i z_j^2 vanishes at every point
+    R2 = ring(GF(2), 4)
+    comps = [parse_poly(f"z{i}^2*z{j} + z{i}*z{j}^2", R2)
+             for i, j in ((0, 1), (1, 2), (2, 3), (3, 0))]
+    with pytest.raises(InverseUnavailable, match="could not sample"):
+        inverse(map_of_degree(comps, 3), 3, Rng(16))
+
+
 def test_genus_and_ruledness_disagreement_is_caught():
     # sanity of the cross-check plumbing: a plainly non-ruled map
     psi = determinantal(21, GF(P))

@@ -23,6 +23,29 @@ def test_e6_inverse_has_degree_four():
     assert an.bidegree == (3, 4)
     g = inverse(psi, 4, Rng(2))
     assert g.degree == 4
+    # exact identity: x_i g_j(psi) - x_j g_i(psi) = 0 as polynomials of degree 13
+    R = psi.ring
+    powers = {}
+
+    def power(i, e):  # psi_i^e
+        if (i, e) not in powers:
+            powers[i, e] = R.one if e == 0 else power(i, e - 1) * psi.components[i]
+        return powers[i, e]
+
+    gpsi = []
+    for f in g.components:
+        acc = R.zero
+        for m, c in f.terms:
+            t = R.one
+            for i, e in enumerate(R.unpack(m)):
+                t = t * power(i, e)
+            acc = acc + t.scale(c)
+        gpsi.append(acc)
+    x = R.vars()
+    assert all(gpsi)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert not x[i] * gpsi[j] - x[j] * gpsi[i]
     # the inverse has bidegree (4, 3): its generic-line preimage splits 16 = 3 + 13
     an2 = analyze_map(g, seed=2, trials=0, with_certificate=False)
     assert an2.bidegree == (4, 3)

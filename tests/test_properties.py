@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cremona_lab import linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import groebner_basis, normal_form, spoly_reduces_to_zero
 from cremona_lab.ideals import IdealHandle, saturate
@@ -90,3 +91,24 @@ def test_groebner_basis_is_reduced(field, homogeneous, data):
         assert not any(S.mdivides(lm, m) for b, lm in enumerate(leads) if b != a
                        for m, _ in g.terms)
     assert groebner_basis(gens, strategy="sugar") == gb
+
+
+@st.composite
+def gfp_matrices(draw, p=10007):
+    """m x n matrices over GF(p), m, n <= 12, of rank <= r as products of an
+    m x r and an r x n factor, with some rows then zeroed."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(m, n)))
+    entries = st.integers(0, p - 1)
+    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    C = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    A = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(n)] for i in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        A[i] = [0] * n
+    return A
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(gfp_matrices())
+def test_nullspace_gfp_matches_the_field_eliminator(A):
+    assert linalg.nullspace_gfp(A, 10007) == linalg.nullspace(GF(10007), A)
