@@ -6,9 +6,10 @@ same inputs, seed and prime reproduces the output byte for byte (timing is
 never part of the payload).
 
 Exit codes: 0 success (analyze: birational), 2 constructor failure or bad
-arguments (argparse, e.g. a malformed --field), 3 non-birational input,
-4 budget exceeded, 5 unreadable or malformed map document (one line on
-stderr, never a traceback), 6 deformation endpoint mismatch.
+arguments (argparse, e.g. a malformed --field, a non-prime --prime or a
+non-integer --samples entry), 3 non-birational input, 4 budget exceeded,
+5 unreadable or malformed map document (one line on stderr, never a
+traceback), 6 deformation endpoint mismatch.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .groebner import Budget, BudgetError
 from .hudson import classify_component, hudson_vector, load_table, match_table
 from .ideals import DegenerateInput
 from .poly import print_poly, ring
-from .rng import Rng, random_prime
+from .rng import Rng, is_prime, random_prime
 from . import families
 
 SCHEMA_MAP = "cremona-lab/map-v1"
@@ -267,9 +268,8 @@ PATH_EXPECTATIONS = {
 
 def cmd_deform(args) -> int:
     field = _field_arg(args, Rng(args.seed, "field-pick"))
-    samples = [int(s) for s in args.samples.split(",")]
     try:
-        pairs = families.deform(args.path, samples, args.seed, field)
+        pairs = families.deform(args.path, args.samples, args.seed, field)
     except (MapError, DegenerateInput) as e:
         print(f"deformation failed: {e}", file=sys.stderr)
         return 2
@@ -442,6 +442,26 @@ def _field_type(text: str):
         raise argparse.ArgumentTypeError(f"bad field {text!r}: {e}") from None
 
 
+def _prime_type(text: str) -> int:
+    """argparse type of --prime: a prime integer."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"bad prime {text!r}: not a prime integer")
+    return p
+
+
+def _samples_type(text: str) -> list:
+    """argparse type of --samples: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad samples {text!r}: expected comma-separated integers") from None
+
+
 def _read_json(path: str) -> dict:
     if path == "-":
         return json.load(sys.stdin)
@@ -477,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("mapfile", help="JSON map document ('-' for stdin)")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--trials", type=int, default=5)
-    a.add_argument("--prime", type=int, help="pin the reduction prime (Q maps)")
+    a.add_argument("--prime", type=_prime_type, help="pin the reduction prime (Q maps)")
     a.add_argument("--no-certificate", action="store_true")
     a.add_argument("--no-hudson", action="store_true")
     a.add_argument("--inverse", action="store_true", help="attempt inverse extraction")
@@ -489,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("deform", help="walk a degeneration path")
     d.add_argument("--path", required=True, choices=sorted(families.PATHS))
-    d.add_argument("--samples", default="0,1,2")
+    d.add_argument("--samples", type=_samples_type, default="0,1,2")
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--field", type=_field_type, default="random", help="q | gf:P | random")
     d.add_argument("--out")
@@ -499,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--families", default="all")
     s.add_argument("--count", type=int, default=10)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--prime", type=int, help="pin one prime for every sample")
+    s.add_argument("--prime", type=_prime_type, help="pin one prime for every sample")
     s.add_argument("--level", choices=("invariants", "full"), default="invariants")
     s.add_argument("--atlas", default="atlas.jsonl")
     s.add_argument("--jobs", type=int, default=1)

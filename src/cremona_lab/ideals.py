@@ -4,7 +4,15 @@ IdealHandle caches a reduced Groebner basis per monomial order and the
 Hilbert data derived from it.  The constructions used throughout:
 
 * intersection   -- t * I + (1-t) * J in a scratch ring, eliminate t;
-* quotient I:g   -- (I meet (g)) / g, and I:J by intersecting over gens;
+* quotient I:g   -- (I meet (g)) / g;
+* quotient I:J   -- one quotient Q = I:f by a fixed combination f of J's
+  generators (first of its lowest-degree generators not in I, then of all
+  of them), accepted when every product q*g of a generator q of Q and g of
+  J reduces to 0 modulo I's grevlex basis: then I:J lies in Q because f is
+  in J, and Q lies in I:J.  Otherwise the reference route
+  `_quotient_by_parts`, the intersection of the single-generator
+  quotients.  Both return the reduced grevlex basis of I:J when J has at
+  least two nonzero generators;
 * saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), with the
   cheaper divide-out-the-last-variable shortcut when g is a variable and I
   is homogeneous;
@@ -203,7 +211,57 @@ def quotient_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None
 
 
 def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """(I : J) over the generators of J."""
+    """(I : J), with exactly the generators `_quotient_by_parts` returns.
+
+    When J has at least two nonzero generators and one of them is not in I,
+    it is first computed as Q = I : f for one f in J, by one
+    `quotient_by_poly`.  I : J lies in Q because f lies in J.  Q lies in
+    I : J when every product q * g of a generator q of Q and a generator g
+    of J reduces to 0 modulo I's grevlex basis.  Then Q's reduced grevlex
+    basis is returned; it is also what the reference returns, since its
+    chain of parts ends in `intersect`.  The draws, in turn: a fixed
+    combination (`_generic_combination`) of J's lowest-degree generators
+    that are not in I, then of all of J's generators when that is a
+    different polynomial.  When both are refused, or a BudgetError is
+    raised inside the shortcut, the reference route is taken.
+    """
+    _same_ring(I, J)
+    gens = [g for g in J.gens if g]
+    if len(gens) >= 2:
+        try:
+            Q = _certified_quotient(I, gens, budget)
+            if Q is not None:
+                return Q
+        except BudgetError:
+            pass
+    return _quotient_by_parts(I, J, budget)
+
+
+def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> IdealHandle | None:
+    """I : f for the first draw f whose quotient passes the certificate, as
+    its reduced grevlex basis; None when no generator is outside I or every
+    draw is refused."""
+    nf = Reducer(I.groebner(GREVLEX, budget), GREVLEX, budget)
+    outside = [g for g in gens if nf(g)]
+    if not outside:
+        return None
+    low = min(g.total_degree() for g in outside)
+    first = _generic_combination([g for g in outside if g.total_degree() == low])
+    every = _generic_combination(gens)
+    draws = [first] if every == first else [first, every]
+    for f in draws:
+        if not f:  # the drawn coefficients cancel (possible over a tiny field)
+            continue
+        Q = quotient_by_poly(I, f, budget)
+        if all(not nf(q * g) for q in Q.gens for g in gens):
+            gb = Q.groebner(GREVLEX, budget)
+            return IdealHandle(gb, I.ring).with_basis(GREVLEX, gb)
+    return None
+
+
+def _quotient_by_parts(I: IdealHandle, J: IdealHandle, budget: Budget | None) -> IdealHandle:
+    """The reference route: (I : J) as the intersection over generators g
+    of J of (I : g)."""
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
     if not gens:

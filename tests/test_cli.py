@@ -121,6 +121,28 @@ def test_bad_field_argument_exit_2(capsys, command, field):
     assert "bad field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["x,1", "0,", "0.5"])
+def test_bad_samples_argument_exit_2(capsys, samples):
+    with pytest.raises(SystemExit) as ei:
+        run(["deform", "--path", "ruled_jump", "--field", "gf:1000003", "--samples", samples])
+    assert ei.value.code == 2
+    assert "bad samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "map.json"],
+    ["scan", "--count", "1"],
+], ids=["analyze", "scan"])
+@pytest.mark.parametrize("prime", ["12", "1", "abc"])
+def test_bad_prime_argument_exit_2(tmp_path, monkeypatch, capsys, command, prime):
+    monkeypatch.chdir(tmp_path)  # scan's default atlas.jsonl must not appear
+    with pytest.raises(SystemExit) as ei:
+        run(command + ["--prime", prime])
+    assert ei.value.code == 2
+    assert "bad prime" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_analyze_nonbirational_exit_3(tmp_path, capsys):
     doc = cli.map_to_document(special_examples(QQ)["cube"])
     f = tmp_path / "cube.json"

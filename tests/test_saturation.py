@@ -1,8 +1,8 @@
-"""sat_irrelevant and saturate: every shortcut returns exactly the
-generators of the reference route (saturate by each variable or by each
-generator, intersect the distinct parts), costs the pinned number of
-Groebner bases, and the caller's budget reaches every Groebner call of an
-analysis."""
+"""sat_irrelevant, saturate and quotient: every shortcut returns exactly
+the generators of the reference route (saturate by each variable or by
+each generator, or divide by each generator, and intersect the parts),
+costs the pinned number of Groebner bases, and the caller's budget reaches
+every Groebner call of an analysis."""
 
 import gc
 
@@ -12,9 +12,10 @@ from cremona_lab import cli, cremona, families, groebner, hudson, ideals
 from cremona_lab.cremona import analyze_map, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
-from cremona_lab.ideals import (IdealHandle, _certified, _sat_irrelevant_by_parts,
-                                _saturate_by_parts, ideal_product, intersect, sat_irrelevant,
-                                saturate, saturate_by_poly)
+from cremona_lab.ideals import (IdealHandle, _certified, _certified_quotient,
+                                _quotient_by_parts, _sat_irrelevant_by_parts,
+                                _saturate_by_parts, ideal_product, intersect, quotient,
+                                sat_irrelevant, saturate, saturate_by_poly)
 from cremona_lab.poly import _ring_cache, parse_poly, ring
 from cremona_lab.rng import Rng, random_prime
 
@@ -164,12 +165,14 @@ def _cached_basis_is_exact(I):
 
 
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
-    """One invariants scan per stratum with every sat_irrelevant and every
-    saturate call checked against its reference route."""
+    """One invariants scan per stratum with every sat_irrelevant, saturate
+    and quotient call checked against its reference route."""
     real = ideals.sat_irrelevant
     real_saturate = ideals.saturate
+    real_quotient = ideals.quotient
     checked = []
     checked_saturate = []
+    checked_quotient = []
 
     def compared(I, budget=None):
         got = real(I, budget)
@@ -185,16 +188,28 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         checked_saturate.append(I)
         return got
 
+    def compared_quotient(I, J, budget=None):
+        got = real_quotient(I, J, budget)
+        want = _quotient_by_parts(I, J, budget)
+        assert got.gens == want.gens
+        gb = got._gb.get(groebner.GREVLEX)
+        assert gb is None or gb == want.groebner()
+        checked_quotient.append(I)
+        return got
+
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", compared)
     for mod in (ideals, cremona):
         monkeypatch.setattr(mod, "saturate", compared_saturate)
+    for mod in (cremona, hudson):
+        monkeypatch.setattr(mod, "quotient", compared_quotient)
     rng = Rng(1, "scan-primes")
     for k, fam in enumerate(families.FAMILY_LABELS):
         rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")))
         assert rec["ok"], rec
     assert len(checked) > 100
     assert len(checked_saturate) >= 2 * len(families.FAMILY_LABELS)
+    assert len(checked_quotient) >= len(families.FAMILY_LABELS)
 
 
 def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
@@ -216,16 +231,22 @@ def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
     assert got.gens == _saturate_by_parts(_fresh(I), J, None).gens and got.equals(I)
 
 
-def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
-    """saturate(Gamma, I_psi) on an E8 map: one Rabinowitsch basis (the
-    reference costs a basis per generator), and is_unit on the result is
-    free because the basis comes attached."""
+def _e8_line_preimage():
+    """An E8 map and the preimage Gamma of a line, its basis computed."""
     psi, _ = families.build("E8", 1, GF(1000003))
     F = psi.ring.field
     sub = Rng(1, "one-basis")
     rows = [[F.rand(sub) for _ in range(4)] for _ in range(2)]
     Gamma = IdealHandle([psi.member(r) for r in rows], psi.ring, saturated=True)
     Gamma.groebner()
+    return psi, Gamma
+
+
+def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
+    """saturate(Gamma, I_psi) on an E8 map: one Rabinowitsch basis (the
+    reference costs a basis per generator), and is_unit on the result is
+    free because the basis comes attached."""
+    psi, Gamma = _e8_line_preimage()
     calls = _count_bases(monkeypatch)
     got = saturate(Gamma, psi.ideal())
     assert len(calls) == 1
@@ -233,6 +254,34 @@ def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).gens
+
+
+def test_the_certificate_rejects_a_quotient_by_one_generator(monkeypatch):
+    """I = (z0*z1), J = (z0, z2): I : z0 = (z1) is strictly larger than
+    I : J = (z0*z1), because z1*z2 is not in I."""
+    R = ring(GF(10007), 4)
+    I, J = _ideal(R, ("z0*z1",)), _ideal(R, ("z0", "z2"))
+    monkeypatch.setattr(ideals, "_generic_combination", lambda gens: gens[0])
+    assert ideals.quotient_by_poly(I, J.gens[0]).equals(_ideal(R, ("z1",)))
+    assert _certified_quotient(I, list(J.gens), None) is None
+    got = quotient(I, J)
+    assert got.gens == _quotient_by_parts(I, J, None).gens == I.gens
+
+
+def test_the_split_quotient_costs_two_bases(monkeypatch):
+    """quotient(Gamma, C1) on an E8 map: one elimination for Gamma : f and
+    one grevlex basis of the result (the reference costs 2k - 1
+    eliminations for a C1 with k generators)."""
+    psi, Gamma = _e8_line_preimage()
+    C1 = saturate(Gamma, psi.ideal()).as_saturated()
+    calls = _count_bases(monkeypatch)
+    got = quotient(Gamma, C1)
+    assert len(calls) == 2
+    assert not got.is_unit()
+    assert len(calls) == 2
+    monkeypatch.undo()
+    want = _quotient_by_parts(Gamma, C1, None)
+    assert len(C1.gens) >= 2 and got.gens == want.gens
 
 
 def _cubic_and_line(F):
