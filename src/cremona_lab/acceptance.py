@@ -16,8 +16,8 @@ from .cremona import analyze_map, line_preimage_split
 from .fields import GF, QQ
 from .groebner import groebner_basis, spoly_reduces_to_zero
 from .hudson import hudson_vector, load_table, match_table
-from .ideals import (IdealHandle, graded_piece_dim, hilbert_from_basis, intersect,
-                     multiplicity_at, quotient, saturate)
+from .ideals import (IdealHandle, _minimalize, graded_piece_dim, hilbert_from_basis,
+                     intersect, multiplicity_at, quotient, saturate)
 from .poly import parse_poly, ring
 from .rng import Rng, random_prime
 
@@ -382,17 +382,8 @@ def criterion_9(jobs=0, quick=False) -> CriterionResult:
 # criterion 10: kernel property suites -------------------------------------
 
 
-def _mono_minimal(mons, R):
-    mons = sorted(set(mons), key=R.mdeg)
-    out = []
-    for m in mons:
-        if not any(R.mdivides(g, m) for g in out):
-            out.append(m)
-    return out
-
-
 def _mono_intersect(A, B, R):
-    return _mono_minimal([R.mlcm(a, b) for a in A for b in B], R)
+    return _minimalize([R.mlcm(a, b) for a in A for b in B], R)
 
 
 def _mono_quotient(A, B, R):
@@ -410,9 +401,9 @@ def _mono_quotient(A, B, R):
                 d += e
             g |= d << R.deg_shift
             part.append(a - g)
-        part = _mono_minimal(part, R)
+        part = _minimalize(part, R)
         out = part if out is None else _mono_intersect(out, part, R)
-    return _mono_minimal(out, R)
+    return _minimalize(out, R)
 
 
 def _ideal_from_mons(mons, R):
@@ -485,8 +476,8 @@ def criterion_10(jobs=0, quick=False) -> CriterionResult:
     nrand = 10 if quick else 40
     for k in range(nrand):
         sub = rng.split(f"mono-{k}")
-        A = _mono_minimal([_rand_mon(R, sub) for _ in range(4)], R)
-        B = _mono_minimal([_rand_mon(R, sub) for _ in range(4)], R)
+        A = _minimalize([_rand_mon(R, sub) for _ in range(4)], R)
+        B = _minimalize([_rand_mon(R, sub) for _ in range(4)], R)
         IA, IB = _ideal_from_mons(A, R), _ideal_from_mons(B, R)
         if _mons_of_ideal(IdealHandle(list(intersect(IA, IB).gens), R)) != sorted(_mono_intersect(A, B, R)):
             bad.append(f"random intersection mismatch {k}")

@@ -350,6 +350,22 @@ def scan_one(family: str, seed: int, prime: int, level: str = "invariants") -> d
     return rec
 
 
+def _scan_job(job: tuple) -> dict:
+    return scan_one(*job)
+
+
+def _scan_records(jobs: list, n_jobs: int):
+    """The records of `jobs` in order, each yielded as soon as it is done."""
+    if n_jobs > 1 and len(jobs) > 1:
+        import multiprocessing as mp
+
+        with mp.Pool(n_jobs) as pool:
+            yield from pool.imap(_scan_job, jobs)
+    else:
+        for job in jobs:
+            yield scan_one(*job)
+
+
 def cmd_scan(args) -> int:
     fams = args.families.split(",") if args.families != "all" else list(families.FAMILY_LABELS)
     for f in fams:
@@ -366,19 +382,15 @@ def cmd_scan(args) -> int:
     _, have = _atlas_read(args.atlas)
     jobs = [j for j in jobs if (j[0], j[1], j[2]) not in have]
     print(f"scan: {len(jobs)} new samples -> {args.atlas}", file=sys.stderr)
-    results = []
-    if args.jobs > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(args.jobs) as pool:
-            results = pool.starmap(scan_one, jobs)
-    else:
-        results = [scan_one(*j) for j in jobs]
-    failures = sum(1 for r in results if not r["ok"])
+    new = failures = 0
     with open(args.atlas, "a", encoding="utf-8") as fh:
-        for rec in results:
+        # each record reaches the atlas as it arrives, so a killed scan keeps
+        # the finished ones and a rerun skips them
+        for rec in _scan_records(jobs, args.jobs):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             fh.flush()
+            new += 1
+            failures += not rec["ok"]
     hist: dict = {}
     allrecs, _ = _atlas_read(args.atlas)
     for rec in allrecs:
@@ -386,9 +398,9 @@ def cmd_scan(args) -> int:
             key = (tuple(rec["bidegree"]), rec["c2"][1] if rec.get("c2") else None,
                    "ruled" if rec.get("ruled") else "plain")
             hist[str(key)] = hist.get(str(key), 0) + 1
-    print(json.dumps({"new": len(results), "failures": failures,
+    print(json.dumps({"new": new, "failures": failures,
                       "histogram": dict(sorted(hist.items()))}, indent=2))
-    if results and failures / max(1, len(results)) > 0.10:
+    if new and failures / new > 0.10:
         return 1
     return 0
 

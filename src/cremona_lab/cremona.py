@@ -36,8 +36,7 @@ class RationalMap:
 
     __slots__ = ("ring", "components", "degree", "label", "seed", "_base")
 
-    def __init__(self, components, degree: int, label: str | None = None,
-                 seed=None, _validated: bool = False):
+    def __init__(self, components, degree: int, label: str | None = None, seed=None):
         components = list(components)
         if len(components) != 4:
             raise MapError("a self-map of P^3 needs 4 components")

@@ -88,6 +88,15 @@ def _quad_rank(vec, F) -> int:
     return linalg.rank(F, _quad_matrix(vec, F))
 
 
+def _bilinear(A, u, w, F):
+    """u^T A w for a 3x3 matrix A."""
+    s = F.zero
+    for i in range(3):
+        for j in range(3):
+            s = F.add(s, F.mul(F.mul(u[i], A[i][j]), w[j]))
+    return s
+
+
 def _quad_restrict_zero(vec, l, F) -> bool:
     """Does the linear form l (3-vector) divide the quadratic form vec?"""
     A = _quad_matrix(vec, F)
@@ -95,18 +104,10 @@ def _quad_restrict_zero(vec, l, F) -> bool:
     if len(basis) != 2:
         return False
     v1, v2 = basis
-
-    def val(u, w):
-        s = F.zero
-        for i in range(3):
-            for j in range(3):
-                s = F.add(s, F.mul(F.mul(u[i], A[i][j]), w[j]))
-        return s
-
-    return val(v1, v1) == F.zero and val(v1, v2) == F.zero and val(v2, v2) == F.zero
+    return all(_bilinear(A, u, w, F) == F.zero for u, w in ((v1, v1), (v1, v2), (v2, v2)))
 
 
-def _factor_rank2(vec, F, allow_ext: bool = True):
+def _factor_rank2(vec, F):
     """Factor a rank <= 2 ternary quadratic form into two linear forms.
 
     Returns (factors, field) where factors is a list of one or two 3-vectors
@@ -123,23 +124,15 @@ def _factor_rank2(vec, F, allow_ext: bool = True):
     ker = linalg.nullspace(F, A, 3)
     comp = _complete_basis(ker, F)
     u1, u2 = comp[0], comp[1] if len(comp) > 1 else None
-
-    def val(u, w):
-        s = F.zero
-        for i in range(3):
-            for j in range(3):
-                s = F.add(s, F.mul(F.mul(u[i], A[i][j]), w[j]))
-        return s
-
     B = [c for c in comp] + ker
     Binv = linalg.inverse(F, [[B[j][i] for j in range(3)] for i in range(3)])
     # rows of Binv give the dual coordinates sigma_k(z)
     sigma = [Binv[k] for k in range(3)]
     if r == 1:
         return ([sigma[0]], F)
-    a = val(u1, u1)
-    b = F.mul(F.of(2), val(u1, u2))
-    c = val(u2, u2)
+    a = _bilinear(A, u1, u1, F)
+    b = F.mul(F.of(2), _bilinear(A, u1, u2, F))
+    c = _bilinear(A, u2, u2, F)
     # factor a s^2 + b s t + c t^2
     if a == F.zero and c == F.zero:
         return ([sigma[0], sigma[1]], F)
@@ -157,7 +150,7 @@ def _factor_rank2(vec, F, allow_ext: bool = True):
         f1 = [F.sub(sigma[0][i], F.mul(r1, sigma[1][i])) for i in range(3)]
         f2 = [F.sub(sigma[0][i], F.mul(r2, sigma[1][i])) for i in range(3)]
         return ([f1, f2], F)
-    if not allow_ext or not isinstance(F, GF) or isinstance(F, GF2):
+    if not isinstance(F, GF) or isinstance(F, GF2):
         return None
     F2 = GF2(F.p)
     s2 = F2.sqrt(F2.lift(disc))
@@ -262,22 +255,28 @@ def _plane_back(l, M, FF, R: Ring):
 # ------------------------------------------------------- special locus
 
 
+def _jacobian_minors(gens) -> list:
+    """The nonzero 2x2 minors of the Jacobian matrix of `gens`: rows i < j
+    of the generators, then columns a < b of the variables."""
+    jac = [g.partials() for g in gens]
+    minors = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            for a in range(len(jac[i])):
+                for b in range(a + 1, len(jac[i])):
+                    m = jac[i][a] * jac[j][b] - jac[i][b] * jac[j][a]
+                    if m:
+                        minors.append(m)
+    return minors
+
+
 def special_locus(psi: RationalMap, base_ideal: IdealHandle,
                   budget: Budget | None = None) -> IdealHandle:
     """Base points where the system can carry a Hudson structure: the rank
     of the 4x4 Jacobian is <= 1 there (rank 0 for double points / binodes /
     double points of contact, rank 1 for contact and osculation points)."""
-    R = psi.ring
-    jac = [f.partials() for f in psi.components]
-    minors = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    m = jac[i][a] * jac[j][b] - jac[i][b] * jac[j][a]
-                    if m:
-                        minors.append(m)
-    return sat_irrelevant(IdealHandle(list(base_ideal.gens) + minors, R), budget)
+    minors = _jacobian_minors(psi.components)
+    return sat_irrelevant(IdealHandle(list(base_ideal.gens) + minors, psi.ring), budget)
 
 
 def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = None):
@@ -285,7 +284,9 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     isolated base points (and the singular points of C2, which the rank
     locus already contains for all-singular structures).
 
-    Returns (rational points, extension points, unresolved count).
+    Returns (rational points, extension points, unresolved count), the
+    last being the points of the special locus that `count_points` counts
+    but `extract_points` does not find (defined over a larger field).
     """
     psi = analysis.psi
     spec = special_locus(psi, analysis.base_ideal, budget)
@@ -296,14 +297,11 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
         h = hilbert_from_basis(spec.groebner(GREVLEX, budget), psi.ring)
         if h.dimension != 0:
             raise DegenerateInput("special locus is not finite (ruled map?)")
-        got, got_ext, complete = extract_points(spec, rng.split("spec"), budget)
-        pts.extend(got)
-        ext.extend(got_ext)
-        if not complete:
-            total = count_points(spec, rng.split("spec-count"), budget)
-            unresolved = max(0, total - len(got) - len(got_ext))
+        pts, ext = extract_points(spec, rng.split("spec"), budget)
+        total = count_points(spec, rng.split("spec-count"), budget)
+        unresolved = max(0, total - len(pts) - len(ext))
     if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
-        got, got_ext, complete = extract_points(analysis.theta_ideal, rng.split("theta"), budget)
+        got, got_ext = extract_points(analysis.theta_ideal, rng.split("theta"), budget)
         for q in got:
             if q not in pts:
                 pts.append(q)
@@ -633,22 +631,13 @@ def curve_singular_points(C: CurveRecord, rng: Rng, budget: Budget | None = None
     I = C.ideal
     R = I.ring
     gens = list(I.groebner(GREVLEX, budget))
-    minors = []
-    jac = [g.partials() for g in gens]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    m = jac[i][a] * jac[j][b] - jac[i][b] * jac[j][a]
-                    if m:
-                        minors.append(m)
-    S = sat_irrelevant(IdealHandle(gens + minors, R), budget)
+    S = sat_irrelevant(IdealHandle(gens + _jacobian_minors(gens), R), budget)
     if S.is_unit(budget):
         return []
     h = hilbert_from_basis(S.groebner(GREVLEX, budget), R)
     if h.dimension != 0:
         return None
-    pts, _, _ = extract_points(S, rng.split("pts"), budget)
+    pts, _ = extract_points(S, rng.split("pts"), budget)
     out = []
     for p in pts:
         try:

@@ -36,16 +36,19 @@ Hilbert data derived from it.  The constructions used throughout:
   Every route returns the reference's exact generator tuple, because
   downstream point extraction depends on the generating set.
 
-`saturate`, `sat_irrelevant` and `local_length` share one loop,
-`_intersect_distinct`, which skips unit parts, drops parts whose reduced
-basis was already seen and intersects the rest.
+`saturate` and `sat_irrelevant` share one loop, `_intersect_distinct`,
+which skips unit parts, drops parts whose reduced basis was already seen and
+intersects the rest.  `local_length` strips the component at a point with
+`saturate` by the point's maximal ideal.
 
-Saturated zero-dimensional schemes additionally get point counting (degree
-of a squarefree generic eliminant) and point extraction over GF(p) and
-GF(p^2).  `candidate_lines` is the one search for lines on a curve: cut
-with two generic planes, extract the points of each section and yield the
-line through each pair (`line_forms`).  Linear forms are built with
-`Ring.linear_form`.
+Saturated zero-dimensional schemes additionally get point counting
+(`count_points`: degree of a squarefree generic eliminant) and point
+extraction (`extract_points`: the points over GF(p) and GF(p^2), with no
+count behind them; a caller that needs to know what was missed compares
+with `count_points`).  `candidate_lines` is the one search for lines on a
+curve: cut with two generic planes, extract the points of each section and
+yield the line through each pair (`line_forms`).  Linear forms are built
+with `Ring.linear_form`.
 """
 
 from __future__ import annotations
@@ -87,11 +90,10 @@ class IdealHandle:
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
 
-    def groebner(self, order: MonomialOrder = GREVLEX, budget: Budget | None = None,
-                 strategy: str = "normal") -> tuple:
+    def groebner(self, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> tuple:
         got = self._gb.get(order)
         if got is None:
-            got = tuple(groebner_basis(list(self.gens), order, budget, strategy))
+            got = tuple(groebner_basis(list(self.gens), order, budget))
             self._gb[order] = got
         return got
 
@@ -788,12 +790,10 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
         return 0
-    M = point_frame(R, p)
-    J = Isat.substituted(M)
+    J = Isat.substituted(point_frame(R, p))
     # strip the component at e_last: saturate by the point's maximal ideal
-    acc = _intersect_distinct((_saturate_variable(J, i, budget) for i in range(R.nvars - 1)),
-                              budget)
-    if acc is None or acc.is_unit(budget):
+    acc = saturate(J, IdealHandle([R.var(i) for i in range(R.nvars - 1)], R), budget)
+    if acc.is_unit(budget):
         rest_deg = 0
     else:
         hr = hilbert_from_basis(acc.groebner(GREVLEX, budget), R)
@@ -934,24 +934,21 @@ def _binary_squarefree(B: list, F: Field) -> int:
     return univar.deg(sq) + extra
 
 
-def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None,
-                   allow_ext: bool = True):
-    """Points of a 0-dimensional scheme: (rational points, GF(p^2) points,
-    complete_flag).  Points are normalized projective tuples."""
+def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None):
+    """Points of a 0-dimensional scheme: (rational points, GF(p^2) points),
+    normalized projective tuples.  Points whose field of definition is
+    larger are not returned; `count_points` counts them."""
     R = I.ring
     Isat = I if I.saturated else sat_irrelevant(I, budget)
     if Isat.is_unit(budget):
-        return [], [], True
+        return [], []
     h = hilbert_from_basis(Isat.groebner(GREVLEX, budget), R)
     if h.dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
-    pts, ext, complete = _extract_chart(Isat, rng, budget, allow_ext)
-    want = count_points(Isat, rng.split("count"), budget)
-    complete = complete and (len(pts) + len(ext) >= want)
-    return pts, ext, complete
+    return _extract_chart(Isat, rng, budget)
 
 
-def _extract_chart(Isat, rng, budget, allow_ext, depth: int = 0):
+def _extract_chart(Isat, rng, budget, depth: int = 0):
     R = Isat.ring
     F = R.field
     n = R.nvars
@@ -964,10 +961,10 @@ def _extract_chart(Isat, rng, budget, allow_ext, depth: int = 0):
             break
     if chart is None:
         if depth >= 2:
-            return [], [], False
+            return [], []
         M = linalg.random_invertible(F, n, rng.split(f"chart-change-{depth}"))
         moved = Isat.substituted(M)
-        pts, ext, comp = _extract_chart(moved, rng, budget, allow_ext, depth + 1)
+        pts, ext = _extract_chart(moved, rng, budget, depth + 1)
         # map back: x_orig = M x_new
         back_pts = [_normalize_point(linalg.mat_vec(F, M, list(p)), F) for p in pts]
         back_ext = []
@@ -975,43 +972,38 @@ def _extract_chart(Isat, rng, budget, allow_ext, depth: int = 0):
             F2 = GF2(F.p)
             M2 = [[F2.lift(c) for c in row] for row in M]
             back_ext = [_normalize_point(linalg.mat_vec(F2, M2, list(p)), F2) for p in ext]
-        return back_pts, back_ext, comp
+        return back_pts, back_ext
     # dehomogenize: z_chart = 1
     A = ring(F, n - 1, tuple(nm for i, nm in enumerate(R.names) if i != chart))
     affine = [_dehomogenize(g, chart, A) for g in Isat.gens]
     affine = [g for g in affine if g]
     root_sets = []
     ext_root_sets = []
-    isGF = isinstance(F, GF) and not isinstance(F, GF2)
-    F2 = GF2(F.p) if (isGF and allow_ext) else None
+    F2 = GF2(F.p) if isinstance(F, GF) and not isinstance(F, GF2) else None
     for w in range(n - 1):
         elim_f = _affine_eliminant(affine, A, w, budget)
         if elim_f is None:
-            return [], [], False
-        if isGF:
+            return [], []
+        if F2 is not None:
             rs = univar.roots_gf(elim_f, F, rng.split(f"roots-{w}"))
             root_sets.append(rs)
-            if F2 is not None:
-                quads = univar.irreducible_quadratics(elim_f, F, rng.split(f"quads-{w}"))
-                ers = []
-                for q in quads:
-                    ers.extend(univar.quadratic_roots_ext(q, F, F2))
-                ext_root_sets.append([F2.lift(r) for r in rs] + ers)
+            quads = univar.irreducible_quadratics(elim_f, F, rng.split(f"quads-{w}"))
+            ers = []
+            for q in quads:
+                ers.extend(univar.quadratic_roots_ext(q, F, F2))
+            ext_root_sets.append([F2.lift(r) for r in rs] + ers)
         elif F == QQ:
-            rs = univar.roots_qq(elim_f, F)
-            root_sets.append(rs)
-            ext_root_sets.append(None)
+            root_sets.append(univar.roots_qq(elim_f, F))
         else:
-            return [], [], False
+            return [], []
     pts = _combine_roots(affine, A, root_sets, F, chart, R)
     ext_pts = []
-    if F2 is not None and all(e is not None for e in ext_root_sets):
+    if F2 is not None:
         A2 = ring(F2, n - 1, A.names)
         affine2 = [g.map_field(A2) for g in affine]
         allpts = _combine_roots(affine2, A2, ext_root_sets, F2, chart, R)
         ext_pts = [p for p in allpts if not all(F2.in_base(c) for c in p)]
-    complete = True
-    return pts, ext_pts, complete
+    return pts, ext_pts
 
 
 def _dehomogenize(g: Polynomial, chart: int, A: Ring) -> Polynomial:
@@ -1128,7 +1120,7 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget |
         cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R), budget)
         if cut.is_unit(budget) or hilbert_from_basis(cut.groebner(GREVLEX, budget), R).dimension != 0:
             return
-        pts, _, _ = extract_points(cut, sub.split("pts"), budget)
+        pts, _ = extract_points(cut, sub.split("pts"), budget)
         samples.append(pts)
     for a in samples[0]:
         for b in samples[1]:

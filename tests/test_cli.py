@@ -218,6 +218,28 @@ def test_scan_idempotent_and_crash_repair(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_killed_scan_keeps_finished_records(tmp_path, monkeypatch, capsys):
+    atlas = tmp_path / "atlas.jsonl"
+    real = cli.scan_one
+    calls = []
+
+    def scan_one(*job):
+        calls.append(job)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(*job)
+
+    monkeypatch.setattr(cli, "scan_one", scan_one)
+    with pytest.raises(KeyboardInterrupt):
+        run(["scan", "--families", "E2,E13", "--count", "3", "--seed", "100",
+             "--prime", "1000003", "--atlas", str(atlas), "--jobs", "1"])
+    lines = atlas.read_text().splitlines()
+    assert len(lines) == 1
+    rec = json.loads(lines[0])
+    assert (rec["family"], rec["seed"], rec["ok"]) == ("E2", 100, True)
+    capsys.readouterr()
+
+
 def test_scan_records_carry_invariants(tmp_path, capsys):
     atlas = tmp_path / "a.jsonl"
     assert run(["scan", "--families", "E12", "--count", "1", "--seed", "55",

@@ -2,7 +2,9 @@
 pinned corpus, so that refactors of the pipeline must keep reports byte for
 byte.  The corpus covers the ruled witness with four line peels
 (ruled_3_4), a line peel off a twisted cubic (E19), both branches of the
-quadric-rank test (E8 and E7.5) and the two-prime path over Q."""
+quadric-rank test (E8 and E7.5), the one stratum whose Hudson vector is
+partial because a point of its special locus is counted but not extracted
+(E4) and the two-prime path over Q."""
 
 import hashlib
 import json
@@ -19,6 +21,7 @@ GOLDEN_GF = {
     "E19": "2514fb99eea8a68e19a34010fea8aa2394516fd014cdcc8678458a9729df7aa8",
     "E8": "a04e18a689647d90fca0b16e36a6c25d14ff02efc1f5ce40631d26e7434abf33",
     "E7.5": "3592011c97176b5617c2b909f1c91317790a9ec9eee584df5394184d5312cf1a",
+    "E4": "c7068a0c1aa906219d6f055debe95109fc1997b800ca1137520223d36e766057",
 }
 GOLDEN_RULED_INVOLUTION_SEED2 = "393a452e45b8b45fa3a6d26b6f51d6a0bd015339348fb93cd1e0e8ba87a261b6"
 

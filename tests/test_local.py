@@ -2,6 +2,7 @@
 
 import pytest
 
+from cremona_lab import ideals
 from cremona_lab.fields import GF
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, count_points,
                                 extract_points, hilbert_from_basis, intersect,
@@ -76,9 +77,19 @@ def test_count_and_extract_points():
     I = intersect(intersect(A, B), C)
     I = IdealHandle(list(I.gens), saturated=True)
     assert count_points(I, Rng(3)) == 3
-    pts, ext, complete = extract_points(I, Rng(4))
-    assert complete and not ext
+    pts, ext = extract_points(I, Rng(4))
+    assert not ext
     assert sorted(pts) == sorted([(O, O, O, I1), (I1, O, O, O), (I1, I1, I1, I1)])
+
+
+def test_extract_points_does_not_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_points must not count points")
+
+    monkeypatch.setattr(ideals, "count_points", refuse)
+    I = IdealHandle([pp("z2"), pp("z3"), pp("z0*z1 - z1^2")], saturated=True)
+    pts, ext = extract_points(I, Rng(4))
+    assert sorted(pts) == sorted([(I1, O, O, O), (I1, I1, O, O)]) and not ext
 
 
 def test_extract_points_quadratic_extension():
@@ -86,8 +97,17 @@ def test_extract_points_quadratic_extension():
     r = F.non_residue()
     I = IdealHandle([pp("z2"), pp("z3"), pp("z0^2") - pp("z1^2").scale(r)], saturated=True)
     assert count_points(I, Rng(5)) == 2
-    pts, ext, complete = extract_points(I, Rng(6))
-    assert complete and not pts and len(ext) == 2
+    pts, ext = extract_points(I, Rng(6))
+    assert not pts and len(ext) == 2
+
+
+def test_cubic_extension_points_are_counted_not_extracted():
+    # three conjugate points over GF(p^3): z0^3 - z0 z1^2 - z1^3 = 0 with
+    # t^3 - t - 1 irreducible over GF(p) (a cubic without a root)
+    assert all((t**3 - t - 1) % F.p for t in range(F.p))
+    I = IdealHandle([pp("z2"), pp("z3"), pp("z0^3 - z0*z1^2 - z1^3")], saturated=True)
+    assert extract_points(I, Rng(9)) == ([], [])
+    assert count_points(I, Rng(10)) == 3
 
 
 def test_isolated_points_against_curve():
