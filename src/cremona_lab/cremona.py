@@ -244,9 +244,9 @@ def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None
             continue
         C1i = C1i.as_saturated()
         C2i = quotient(Gamma, C1i, budget).as_saturated()
-        # shared component <=> C1 + C2 still 1-dimensional
-        both = sat_irrelevant(ideal_sum(C1i, C2i), budget)
-        hb = hilbert_from_basis(both.groebner(GREVLEX, budget), R)
+        # shared component <=> C1 + C2 still 1-dimensional (read off the
+        # unsaturated sum: an ideal and its saturation share Hilbert data)
+        hb = hilbert_from_basis(ideal_sum(C1i, C2i).groebner(GREVLEX, budget), R)
         if hb.dimension >= 1:
             last_err = "C1 and C2 share a component"
             continue
@@ -326,7 +326,6 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
                 gens.append(g)
     Fib = IdealHandle(gens, R)
     FibS = saturate(Fib, psi.ideal(), budget)
-    FibS = sat_irrelevant(FibS, budget)
     h = hilbert_from_basis(FibS.groebner(GREVLEX, budget), R)
     if h.dimension <= 0:
         return (h.degree if h.dimension == 0 else 0), 0
@@ -341,7 +340,10 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     exactly for birational maps.
 
     Computed scheme-theoretically: degree of (S meet C1) after stripping the
-    points supported on C1 meet C2 and on Theta.
+    points supported on C1 meet C2 and on Theta.  Only Hilbert data of these
+    ideals is read, so none is saturated by the irrelevant ideal: I and
+    I : m^oo have the same Hilbert polynomial, and saturating by J commutes
+    with saturating by m.
     """
     R = psi.ring
     c1, c2 = analysis.c1, analysis.c2
@@ -352,7 +354,6 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
         if gamma is not None and not normal_form(S, list(gamma.groebner(GREVLEX, budget))):
             continue  # S must be nonzero modulo the pencil cutting C1 u C2
         T = IdealHandle(list(c1.ideal.gens) + [S], R)
-        T = sat_irrelevant(T, budget)
         hT = hilbert_from_basis(T.groebner(GREVLEX, budget), R)
         if hT.dimension != 0:
             continue
@@ -361,8 +362,6 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
         rest = saturate(T, ideal_sum(c1.ideal, c2.ideal), budget) if c2.degree else T
         if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
             rest = saturate(rest, analysis.theta_ideal, budget)
-        if rest.is_unit(budget):
-            return 0
         hr = hilbert_from_basis(rest.groebner(GREVLEX, budget), R)
         return hr.degree if hr.dimension == 0 else 0
     raise DegenerateInput("no suitable member for the certificate")
@@ -374,7 +373,9 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
 def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> int:
     """Geometric genus (0 or 1) of a generic plane section of a generic
     member: 1 iff the plane cubic is smooth.  Majority verdict over 3
-    clean draws."""
+    clean draws.  The singular locus is read off the Hilbert data of the
+    Jacobian ideal itself (that of its saturation): dimension -1 means
+    smooth, a single reduced point a node."""
     R = psi.ring
     F = R.field
     R3 = ring(F, 3, ("u0", "u1", "u2"))
@@ -387,16 +388,13 @@ def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> in
         cubic = _restrict_to_plane(Sp, R3)
         if not cubic or not cubic.is_homogeneous() or cubic.total_degree() != 3:
             continue
-        jac = IdealHandle(cubic.partials(), R3)
-        sat3 = sat_irrelevant(jac, budget)
-        if sat3.is_unit(budget):
+        h = hilbert_from_basis(IdealHandle(cubic.partials(), R3).groebner(GREVLEX, budget), R3)
+        if h.dimension == -1:
             votes.append(1)
+        elif h.dimension == 0 and h.degree == 1:
+            votes.append(0)  # a single node: rational cubic
         else:
-            h = hilbert_from_basis(sat3.groebner(GREVLEX, budget), R3)
-            if h.dimension == 0 and h.degree == 1:
-                votes.append(0)  # a single node: rational cubic
-            else:
-                continue  # ambiguous section (cusp or reducible); redraw
+            continue  # ambiguous section (cusp or reducible); redraw
         if votes.count(votes[-1]) >= 2:
             return votes[-1]
     raise DegenerateInput("plane sections stayed ambiguous; map likely degenerate")
@@ -417,13 +415,14 @@ def _restrict_to_plane(S: Polynomial, R3: Ring) -> Polynomial:
 # ---------------------------------------------------------------- ruledness
 
 
-def common_singular_locus(psi: RationalMap, budget: Budget | None = None) -> IdealHandle:
-    """Saturated ideal of the points where every member of the system is
-    singular (all 16 partial derivatives vanish)."""
+def common_singular_locus(psi: RationalMap) -> IdealHandle:
+    """The ideal of the 16 partial derivatives, whose zero set is where
+    every member of the system is singular.  Not saturated: its Hilbert
+    polynomial is that of its saturation."""
     gens = []
     for f in psi.components:
         gens.extend(g for g in f.partials() if g)
-    return sat_irrelevant(IdealHandle(gens, psi.ring), budget)
+    return IdealHandle(gens, psi.ring)
 
 
 def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
@@ -431,15 +430,15 @@ def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
 
     Ruled means the members share a whole line of singular points delta and
     the system lies in I_delta^2; cross-checked by the caller against
-    genus = 0.
+    genus = 0.  A common singular locus of dimension < 1 (read off the
+    unsaturated ideal) is not ruled; only a curve is saturated for the line
+    search.
     """
     R = psi.ring
-    Sigma = common_singular_locus(psi, budget)
-    if Sigma.is_unit(budget):
+    Sigma = common_singular_locus(psi)
+    if hilbert_from_basis(Sigma.groebner(GREVLEX, budget), R).dimension < 1:
         return False, None
-    h = hilbert_from_basis(Sigma.groebner(GREVLEX, budget), R)
-    if h.dimension < 1:
-        return False, None
+    Sigma = sat_irrelevant(Sigma, budget)
     for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane", budget):
         sq = IdealHandle([l1 * l1, l1 * l2, l2 * l2], R)
         if all(sq.contains(f, budget) for f in psi.components):

@@ -17,6 +17,14 @@ class FieldError(ValueError):
     pass
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a zero denominator is a FieldError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise FieldError(f"zero denominator in {text!r}") from None
+
+
 class Field:
     """Common interface; see QQ / GF / GF2 below."""
 
@@ -87,7 +95,7 @@ class _RationalField(Field):
                 return a
 
     def parse(self, text: str):
-        return Fraction(text)
+        return _fraction(text)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -171,7 +179,7 @@ class GF(Field):
         return 1 + rng.randrange(self.p - 1)
 
     def parse(self, text: str):
-        return self.of(Fraction(text))
+        return self.of(_fraction(text))
 
     def to_str(self, a) -> str:
         return str(a)

@@ -8,7 +8,9 @@ pair is popped.
 
 The engine works on term lists [(key, monomial, coeff), ...] sorted
 descending by the active order key; prime-field coefficients get a dedicated
-arithmetic path (plain ints mod p).  Budgets turn runaway computations into
+arithmetic path (plain ints mod p).  Order keys are affine in the exponent
+vector, so multiplying a list by a monomial adds one key difference to each
+stored key and no key is recomputed.  Budgets turn runaway computations into
 explicit errors: classification code must be able to tell "expensive" from
 "wrong".
 """
@@ -46,77 +48,64 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def _merge_sub_gf(work, g, shift, factor, p, keyf, cache):
-    """work - factor * x^shift * g over GF(p); leads cancel by construction."""
+def _merge_sub_gf(work, start, g, dk, shift, factor, p):
+    """work[start+1:] - factor * x^shift * g[1:] over GF(p): the leads cancel
+    by construction.  Order keys are affine in the exponent vector, so a
+    term of g moves to key + dk, dk = key(x^shift * lead g) - key(lead g)."""
     out = []
-    i, j = 1, 1
+    append = out.append
+    i, j = start + 1, 1
     lw, lg = len(work), len(g)
     while i < lw and j < lg:
-        wk, wm, wc = work[i]
-        gm = g[j][1] + shift
-        gk = cache.get(gm)
-        if gk is None:
-            gk = keyf(gm)
-            cache[gm] = gk
+        wk = work[i][0]
+        gk, gm, gc = g[j]
+        gk += dk
         if wk > gk:
-            out.append(work[i])
+            append(work[i])
             i += 1
         elif wk < gk:
-            out.append((gk, gm, -factor * g[j][2] % p))
+            append((gk, gm + shift, -factor * gc % p))
             j += 1
         else:
-            c = (wc - factor * g[j][2]) % p
+            c = (work[i][2] - factor * gc) % p
             if c:
-                out.append((wk, wm, c))
+                append((wk, work[i][1], c))
             i += 1
             j += 1
     if i < lw:
-        out.extend(work[i:])
-    while j < lg:
-        gm = g[j][1] + shift
-        gk = cache.get(gm)
-        if gk is None:
-            gk = keyf(gm)
-            cache[gm] = gk
-        out.append((gk, gm, -factor * g[j][2] % p))
-        j += 1
+        out += work[i:]
+    if j < lg:
+        out += [(k + dk, m + shift, -factor * c % p) for k, m, c in g[j:]]
     return out
 
 
-def _merge_sub_gen(work, g, shift, factor, F, keyf, cache):
+def _merge_sub_gen(work, start, g, dk, shift, factor, F):
+    """`_merge_sub_gf` over any field F."""
     out = []
-    i, j = 1, 1
-    lw, lg = len(work), len(g)
+    append = out.append
     neg, mul, sub, zero = F.neg, F.mul, F.sub, F.zero
+    i, j = start + 1, 1
+    lw, lg = len(work), len(g)
     while i < lw and j < lg:
-        wk, wm, wc = work[i]
-        gm = g[j][1] + shift
-        gk = cache.get(gm)
-        if gk is None:
-            gk = keyf(gm)
-            cache[gm] = gk
+        wk = work[i][0]
+        gk, gm, gc = g[j]
+        gk += dk
         if wk > gk:
-            out.append(work[i])
+            append(work[i])
             i += 1
         elif wk < gk:
-            out.append((gk, gm, neg(mul(factor, g[j][2]))))
+            append((gk, gm + shift, neg(mul(factor, gc))))
             j += 1
         else:
-            c = sub(wc, mul(factor, g[j][2]))
+            c = sub(work[i][2], mul(factor, gc))
             if c != zero:
-                out.append((wk, wm, c))
+                append((wk, work[i][1], c))
             i += 1
             j += 1
     if i < lw:
-        out.extend(work[i:])
-    while j < lg:
-        gm = g[j][1] + shift
-        gk = cache.get(gm)
-        if gk is None:
-            gk = keyf(gm)
-            cache[gm] = gk
-        out.append((gk, gm, neg(mul(factor, g[j][2]))))
-        j += 1
+        out += work[i:]
+    if j < lg:
+        out += [(k + dk, m + shift, neg(mul(factor, c))) for k, m, c in g[j:]]
     return out
 
 
@@ -130,7 +119,17 @@ class _Engine:
         self.keyf = ring._grevlex_key if order == GREVLEX else order.key_func(ring)
         self.cache: dict = {}
         F = ring.field
-        self.gf_p = F.char if (isinstance(F, GF) and not isinstance(F, GF2)) else 0
+        p = F.char if (isinstance(F, GF) and not isinstance(F, GF2)) else 0
+        self.gf_p = p
+        # the merge and its last argument, picked once for the field
+        self.merge, self.arith = (_merge_sub_gf, p) if p else (_merge_sub_gen, F)
+
+    def key(self, m: int) -> int:
+        k = self.cache.get(m)
+        if k is None:
+            k = self.keyf(m)
+            self.cache[m] = k
+        return k
 
     def to_list(self, f: Polynomial) -> list:
         keyf, cache = self.keyf, self.cache
@@ -148,47 +147,34 @@ class _Engine:
         return self.ring.poly({m: c for _, m, c in lst})
 
     def reduce_full(self, work: list, G: list) -> list:
-        """Full normal form of the term list `work` against monic lists G."""
-        ring = self.ring
-        mdiv = ring.mdivides
+        """Full normal form of the term list `work` against monic lists G:
+        each term is reduced by the first element of G whose lead divides
+        it, or moves to the output."""
+        guard = self.ring.guard
+        merge, arith = self.merge, self.arith
+        leads = [(g[0][1], g) for g in G]
         out = []
-        p = self.gf_p
-        F = ring.field
-        keyf, cache = self.keyf, self.cache
-        while work:
-            m, c = work[0][1], work[0][2]
-            hit = None
-            for g in G:
-                if mdiv(g[0][1], m):
-                    hit = g
+        i = 0
+        while i < len(work):
+            wk, m, c = work[i]
+            mg = m | guard
+            for lm, g in leads:
+                if (mg - lm) & guard == guard:
+                    work = merge(work, i, g, wk - g[0][0], m - lm, c, arith)
+                    i = 0
                     break
-            if hit is None:
-                out.append(work[0])
-                work = work[1:]
-                continue
-            shift = m - hit[0][1]
-            if p:
-                work = _merge_sub_gf(work, hit, shift, c % p, p, keyf, cache)
             else:
-                work = _merge_sub_gen(work, hit, shift, c, F, keyf, cache)
+                out.append(work[i])
+                i += 1
         return out
 
     def spoly(self, f: list, g: list, lcm_m: int) -> list:
         """S-polynomial of two monic term lists."""
-        keyf, cache = self.keyf, self.cache
-        sf = lcm_m - f[0][1]
-        out = []
-        for _, m, c in f:
-            mm = m + sf
-            kk = cache.get(mm)
-            if kk is None:
-                kk = keyf(mm)
-                cache[mm] = kk
-            out.append((kk, mm, c))
-        F = self.ring.field
-        if self.gf_p:
-            return _merge_sub_gf(out, g, lcm_m - g[0][1], 1, self.gf_p, keyf, cache)
-        return _merge_sub_gen(out, g, lcm_m - g[0][1], F.one, F, keyf, cache)
+        lk = self.key(lcm_m)
+        df, sf = lk - f[0][0], lcm_m - f[0][1]
+        shifted = [(k + df, m + sf, c) for k, m, c in f]
+        return self.merge(shifted, 0, g, lk - g[0][0], lcm_m - g[0][1], self.ring.field.one,
+                          self.arith)
 
     def make_monic(self, lst: list) -> list:
         F = self.ring.field
@@ -235,10 +221,7 @@ def groebner_basis(
 
     def push_pair(i: int, j: int, lcm_m: int):
         li, lj = lead[i], lead[j]
-        lk = eng.cache.get(lcm_m)
-        if lk is None:
-            lk = eng.keyf(lcm_m)
-            eng.cache[lcm_m] = lk
+        lk = eng.key(lcm_m)
         if strategy == "sugar":
             sel = (max(sugars[i] + mdeg(lcm_m) - mdeg(li), sugars[j] + mdeg(lcm_m) - mdeg(lj)), lk)
         else:
@@ -373,18 +356,15 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
     gl = eng.to_list(g)
     work = eng.to_list(f)
     quot: dict = {}
-    glm, glc = gl[0][1], gl[0][2]
+    glk, glm, glc = gl[0]
     while work:
-        m, c = work[0][1], work[0][2]
+        k, m, c = work[0]
         if not ring.mdivides(glm, m):
             return None
         shift = m - glm
         factor = F.div(c, glc)
         quot[shift] = factor
-        if eng.gf_p:
-            work = _merge_sub_gf(work, gl, shift, factor, eng.gf_p, eng.keyf, eng.cache)
-        else:
-            work = _merge_sub_gen(work, gl, shift, factor, F, eng.keyf, eng.cache)
+        work = eng.merge(work, 0, gl, k - glk, shift, factor, eng.arith)
     return ring.poly(quot)
 
 

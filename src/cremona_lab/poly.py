@@ -38,7 +38,13 @@ class ParseError(PolyError):
 
 
 class MonomialOrder:
-    """A global monomial order, exposed as a monotone integer key."""
+    """A global monomial order, exposed as a monotone integer key.
+
+    Every key is affine in the packed exponent vector: for monomials a, b
+    whose product stays within EXP_MAX, key(a*b) = key(a) + key(b) - key(1).
+    The Groebner engine relies on this to move the stored keys of a basis
+    element by one difference when it multiplies the element by a monomial.
+    """
 
     kind = "?"
 

@@ -88,6 +88,8 @@ def _first_term(term):
     pytest.param(_first_term(["1", [-1, 2, 0, 0]]), id="negative-exponent"),
     pytest.param(_with(variables=["a", "b"]), id="two-variables"),
     pytest.param(_first_term(["abc", [1, 2, 0, 0]]), id="coefficient-not-a-number"),
+    pytest.param(_first_term(["1/0", [1, 2, 0, 0]]), id="zero-denominator"),
+    pytest.param(dict(_first_term(["1/0", [1, 2, 0, 0]]), field="q"), id="zero-denominator-q"),
     pytest.param(_with(components=[5] + GOOD_DOC["components"][1:]), id="component-is-int"),
     pytest.param([GOOD_DOC], id="top-level-array"),
     pytest.param(_first_term(["1", [1, 2, 0]]), id="exponent-vector-of-length-3"),

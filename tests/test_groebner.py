@@ -4,7 +4,7 @@ from cremona_lab import groebner
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import (Budget, BudgetError, Reducer, exact_divide, groebner_basis,
                                   normal_form, spoly_reduces_to_zero)
-from cremona_lab.poly import LEX, ElimBlock, parse_poly, ring
+from cremona_lab.poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, parse_poly, ring
 from cremona_lab.rng import Rng
 
 R = ring(GF(10007), 4)
@@ -113,6 +113,26 @@ def test_lex_and_elimination_bases():
     # an element free of z0 must exist (elimination of the first variable)
     free = [g for g in gb if all(R.mexp(m, 0) == 0 for m, _ in g.terms)]
     assert free
+
+
+def _orders(n: int, rng: Rng) -> list:
+    return ([GREVLEX, LEX, WeightedGrevlex(tuple(rng.randint(0, 5) for _ in range(n)))]
+            + [ElimBlock(k) for k in range(1, n)])
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_order_keys_are_affine_in_the_exponents(n):
+    """key(a*b) = key(a) + key(b) - key(1), the contract that lets the
+    reduction shift a basis element's stored keys instead of recomputing
+    them; exponents up to 63 keep every product within EXP_MAX."""
+    S = ring(GF(10007), n)
+    rng = Rng(n, "affine-keys")
+    for order in _orders(n, rng):
+        key = order.key_func(S)
+        one = key(0)
+        for _ in range(100):
+            a, b = (S.pack([rng.randint(0, 63) for _ in range(n)]) for _ in range(2))
+            assert key(a + b) == key(a) + key(b) - one, order
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cremona_lab import linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import groebner_basis, normal_form, spoly_reduces_to_zero
-from cremona_lab.ideals import IdealHandle, saturate
+from cremona_lab.ideals import (IdealHandle, hilbert_from_basis, ideal_product, sat_irrelevant,
+                                saturate)
 from cremona_lab.poly import parse_poly, print_poly, ring
 
 R = ring(GF(10007), 4)
@@ -91,6 +92,26 @@ def test_groebner_basis_is_reduced(field, homogeneous, data):
         assert not any(S.mdivides(lm, m) for b, lm in enumerate(leads) if b != a
                        for m, _ in g.terms)
     assert groebner_basis(gens, strategy="sugar") == gb
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_an_ideal_and_its_saturation_share_hilbert_data(data):
+    """I and I : m^oo have the same Hilbert polynomial, so dimension, degree
+    and p_a can be read off I's own basis, and dimension -1 means that the
+    saturation is the unit ideal.  I * m^k adds an m-primary component."""
+    gens = [R.from_exp_terms(ts) for ts in data.draw(generator_terms(True))]
+    I = IdealHandle(gens, R)
+    m = IdealHandle(R.vars(), R)
+    embedded = I
+    for _ in range(data.draw(st.integers(1, 2))):
+        embedded = ideal_product(embedded, m)
+    for J in (I, embedded):
+        h = hilbert_from_basis(J.groebner(), R)
+        sat = sat_irrelevant(IdealHandle(J.gens, R))
+        hs = hilbert_from_basis(sat.groebner(), R)
+        assert (h.dimension, h.degree, h.p_a) == (hs.dimension, hs.degree, hs.p_a)
+        assert (h.dimension == -1) == sat.is_unit()
 
 
 @st.composite

@@ -9,7 +9,7 @@ import gc
 import pytest
 
 from cremona_lab import cli, cremona, families, groebner, hudson, ideals
-from cremona_lab.cremona import analyze_map, new_map
+from cremona_lab.cremona import analyze_map, map_of_degree, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
 from cremona_lab.ideals import (IdealHandle, _certified, _certified_quotient,
@@ -151,6 +151,26 @@ def test_analyze_map_saturates_the_base_ideal_once(monkeypatch):
     assert seen.count(psi.ideal().gens) == 1
 
 
+def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
+    """The shared-component check, the genus and ruledness read Hilbert data
+    off unsaturated ideals (an ideal and its saturation have the same
+    Hilbert polynomial), so the base ideal is the only ideal saturated by
+    the irrelevant ideal."""
+    template, _ = families.build("E8", 1, GF(1000003))
+    psi = map_of_degree(template.components, 3, label=template.label)
+    seen = []
+    real = ideals.sat_irrelevant
+
+    def watched(I, budget=None):
+        seen.append(I.gens)
+        return real(I, budget)
+
+    for mod in (ideals, cremona, hudson, families):
+        monkeypatch.setattr(mod, "sat_irrelevant", watched)
+    analyze_map(psi, 1, trials=0, with_certificate=False)
+    assert seen == [psi.ideal().gens]
+
+
 def test_analysis_report_passes_the_budget_to_every_groebner_call(monkeypatch):
     psi, _ = families.build("E2", 1, GF(1000003))
     calls = _count_bases(monkeypatch)
@@ -165,8 +185,10 @@ def _cached_basis_is_exact(I):
 
 
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
-    """One invariants scan per stratum with every sat_irrelevant, saturate
-    and quotient call checked against its reference route."""
+    """One full-level scan per stratum (Hudson, fiber oracle and certificate
+    included) with every sat_irrelevant, saturate and quotient call checked
+    against its reference route.  An invariants scan saturates little by the
+    irrelevant ideal beyond the base ideal, so it would check too few."""
     real = ideals.sat_irrelevant
     real_saturate = ideals.saturate
     real_quotient = ideals.quotient
@@ -205,7 +227,7 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         monkeypatch.setattr(mod, "quotient", compared_quotient)
     rng = Rng(1, "scan-primes")
     for k, fam in enumerate(families.FAMILY_LABELS):
-        rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")))
+        rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")), level="full")
         assert rec["ok"], rec
     assert len(checked) > 100
     assert len(checked_saturate) >= 2 * len(families.FAMILY_LABELS)
