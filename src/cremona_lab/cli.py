@@ -8,8 +8,9 @@ never part of the payload).
 Exit codes: 0 success (analyze: birational), 2 constructor failure or bad
 arguments (argparse, e.g. a malformed --field, a non-prime --prime or a
 non-integer --samples entry), 3 non-birational input, 4 budget exceeded,
-5 unreadable or malformed map document (one line on stderr, never a
-traceback), 6 deformation endpoint mismatch.
+5 unreadable or malformed map document, including a component that lists
+one exponent vector twice (one line on stderr, never a traceback),
+6 deformation endpoint mismatch.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def document_to_map(doc: dict) -> RationalMap:
             for coeff, exps in terms:
                 if len(exps) != R.nvars:
                     raise MapError(f"exponent vector {exps!r} needs {R.nvars} entries")
-                d[R.pack(tuple(exps))] = F.parse(coeff)
+                m = R.pack(tuple(exps))
+                if m in d:
+                    raise MapError(f"exponent vector {exps!r} repeated in one component")
+                d[m] = F.parse(coeff)
             comps.append(R.poly(d))
     except (TypeError, ValueError) as e:  # FieldError, PolyError, MapError are ValueErrors
         raise MapError(f"malformed document: {e}") from e

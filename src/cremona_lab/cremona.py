@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .fields import GF, GF2
-from .groebner import Budget, BudgetError, normal_form
-from .ideals import (DegenerateInput, IdealHandle, candidate_lines,
-                     hilbert_from_basis, ideal_sum, isolated_points,
-                     piece_span, quotient, sat_irrelevant, saturate)
+from .groebner import Budget, BudgetError
+from .ideals import (DegenerateInput, IdealHandle, candidate_lines, ideal_sum,
+                     isolated_points, piece_span, quotient, sat_irrelevant, saturate)
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
 # spot-checks that the tracer rewraps this from-imported binding
 from .ideals import extract_points  # noqa: F401
-from .poly import GREVLEX, Polynomial, Ring, ring
+from .poly import Polynomial, ring
 from .rng import Rng
 
 
@@ -137,7 +136,7 @@ def map_of_degree(components, degree, label=None) -> RationalMap:
 
 
 def base_dimension(psi: RationalMap) -> int:
-    return hilbert_from_basis(psi.base_ideal().groebner(), psi.ring).dimension
+    return psi.base_ideal().hilbert().dimension
 
 
 # ------------------------------------------------------------------ data
@@ -154,7 +153,7 @@ class CurveRecord:
 
     @classmethod
     def from_ideal(cls, I: IdealHandle, budget: Budget | None = None) -> "CurveRecord":
-        h = hilbert_from_basis(I.groebner(GREVLEX, budget), I.ring)
+        h = I.hilbert(budget)
         if h.dimension == -1:
             return cls(I, 0, 1)  # empty curve: HP = 0, p_a = 1 - HP(0)
         if h.dimension != 1:
@@ -197,7 +196,7 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
     """(saturated base ideal, degree of its 1-dim part, count of isolated points)."""
     rng = rng or Rng(psi.seed or 0, "base")
     J = psi.base_ideal(budget)
-    h = hilbert_from_basis(J.groebner(GREVLEX, budget), psi.ring)
+    h = J.hilbert(budget)
     deg1 = h.degree if h.dimension == 1 else 0
     if h.dimension <= 0:
         _, count = isolated_points(J, None, rng.split("theta"), budget)
@@ -234,7 +233,7 @@ def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None
         if not g1 or not g2:
             continue
         Gamma = IdealHandle([g1, g2], R, saturated=True)
-        h = hilbert_from_basis(Gamma.groebner(GREVLEX, budget), R)
+        h = Gamma.hilbert(budget)
         if h.dimension != 1 or h.degree != psi.degree ** 2:
             last_err = f"degenerate line preimage (dim {h.dimension}, deg {h.degree})"
             continue
@@ -246,7 +245,7 @@ def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None
         C2i = quotient(Gamma, C1i, budget).as_saturated()
         # shared component <=> C1 + C2 still 1-dimensional (read off the
         # unsaturated sum: an ideal and its saturation share Hilbert data)
-        hb = hilbert_from_basis(ideal_sum(C1i, C2i).groebner(GREVLEX, budget), R)
+        hb = ideal_sum(C1i, C2i).hilbert(budget)
         if hb.dimension >= 1:
             last_err = "C1 and C2 share a component"
             continue
@@ -326,7 +325,7 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
                 gens.append(g)
     Fib = IdealHandle(gens, R)
     FibS = saturate(Fib, psi.ideal(), budget)
-    h = hilbert_from_basis(FibS.groebner(GREVLEX, budget), R)
+    h = FibS.hilbert(budget)
     if h.dimension <= 0:
         return (h.degree if h.dimension == 0 else 0), 0
     return h.degree, h.dimension
@@ -351,10 +350,10 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     for attempt in range(retries):
         sub = rng.split(f"cert-{attempt}")
         S = psi.random_member(sub)
-        if gamma is not None and not normal_form(S, list(gamma.groebner(GREVLEX, budget))):
+        if gamma is not None and gamma.contains(S, budget):
             continue  # S must be nonzero modulo the pencil cutting C1 u C2
         T = IdealHandle(list(c1.ideal.gens) + [S], R)
-        hT = hilbert_from_basis(T.groebner(GREVLEX, budget), R)
+        hT = T.hilbert(budget)
         if hT.dimension != 0:
             continue
         if hT.degree != psi.degree * c1.degree:
@@ -362,7 +361,7 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
         rest = saturate(T, ideal_sum(c1.ideal, c2.ideal), budget) if c2.degree else T
         if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
             rest = saturate(rest, analysis.theta_ideal, budget)
-        hr = hilbert_from_basis(rest.groebner(GREVLEX, budget), R)
+        hr = rest.hilbert(budget)
         return hr.degree if hr.dimension == 0 else 0
     raise DegenerateInput("no suitable member for the certificate")
 
@@ -373,22 +372,23 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
 def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> int:
     """Geometric genus (0 or 1) of a generic plane section of a generic
     member: 1 iff the plane cubic is smooth.  Majority verdict over 3
-    clean draws.  The singular locus is read off the Hilbert data of the
+    clean draws.  The plane is z3 = 0 after a random coordinate change M;
+    M's last column is zeroed first, so the substitution gives the plane
+    cubic directly.  The singular locus is read off the Hilbert data of the
     Jacobian ideal itself (that of its saturation): dimension -1 means
     smooth, a single reduced point a node."""
-    R = psi.ring
-    F = R.field
+    F = psi.ring.field
     R3 = ring(F, 3, ("u0", "u1", "u2"))
     votes = []
     for attempt in range(12):
         sub = rng.split(f"genus-{attempt}")
         S = psi.random_member(sub)
         M = linalg.random_invertible(F, 4, sub.split("plane"))
-        Sp = S.substitute_linear(M, check_invertible=False)
-        cubic = _restrict_to_plane(Sp, R3)
+        plane = [row[:3] + [F.zero] for row in M]
+        cubic = S.substitute_linear(plane, check_invertible=False).map_vars(R3, (0, 1, 2, 0))
         if not cubic or not cubic.is_homogeneous() or cubic.total_degree() != 3:
             continue
-        h = hilbert_from_basis(IdealHandle(cubic.partials(), R3).groebner(GREVLEX, budget), R3)
+        h = IdealHandle(cubic.partials(), R3).hilbert(budget)
         if h.dimension == -1:
             votes.append(1)
         elif h.dimension == 0 and h.degree == 1:
@@ -398,18 +398,6 @@ def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> in
         if votes.count(votes[-1]) >= 2:
             return votes[-1]
     raise DegenerateInput("plane sections stayed ambiguous; map likely degenerate")
-
-
-def _restrict_to_plane(S: Polynomial, R3: Ring) -> Polynomial:
-    """Coefficient-wise restriction z3 = 0 into a 3-variable ring."""
-    R = S.ring
-    F = R3.field
-    d: dict = {}
-    for m, c in S.terms:
-        if R.mexp(m, 3) == 0:
-            mm = R3.pack(tuple(R.mexp(m, i) for i in range(3)))
-            d[mm] = F.add(d.get(mm, F.zero), c)
-    return R3.poly(d)
 
 
 # ---------------------------------------------------------------- ruledness
@@ -436,7 +424,7 @@ def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
     """
     R = psi.ring
     Sigma = common_singular_locus(psi)
-    if hilbert_from_basis(Sigma.groebner(GREVLEX, budget), R).dimension < 1:
+    if Sigma.hilbert(budget).dimension < 1:
         return False, None
     Sigma = sat_irrelevant(Sigma, budget)
     for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane", budget):
@@ -550,7 +538,7 @@ def analyze_map(psi: RationalMap, seed=0, trials: int = 5, with_certificate: boo
     an.gamma, an.c1, an.c2 = line_preimage_split(psi, rng.split("split"), budget=budget)
     J = psi.base_ideal(budget)
     an.base_ideal = J
-    hJ = hilbert_from_basis(J.groebner(GREVLEX, budget), psi.ring)
+    hJ = J.hilbert(budget)
     an.base_dim = hJ.dimension
     an.deg1part = hJ.degree if hJ.dimension == 1 else 0
     an.theta_ideal, an.theta_count = isolated_points(

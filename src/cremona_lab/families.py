@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from . import linalg
 from .cremona import MapError, RationalMap, map_of_degree, new_map
 from .fields import GF, QQ, Field
-from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, hilbert_from_basis,
-                     intersect, line_forms, piece_span, sat_irrelevant, vectors_to_polys)
+from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, intersect, line_forms,
+                     piece_span, sat_irrelevant, vectors_to_polys)
 from .hudson import _rank4, classify_point
 from .poly import Polynomial, Ring, parse_poly, ring
 from .rng import Rng
@@ -698,7 +698,7 @@ def _build_e14(seed, field: Field) -> RationalMap:
         if forms is None:
             continue
         meet = sat_irrelevant(IdealHandle(list(Gamma.gens) + forms, R))
-        hm = hilbert_from_basis(meet.groebner(), R)
+        hm = meet.hilbert()
         if hm.dimension != 0 or hm.degree != 1:
             continue  # the line must meet the cubic only at p
         qspan, _ = piece_span(Gamma, 2)

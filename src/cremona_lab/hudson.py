@@ -29,9 +29,8 @@ from .cremona import CurveRecord, MapAnalysis, RationalMap
 from .fields import GF, GF2
 from .groebner import Budget
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points,
-                     extract_points, graded_piece_dim, hilbert_from_basis,
-                     multiplicity_at, piece_span, point_frame, quotient,
-                     sat_irrelevant, vectors_to_polys)
+                     extract_points, graded_piece_dim, multiplicity_at, piece_span,
+                     point_frame, quotient, sat_irrelevant, vectors_to_polys)
 from .poly import GREVLEX, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -294,8 +293,7 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     ext: list = []
     unresolved = 0
     if not spec.is_unit(budget):
-        h = hilbert_from_basis(spec.groebner(GREVLEX, budget), psi.ring)
-        if h.dimension != 0:
+        if spec.hilbert(budget).dimension != 0:
             raise DegenerateInput("special locus is not finite (ruled map?)")
         pts, ext = extract_points(spec, rng.split("spec"), budget)
         total = count_points(spec, rng.split("spec-count"), budget)
@@ -396,10 +394,9 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
     over the working field, report the leftover with its Hilbert data."""
     if c2.degree == 0:
         return []
-    R = c2.ideal.ring
     lines = []
     work = c2.ideal
-    work_h = hilbert_from_basis(work.groebner(GREVLEX, budget), R)
+    work_h = work.hilbert(budget)
     for round_ in range(4):
         if work_h.dimension != 1:
             break
@@ -408,7 +405,7 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
             break
         lines.append(line)
         nxt = quotient(work, line, budget).as_saturated()
-        nh = hilbert_from_basis(nxt.groebner(GREVLEX, budget), R)
+        nh = nxt.hilbert(budget)
         shrank = nh.dimension == 1 and nh.degree < work_h.degree
         work, work_h = nxt, nh
         if not shrank:
@@ -634,8 +631,7 @@ def curve_singular_points(C: CurveRecord, rng: Rng, budget: Budget | None = None
     S = sat_irrelevant(IdealHandle(gens + _jacobian_minors(gens), R), budget)
     if S.is_unit(budget):
         return []
-    h = hilbert_from_basis(S.groebner(GREVLEX, budget), R)
-    if h.dimension != 0:
+    if S.hilbert(budget).dimension != 0:
         return None
     pts, _ = extract_points(S, rng.split("pts"), budget)
     out = []

@@ -1,7 +1,14 @@
 """Ideal-theoretic toolbox on top of the Groebner engine.
 
-IdealHandle caches a reduced Groebner basis per monomial order and the
-Hilbert data derived from it.  The constructions used throughout:
+IdealHandle caches a reduced Groebner basis per monomial order and is the
+one reader of facts off its grevlex basis: `hilbert` (Hilbert data of the
+ideal itself, never of its saturation: an ideal and its saturation by the
+irrelevant ideal share dimension, degree and p_a), and `nf` / `contains`
+(one cached `Reducer`).  `eliminate` is the one reader of elimination
+ideals: the part of the reduced ElimBlock(k) basis free of the first k
+variables, in the smaller ring and attached as its grevlex basis.  Only
+the saturation proof of `sat_irrelevant` reads Hilbert data and normal
+forms off a bare basis.  The constructions used throughout:
 
 * intersection   -- t * I + (1-t) * J in a scratch ring, eliminate t;
 * quotient I:g   -- (I meet (g)) / g;
@@ -39,7 +46,8 @@ Hilbert data derived from it.  The constructions used throughout:
 `saturate` and `sat_irrelevant` share one loop, `_intersect_distinct`,
 which skips unit parts, drops parts whose reduced basis was already seen and
 intersects the rest.  `local_length` strips the component at a point with
-`saturate` by the point's maximal ideal.
+`saturate` by the point's maximal ideal and reads only degrees, so it
+saturates nothing by the irrelevant ideal.
 
 Saturated zero-dimensional schemes additionally get point counting
 (`count_points`: degree of a squarefree generic eliminant) and point
@@ -57,8 +65,7 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, QQ, Field
-from .groebner import (DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide,
-                       groebner_basis, normal_form)
+from .groebner import DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide, groebner_basis
 from .poly import EXP_MAX, GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -68,9 +75,11 @@ class DegenerateInput(RuntimeError):
 
 
 class IdealHandle:
-    """A homogeneous ideal with cached Groebner bases and Hilbert data."""
+    """A homogeneous ideal with cached Groebner bases, and the facts read
+    off its grevlex basis: Hilbert data (`hilbert`) and normal forms (`nf`,
+    `contains`)."""
 
-    __slots__ = ("ring", "gens", "saturated", "_gb", "_hilbert")
+    __slots__ = ("ring", "gens", "saturated", "_gb", "_hilbert", "_reducer")
 
     def __init__(self, gens, ring_: Ring | None = None, saturated: bool = False):
         gens = [g for g in gens if g]
@@ -86,6 +95,7 @@ class IdealHandle:
         self.saturated = saturated
         self._gb: dict = {}
         self._hilbert = None
+        self._reducer = None
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
@@ -102,17 +112,20 @@ class IdealHandle:
         return self
 
     def as_saturated(self) -> "IdealHandle":
-        """The same ideal flagged as saturated, keeping the cached bases."""
+        """The same ideal flagged as saturated, keeping the cached facts."""
         out = IdealHandle(self.gens, self.ring, saturated=True)
         out._gb.update(self._gb)
+        out._hilbert, out._reducer = self._hilbert, self._reducer
         return out
 
-    def nf(self, f: Polynomial, order: MonomialOrder = GREVLEX,
-           budget: Budget | None = None) -> Polynomial:
-        return normal_form(f, list(self.groebner(order, budget)), order)
+    def nf(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
+        """Normal form of f modulo the grevlex basis, by one cached Reducer."""
+        if self._reducer is None:
+            self._reducer = Reducer(self.groebner(GREVLEX, budget), GREVLEX, budget)
+        return self._reducer(f)
 
     def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
-        return not self.nf(f, GREVLEX, budget)
+        return not self.nf(f, budget)
 
     def is_unit(self, budget: Budget | None = None) -> bool:
         gb = self.groebner(GREVLEX, budget)
@@ -124,13 +137,13 @@ class IdealHandle:
     def equals(self, other: "IdealHandle") -> bool:
         return self.groebner() == other.groebner()
 
-    def hilbert(self) -> "HilbertData":
-        """Hilbert data of the saturation (auto-saturates if needed)."""
+    def hilbert(self, budget: Budget | None = None) -> "HilbertData":
+        """Hilbert data of this ideal's own grevlex basis, cached.  Never
+        saturates: I and I : (z_0, ..., z_{n-1})^oo have the same dimension,
+        degree and p_a (only the numerator, i.e. the Hilbert function in low
+        degrees, can differ)."""
         if self._hilbert is None:
-            if self.saturated:
-                self._hilbert = hilbert_from_basis(self.groebner(), self.ring)
-            else:
-                self._hilbert = sat_irrelevant(self).hilbert()
+            self._hilbert = hilbert_from_basis(self.groebner(GREVLEX, budget), self.ring)
         return self._hilbert
 
     def substituted(self, M) -> "IdealHandle":
@@ -179,23 +192,7 @@ def intersect(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> I
     lift = [i + 1 for i in range(R.nvars)]
     gens = [t * g.map_vars(S, lift) for g in I.gens]
     gens += [one_minus_t * g.map_vars(S, lift) for g in J.gens]
-    return _eliminate_t(gens, R, S, budget)
-
-
-def _eliminate_t(gens: list, R: Ring, S: Ring, budget: Budget | None) -> IdealHandle:
-    """The t-free part of the reduced ElimBlock(1) basis of `gens` in the
-    scratch ring S, moved back to R.  ElimBlock(1) restricted to t-free
-    monomials is grevlex, so that part is the reduced grevlex basis of the
-    elimination ideal and is attached as its cached basis."""
-    gb = groebner_basis(gens, ElimBlock(1), budget)
-    out = [g.map_vars(R, _drop_first(R)) for g in gb
-           if all(S.mexp(m, 0) == 0 for m, _ in g.terms)]
-    return IdealHandle(out, R).with_basis(GREVLEX, out)
-
-
-def _drop_first(R: Ring):
-    # scratch var 0 is gone; scratch var i+1 -> i
-    return [0] + list(range(R.nvars))
+    return eliminate(IdealHandle(gens, S), 1, budget)
 
 
 def quotient_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None) -> IdealHandle:
@@ -243,8 +240,7 @@ def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> Id
     """I : f for the first draw f whose quotient passes the certificate, as
     its reduced grevlex basis; None when no generator is outside I or every
     draw is refused."""
-    nf = Reducer(I.groebner(GREVLEX, budget), GREVLEX, budget)
-    outside = [g for g in gens if nf(g)]
+    outside = [g for g in gens if I.nf(g, budget)]
     if not outside:
         return None
     low = min(g.total_degree() for g in outside)
@@ -255,7 +251,7 @@ def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> Id
         if not f:  # the drawn coefficients cancel (possible over a tiny field)
             continue
         Q = quotient_by_poly(I, f, budget)
-        if all(not nf(q * g) for q in Q.gens for g in gens):
+        if all(not I.nf(q * g, budget) for q in Q.gens for g in gens):
             gb = Q.groebner(GREVLEX, budget)
             return IdealHandle(gb, I.ring).with_basis(GREVLEX, gb)
     return None
@@ -295,7 +291,7 @@ def _rabinowitsch(I: IdealHandle, g: Polynomial, budget: Budget | None) -> Ideal
     lift = [i + 1 for i in range(R.nvars)]
     gens = [f.map_vars(S, lift) for f in I.gens]
     gens.append(t * g.map_vars(S, lift) - S.one)
-    return _eliminate_t(gens, R, S, budget)
+    return eliminate(IdealHandle(gens, S), 1, budget)
 
 
 def _single_variable(g: Polynomial):
@@ -410,16 +406,16 @@ def _certified(I: IdealHandle, K: IdealHandle, gens: list, budget: Budget | None
     reaches 0 after N steps.  False when some g^N k would exceed the degree
     budget first."""
     max_degree = (budget or DEFAULT_BUDGET).max_degree
-    nf = Reducer(I.groebner(GREVLEX, budget), GREVLEX, budget)
     for k in K.gens:
+        start = I.nf(k, budget)
         for g in gens:
-            r = nf(k)
+            r = start
             degree = k.total_degree()
             while r:
                 degree += g.total_degree()
                 if degree > max_degree:
                     return False
-                r = nf(g * r)
+                r = I.nf(g * r, budget)
     return True
 
 
@@ -546,20 +542,20 @@ def _off_coordinate_hyperplanes(gb0: tuple, h: HilbertData, pure: set,
 
 
 def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHandle:
-    """Generators of I meet field[last n-k variables], in a smaller ring."""
+    """I meet field[z_k, ..., z_{n-1}], in the ring of those n - k variables:
+    the part of I's reduced ElimBlock(k) basis free of the first k
+    variables.  ElimBlock(k) restricted to those monomials is grevlex, so
+    that part is the reduced grevlex basis of the elimination ideal and is
+    attached as its cached basis."""
     R = I.ring
-    if k <= 0 or k >= R.nvars:
+    n = R.nvars
+    if k <= 0 or k >= n:
         raise ValueError("elimination count out of range")
-    gb = I.groebner(ElimBlock(k), budget)
-    R2 = ring(R.field, R.nvars - k, R.names[k:])
-    var_map = [0] * R.nvars
-    for i in range(k, R.nvars):
-        var_map[i] = i - k
-    out = []
-    for g in gb:
-        if all(all(R.mexp(m, i) == 0 for i in range(k)) for m, _ in g.terms):
-            out.append(g.map_vars(R2, var_map))
-    return IdealHandle(out, R2)
+    R2 = ring(R.field, n - k, R.names[k:])
+    var_map = [0] * k + list(range(n - k))
+    out = [g.map_vars(R2, var_map) for g in I.groebner(ElimBlock(k), budget)
+           if all(all(R.mexp(m, i) == 0 for i in range(k)) for m, _ in g.terms)]
+    return IdealHandle(out, R2).with_basis(GREVLEX, out)
 
 
 def ideal_ops(I: IdealHandle, J: IdealHandle, op: str, budget: Budget | None = None) -> IdealHandle:
@@ -723,15 +719,10 @@ def hilbert_from_basis(gb: tuple, R: Ring) -> HilbertData:
     return HilbertData(dim, degree, p_a, N, n)
 
 
-def hilbert(I: IdealHandle) -> HilbertData:
-    return I.hilbert()
-
-
 def graded_piece_dim(I: IdealHandle, k: int) -> int:
     """dim of the degree-k piece of I (I expected saturated)."""
-    R = I.ring
-    h = hilbert_from_basis(I.groebner(), R)
-    return comb(k + R.nvars - 1, R.nvars - 1) - h.hf(k)
+    n = I.ring.nvars
+    return comb(k + n - 1, n - 1) - I.hilbert().hf(k)
 
 
 # --------------------------------------------- degree pieces as subspaces
@@ -782,23 +773,21 @@ def point_frame(R: Ring, p) -> list:
 
 
 def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
-    """Length of the component of a 0-dimensional scheme at the point p."""
+    """Length of the component at the point p of the 0-dimensional scheme
+    defined by I: the degree of I minus that of I : m_p^oo (the component
+    at p stripped by `saturate` with p's maximal ideal m_p).  Only these
+    degrees are read, and saturating by the irrelevant ideal changes
+    neither, so I is not saturated."""
     R = I.ring
-    Isat = I if I.saturated else sat_irrelevant(I, budget)
-    h = hilbert_from_basis(Isat.groebner(GREVLEX, budget), R)
+    h = I.hilbert(budget)
     if h.dimension > 0:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
         return 0
-    J = Isat.substituted(point_frame(R, p))
-    # strip the component at e_last: saturate by the point's maximal ideal
-    acc = saturate(J, IdealHandle([R.var(i) for i in range(R.nvars - 1)], R), budget)
-    if acc.is_unit(budget):
-        rest_deg = 0
-    else:
-        hr = hilbert_from_basis(acc.groebner(GREVLEX, budget), R)
-        rest_deg = hr.degree if hr.dimension == 0 else 0
-    return h.degree - rest_deg
+    J = I.substituted(point_frame(R, p))
+    m_p = IdealHandle([R.var(i) for i in range(R.nvars - 1)], R)  # p is e_last in J's frame
+    rest = saturate(J, m_p, budget).hilbert(budget)
+    return h.degree - (rest.degree if rest.dimension == 0 else 0)
 
 
 def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None,
@@ -872,18 +861,17 @@ def _binary_eliminant(I: IdealHandle, rng: Rng, budget) -> list | None:
     gens.append(S.var(n) - lin_u)
     gens.append(S.var(n + 1) - lin_v)
     # eliminate the original variables: they form the FIRST block
-    gb = groebner_basis(gens, ElimBlock(n), budget)
-    cands = [g for g in gb if all(all(S.mexp(m, i) == 0 for i in range(n)) for m, _ in g.terms)]
-    if not cands:
+    E = eliminate(IdealHandle(gens, S), n, budget)
+    if not E.gens:
         return None
     # collect as binary forms, take gcd
     forms = []
-    for g in cands:
+    for g in E.gens:
         d = g.total_degree()
         coeffs = [F.zero] * (d + 1)
         ok = True
         for m, c in g.terms:
-            es, et = S.mexp(m, n), S.mexp(m, n + 1)
+            es, et = E.ring.mexp(m, 0), E.ring.mexp(m, 1)
             if es + et != d:
                 ok = False
                 break
@@ -938,12 +926,10 @@ def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None):
     """Points of a 0-dimensional scheme: (rational points, GF(p^2) points),
     normalized projective tuples.  Points whose field of definition is
     larger are not returned; `count_points` counts them."""
-    R = I.ring
     Isat = I if I.saturated else sat_irrelevant(I, budget)
     if Isat.is_unit(budget):
         return [], []
-    h = hilbert_from_basis(Isat.groebner(GREVLEX, budget), R)
-    if h.dimension != 0:
+    if Isat.hilbert(budget).dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
     return _extract_chart(Isat, rng, budget)
 
@@ -955,8 +941,7 @@ def _extract_chart(Isat, rng, budget, depth: int = 0):
     chart = None
     for i in range(n - 1, -1, -1):
         test = IdealHandle(list(Isat.gens) + [R.var(i)], R)
-        hh = hilbert_from_basis(test.groebner(GREVLEX, budget), R)
-        if hh.dimension == -1:
+        if test.hilbert(budget).dimension == -1:
             chart = i
             break
     if chart is None:
@@ -1028,17 +1013,15 @@ def _affine_eliminant(affine: list, A: Ring, keep: int, budget) -> list | None:
     inv = [0] * n
     for pos, i in enumerate(perm):
         inv[i] = pos
-    moved = [g.map_vars(A, inv) for g in affine]
-    gb = groebner_basis(moved, ElimBlock(n - 1), budget)
+    E = eliminate(IdealHandle([g.map_vars(A, inv) for g in affine], A), n - 1, budget)
     F = A.field
     best = None
-    for g in gb:
-        if all(all(A.mexp(m, i) == 0 for i in range(n - 1)) for m, _ in g.terms):
-            d = max(A.mexp(m, n - 1) for m, _ in g.terms)
-            coeffs = [F.zero] * (d + 1)
-            for m, c in g.terms:
-                coeffs[A.mexp(m, n - 1)] = c
-            best = coeffs if best is None else univar.gcd(best, coeffs, F)
+    for g in E.gens:
+        d = g.total_degree()
+        coeffs = [F.zero] * (d + 1)
+        for m, c in g.terms:
+            coeffs[E.ring.mexp(m, 0)] = c
+        best = coeffs if best is None else univar.gcd(best, coeffs, F)
     return best
 
 
@@ -1085,8 +1068,7 @@ def isolated_points(J: IdealHandle, curve_part: IdealHandle | None, rng: Rng,
         theta = saturate(Jsat, curve_part, budget)
     if theta.is_unit(budget):
         return theta, 0
-    h = hilbert_from_basis(theta.groebner(GREVLEX, budget), R)
-    if h.dimension != 0:
+    if theta.hilbert(budget).dimension != 0:
         raise DegenerateInput("residual of the curve part is not 0-dimensional")
     theta = theta.as_saturated()
     return theta, count_points(theta, rng, budget)
@@ -1118,7 +1100,7 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget |
         sub = rng.split(f"{plane_label}-{k}")
         plane = R.linear_form([F.rand(sub) for _ in range(R.nvars)])
         cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R), budget)
-        if cut.is_unit(budget) or hilbert_from_basis(cut.groebner(GREVLEX, budget), R).dimension != 0:
+        if cut.hilbert(budget).dimension != 0:
             return
         pts, _ = extract_points(cut, sub.split("pts"), budget)
         samples.append(pts)

@@ -308,8 +308,10 @@ _ring_cache: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def ring(field: Field, nvars: int, names: tuple | None = None) -> Ring:
-    """The ring over `field` in `nvars` variables, shared while it is in use."""
-    key = (field, nvars, names)
+    """The ring over `field` in `nvars` variables, shared while it is in use.
+    Default names are spelled out first, so that equal rings are one object
+    and share one monomial-key cache."""
+    key = (field, nvars, tuple(names) if names else tuple(f"z{i}" for i in range(nvars)))
     R = _ring_cache.get(key)
     if R is None:
         R = Ring(field, nvars, names)

@@ -93,6 +93,8 @@ def _first_term(term):
     pytest.param(_with(components=[5] + GOOD_DOC["components"][1:]), id="component-is-int"),
     pytest.param([GOOD_DOC], id="top-level-array"),
     pytest.param(_first_term(["1", [1, 2, 0]]), id="exponent-vector-of-length-3"),
+    pytest.param(_with(components=[[["1", [3, 0, 0, 0]], ["-1", [3, 0, 0, 0]]]]
+                       + GOOD_DOC["components"][1:]), id="repeated-exponent"),
     pytest.param(None, id="missing-file"),
 ])
 def test_analyze_malformed_document_exit_5(tmp_path, capsys, doc):

@@ -4,6 +4,10 @@ A stdlib stand-in for an unused-code linter: a `_name` defined in
 `cremona_lab` must be referenced (as a name or an attribute) outside its
 own body, or it is dead and should be deleted.  A reference from inside a
 dead function does not count, so helpers only dead code calls are found too.
+
+A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
+`Reducer`, `normal_form`) inside `ideals` and `groebner`, so that every
+other module reads those facts through `IdealHandle`.
 """
 
 import ast
@@ -45,3 +49,27 @@ def test_no_unreferenced_private_functions():
             break
         dead = found
     assert sorted(dead) == [], "private functions nothing live references"
+
+
+RAW_READERS = {"hilbert_from_basis", "Reducer", "normal_form"}
+RAW_READER_HOMES = {"ideals", "groebner"}
+
+
+def test_raw_basis_readers_stay_in_ideals_and_groebner():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem in RAW_READER_HOMES:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and path.stem != "__init__":
+                name = node.name  # __init__ may re-export them
+            else:
+                continue
+            if name in RAW_READERS:
+                found.append(f"{path.stem}:{node.lineno}: {name}")
+    assert found == [], "read Hilbert data and normal forms through IdealHandle"

@@ -1,5 +1,6 @@
 import pytest
 
+from cremona_lab import groebner, ideals
 from cremona_lab.fields import GF
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, eliminate,
                                 hilbert_from_basis, ideal_ops, intersect,
@@ -74,11 +75,22 @@ def test_saturation_by_unit_is_identity():
     assert saturate(I, unit_ideal(R)).groebner() == I.groebner()
 
 
-def test_eliminate_examples():
+def _no_groebner_basis(*args, **kwargs):
+    raise AssertionError("the eliminant's grevlex basis comes attached")
+
+
+def test_eliminate_examples(monkeypatch):
     R3 = ring(GF(10007), 3, ("z0", "z1", "z2"))
     I = IdealHandle([parse_poly("z0 - z1", R3), parse_poly("z0 - z2", R3)])
-    E = eliminate(I, 1)
-    assert [str(g) for g in E.groebner()] == ["z1 + 10006*z2"]
+    C = IdealHandle([pp("z0 - z1 - z3"), pp("z1^2 - z2*z3"), pp("z0*z2 - z3^2")])
+    cases = [eliminate(I, 1), eliminate(C, 1), eliminate(C, 2)]
+    for E in cases:
+        want = groebner.groebner_basis(list(E.gens))
+        with monkeypatch.context() as mp:
+            mp.setattr(ideals, "groebner_basis", _no_groebner_basis)
+            assert list(E.groebner()) == want
+    assert [len(E.gens) for E in cases] == [1, 3, 1]
+    assert [str(g) for g in cases[0].groebner()] == ["z1 + 10006*z2"]
     with pytest.raises(ValueError):
         eliminate(I, 3)
 

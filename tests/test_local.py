@@ -5,9 +5,9 @@ import pytest
 from cremona_lab import ideals
 from cremona_lab.fields import GF
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, count_points,
-                                extract_points, hilbert_from_basis, intersect,
-                                isolated_points, local_length, multiplicity_at,
-                                sat_irrelevant)
+                                extract_points, hilbert_from_basis, ideal_product,
+                                intersect, isolated_points, local_length,
+                                multiplicity_at, sat_irrelevant)
 from cremona_lab.poly import parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -43,15 +43,23 @@ def test_fat_point_length_four():
     assert local_length(I, (O, O, I1, O)) == 0  # point off the scheme
 
 
-def test_local_length_splits_total_degree():
+@pytest.mark.parametrize("embedded", [False, True], ids=["I", "I*m"])
+def test_local_length_splits_total_degree(monkeypatch, embedded):
+    """The lengths of I and of the unsaturated I * m agree, and neither is
+    saturated by the irrelevant ideal m: only degrees are read."""
     A = IdealHandle([pp("z0"), pp("z1"), pp("z2^2")])
     B = IdealHandle([pp("z1"), pp("z2"), pp("z3")])
-    I = intersect(A, B)
-    I = IdealHandle(list(I.gens), saturated=True)
-    h = hilbert_from_basis(I.groebner(), R)
-    assert h.degree == 3
+    I = IdealHandle(list(intersect(A, B).gens), saturated=True)
+    if embedded:
+        I = ideal_product(I, IdealHandle(R.vars(), R))
+        assert not I.saturated
+    assert I.hilbert().degree == 3
+    calls = []
+    real = ideals.sat_irrelevant
+    monkeypatch.setattr(ideals, "sat_irrelevant", lambda *a, **k: calls.append(a) or real(*a, **k))
     assert local_length(I, E3) == 2
     assert local_length(I, (I1, O, O, O)) == 1
+    assert calls == []
 
 
 def test_local_length_requires_finite_scheme():

@@ -233,3 +233,13 @@ def test_a_dropped_ring_leaves_the_cache_without_the_cyclic_collector():
         assert not [key for key in _ring_cache.keys() if key[0].char in primes]
     finally:
         gc.enable()
+
+
+def test_equal_rings_are_one_object():
+    # an elimination moves its result into ring(F, n, names[k:]); with the
+    # default names spelled out that must be the caller's ring itself, or the
+    # two would keep separate monomial-key caches
+    names = ("z0", "z1", "z2", "z3")
+    assert ring(GF(10007), 4, names) is FP
+    assert ring(GF(10007), 4, list(names)) is FP
+    assert ring(GF(10007), 4, ("a", "b", "c", "d")) is not FP

@@ -1,11 +1,12 @@
 """Hypothesis property checks on the kernel (deterministic profile)."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona_lab import linalg
+from cremona_lab import ideals, linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import groebner_basis, normal_form, spoly_reduces_to_zero
 from cremona_lab.ideals import (IdealHandle, hilbert_from_basis, ideal_product, sat_irrelevant,
@@ -99,7 +100,9 @@ def test_groebner_basis_is_reduced(field, homogeneous, data):
 def test_an_ideal_and_its_saturation_share_hilbert_data(data):
     """I and I : m^oo have the same Hilbert polynomial, so dimension, degree
     and p_a can be read off I's own basis, and dimension -1 means that the
-    saturation is the unit ideal.  I * m^k adds an m-primary component."""
+    saturation is the unit ideal.  I * m^k adds an m-primary component.
+    `IdealHandle.hilbert` reads I's own basis, numerator included, and
+    saturates nothing."""
     gens = [R.from_exp_terms(ts) for ts in data.draw(generator_terms(True))]
     I = IdealHandle(gens, R)
     m = IdealHandle(R.vars(), R)
@@ -108,6 +111,10 @@ def test_an_ideal_and_its_saturation_share_hilbert_data(data):
         embedded = ideal_product(embedded, m)
     for J in (I, embedded):
         h = hilbert_from_basis(J.groebner(), R)
+        with mock.patch.object(ideals, "sat_irrelevant", side_effect=AssertionError):
+            got = IdealHandle(J.gens, R).hilbert()
+        assert (got.dimension, got.degree, got.p_a, got.hilbert_numerator) == \
+            (h.dimension, h.degree, h.p_a, h.hilbert_numerator)
         sat = sat_irrelevant(IdealHandle(J.gens, R))
         hs = hilbert_from_basis(sat.groebner(), R)
         assert (h.dimension, h.degree, h.p_a) == (hs.dimension, hs.degree, hs.p_a)
