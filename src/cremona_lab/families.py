@@ -6,6 +6,16 @@ geometric ingredients (all "general" choices drawn from a splittable seeded
 stream), asserts the dimension, validates the steering-specific local
 structure, and returns the map together with the invariants the analyzer
 must reproduce.
+
+Every randomized constructor samples through `_sample`: attempt k draws all
+its ingredients from the child stream `Rng(seed, stream).split(f"try-{k}")`,
+and an attempt is rejected when its draw returns None (a degenerate
+ingredient or a failed `classify_point` check) or raises DegenerateInput or
+MapError; after the last attempt `_sample` raises DegenerateInput naming
+the stream and the seed.  Linear conditions that restrict a cubic to a
+line or a plane (ruling lines, contact structures, points on the ruled
+cubic) all come from `_restriction_rows`, the coefficients of
+f(sum_k u_k P_k) in the parameters u_k.
 """
 
 from __future__ import annotations
@@ -77,6 +87,26 @@ def family_spec(label: str, seed=None, field: Field | None = None) -> FamilySpec
 # -------------------------------------------------------- linear scaffolding
 
 
+LINE_EXPONENTS = ((3, 0), (2, 1), (1, 2), (0, 3))  # s^3 .. t^3 of f(s a + t b)
+CONTACT_EXPONENTS = ((3, 0, 0), (2, 1, 0), (2, 0, 1))  # s^3, s^2 t, s^2 u
+
+
+def _sample(stream: str, seed, draw, attempts: int = 10) -> RationalMap:
+    """The map of the first accepted attempt.  Attempt k draws from
+    `Rng(seed, stream).split(f"try-{k}")`; `draw(rng)` returns the map, or
+    rejects the attempt by returning None or raising DegenerateInput or
+    MapError."""
+    rng0 = Rng(seed, stream)
+    for attempt in range(attempts):
+        try:
+            psi = draw(rng0.split(f"try-{attempt}"))
+        except (DegenerateInput, MapError):
+            continue
+        if psi is not None:
+            return psi
+    raise DegenerateInput(f"{stream} sampling failed for seed {seed}")
+
+
 def _mons3(R: Ring):
     return R.monomials_of_degree(3)
 
@@ -96,51 +126,33 @@ def _span_conditions(R: Ring, polys) -> list:
     return linalg.nullspace(F, rows, len(mons))
 
 
-def _line_rows(R: Ring, mons, a, b):
-    """4 rows: coefficients of s^3..t^3 of f(s a + t b)."""
+def _restriction_rows(R: Ring, points, exponents, polys=None) -> list:
+    """Row r, column j: the coefficient of u^exponents[r] in
+    f_j(sum_k u_k points[k]), with f_j the cubic monomials (`_mons3`) unless
+    `polys` is given."""
     F = R.field
-    rows = [[F.zero] * len(mons) for _ in range(4)]
-    for col, m in enumerate(mons):
-        # expand prod (s a_i + t b_i)^{e_i}
-        acc = {0: F.one}  # t-degree -> coeff
-        for i in range(4):
-            e = R.mexp(m, i)
-            for _ in range(e):
-                nxt = {}
-                for k, c in acc.items():
-                    if a[i] != F.zero:
-                        nxt[k] = F.add(nxt.get(k, F.zero), F.mul(c, a[i]))
-                    if b[i] != F.zero:
-                        nxt[k + 1] = F.add(nxt.get(k + 1, F.zero), F.mul(c, b[i]))
-                acc = nxt
-        for k, c in acc.items():
-            rows[k][col] = F.add(rows[k][col], c)
-    return rows
-
-
-def _contact_rows(R: Ring, mons, q, Hq_points):
-    """f restricted to the plane through (q, P1, P2) singular at q:
-    coefficients of s^3, s^2 t, s^2 u vanish."""
-    F = R.field
-    P = [q] + Hq_points
-    rows = [[F.zero] * len(mons) for _ in range(3)]
-    tgt = {(2, 1, 0): 1, (2, 0, 1): 2, (3, 0, 0): 0}
-    for col, m in enumerate(mons):
-        acc = {(0, 0, 0): F.one}
-        for i in range(4):
-            e = R.mexp(m, i)
-            for _ in range(e):
-                nxt = {}
-                for (ks, kt, ku), c in acc.items():
-                    for w, dk in ((P[0][i], (1, 0, 0)), (P[1][i], (0, 1, 0)), (P[2][i], (0, 0, 1))):
-                        if w != F.zero:
-                            key = (ks + dk[0], kt + dk[1], ku + dk[2])
-                            nxt[key] = F.add(nxt.get(key, F.zero), F.mul(c, w))
-                acc = nxt
-        for key, c in acc.items():
-            if key in tgt:
-                r = tgt[key]
-                rows[r][col] = F.add(rows[r][col], c)
+    add, mul, zero = F.add, F.mul, F.zero
+    n = len(points)
+    # per variable: the points with a nonzero coordinate there, and that value
+    coords = [[(k, P[i]) for k, P in enumerate(points) if P[i] != zero] for i in range(4)]
+    row_of = {e: r for r, e in enumerate(exponents)}
+    cols = [((m, F.one),) for m in _mons3(R)] if polys is None else [f.terms for f in polys]
+    rows = [[zero] * len(cols) for _ in exponents]
+    for col, terms in enumerate(cols):
+        for m, cf in terms:
+            acc = {(0,) * n: cf}
+            for i in range(4):
+                for _ in range(R.mexp(m, i)):
+                    nxt = {}
+                    for key, c in acc.items():
+                        for k, w in coords[i]:
+                            nk = key[:k] + (key[k] + 1,) + key[k + 1:]
+                            nxt[nk] = add(nxt.get(nk, zero), mul(c, w))
+                    acc = nxt
+            for key, c in acc.items():
+                if key in row_of:
+                    row = rows[row_of[key]]
+                    row[col] = add(row[col], c)
     return rows
 
 
@@ -169,6 +181,11 @@ def _rand_linear(R: Ring, rng: Rng, z3free: bool = False) -> Polynomial:
         f = R.linear_form([F.rand(rng) for _ in range(n)])
         if f:
             return f
+
+
+def _rand_linears(R: Ring, rng: Rng, labels) -> list:
+    """One random linear form from each child stream `rng.split(label)`."""
+    return [_rand_linear(R, rng.split(label)) for label in labels]
 
 
 def _rand_form(R: Ring, deg: int, rng: Rng, z3free: bool = False) -> Polynomial:
@@ -206,27 +223,20 @@ def ruled(d: int, seed, field: Field, degenerate: bool = False) -> RationalMap:
         raise MapError("ruled bidegree must have d in 2..5")
     R = ring(field, 4)
     F = field
-    rng0 = Rng(seed, f"ruled-{d}")
     mons = _mons3(R)
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         # ruled cubic S = z0^2 a + z0 z1 b + z1^2 c
-        a = _rand_linear(R, rng.split("a"))
-        b = _rand_linear(R, rng.split("b"))
-        c = _rand_linear(R, rng.split("c"))
+        abc = _rand_linears(R, rng, "abc")
         lines = []
-        ok = True
         for k in range(5 - d):
-            got = _ruling_line(R, (a, b, c), rng.split(f"ruling-{k}"))
+            got = _ruling_line(R, abc, rng.split(f"ruling-{k}"))
             if got is None:
-                ok = False
-                break
+                return None
             lines.append(got)
-        if not ok:
-            continue
         # pairwise disjoint ruling lines
         if not _lines_disjoint(F, lines):
-            continue
+            return None
         npts = 2 * d - 4
         pts = []
         if degenerate and npts >= 2:
@@ -237,31 +247,20 @@ def ruled(d: int, seed, field: Field, degenerate: bool = False) -> RationalMap:
             pts.append(tuple(F.add(x0[i], F.mul(t2, w[i])) for i in range(4)))
             npts -= 2
         for k in range(npts):
-            q = _point_on_surface(R, (a, b, c), rng.split(f"pt-{k}"))
+            q = _point_on_surface(R, abc, rng.split(f"pt-{k}"))
             if q is None:
-                ok = False
-                break
+                return None
             pts.append(q)
-        if not ok:
-            continue
-        rows = []
         # membership in I_delta^2: the 10 monomials with z0,z1-degree <= 1 vanish
-        for col, m in enumerate(mons):
-            if R.mexp(m, 0) + R.mexp(m, 1) <= 1:
-                row = [F.zero] * len(mons)
-                row[col] = F.one
-                rows.append(row)
-        for (qq, v) in lines:
-            rows.extend(_line_rows(R, mons, qq, v))
-        for p in pts:
-            rows.append(_eval_monomials(R, mons, p))
-        try:
-            comps = _solve_system(R, rows)
-            psi = new_map(*comps, label=f"ruled_3_{d - (1 if degenerate else 0)}", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-        return psi
-    raise DegenerateInput(f"ruled({d}) sampling failed for seed {seed}")
+        rows = [[F.one if c == col else F.zero for c in range(len(mons))]
+                for col, m in enumerate(mons) if R.mexp(m, 0) + R.mexp(m, 1) <= 1]
+        for line in lines:
+            rows.extend(_restriction_rows(R, line, LINE_EXPONENTS))
+        rows.extend(_eval_monomials(R, mons, p) for p in pts)
+        return new_map(*_solve_system(R, rows),
+                       label=f"ruled_3_{d - (1 if degenerate else 0)}", seed=seed)
+
+    return _sample(f"ruled-{d}", seed, draw)
 
 
 def _lines_disjoint(F, lines) -> bool:
@@ -277,32 +276,18 @@ def _ruling_line(R: Ring, abc, rng: Rng):
     """A line on the ruled cubic meeting the double line: returns (q, v)."""
     F = R.field
     a, b, c = abc
-
-    def ev(l, v):
-        s = F.zero
-        for m, cf in l.terms:
-            for i in range(4):
-                if R.mexp(m, i):
-                    s = F.add(s, F.mul(cf, v[i]))
-        return s
-
     for k in range(20):
         sub = rng.split(f"draw-{k}")
         q = (F.zero, F.zero, F.rand(sub), F.rand(sub))
         if q[2] == F.zero and q[3] == F.zero:
             continue
-        aq, bq, cq = ev(a, q), ev(b, q), ev(c, q)
-        root = _conic_root(F, aq, bq, cq, sub)
+        root = _conic_root(F, a.evaluate(q), b.evaluate(q), c.evaluate(q), sub)
         if root is None:
             continue
         v0, v1 = root
         # second condition: v0^2 a(v) + v0 v1 b(v) + v1^2 c(v) = 0, linear in v2, v3
-        co = [F.zero] * 4  # coefficients of v_i
-        for coeff, l in ((F.mul(v0, v0), a), (F.mul(v0, v1), b), (F.mul(v1, v1), c)):
-            for m, cf in l.terms:
-                for i in range(4):
-                    if R.mexp(m, i):
-                        co[i] = F.add(co[i], F.mul(coeff, cf))
+        form = a.scale(F.mul(v0, v0)) + b.scale(F.mul(v0, v1)) + c.scale(F.mul(v1, v1))
+        co = [form.coeff_of(e) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
         cons = F.add(F.mul(co[0], v0), F.mul(co[1], v1))
         v2 = F.rand(sub)
         if co[3] != F.zero:
@@ -322,7 +307,7 @@ def _ruling_line(R: Ring, abc, rng: Rng):
 def _conic_root(F, a, b, c, rng: Rng):
     """(v0 : v1) with a v0^2 + b v0 v1 + c v1^2 = 0, F-rational."""
     if a == F.zero:
-        return (F.zero, F.one)
+        return (F.one, F.zero)
     disc = F.sub(F.mul(b, b), F.mul(F.of(4), F.mul(a, c)))
     s = F.sqrt(disc)
     if s is None:
@@ -345,20 +330,7 @@ def _point_on_surface(R: Ring, abc, rng: Rng):
         x = _rand_point(R, sub)
         y = _rand_point(R, sub)
         # S(x + t y) as univariate in t
-        coeffs = [F.zero] * 4
-        for m, cf in S.terms:
-            acc = {0: F.one}
-            for i in range(4):
-                for _e in range(R.mexp(m, i)):
-                    nxt = {}
-                    for k, cc in acc.items():
-                        if x[i] != F.zero:
-                            nxt[k] = F.add(nxt.get(k, F.zero), F.mul(cc, x[i]))
-                        if y[i] != F.zero:
-                            nxt[k + 1] = F.add(nxt.get(k + 1, F.zero), F.mul(cc, y[i]))
-                    acc = nxt
-            for k, cc in acc.items():
-                coeffs[k] = F.add(coeffs[k], F.mul(cf, cc))
+        coeffs = [row[0] for row in _restriction_rows(R, (x, y), LINE_EXPONENTS, [S])]
         if all(cc == F.zero for cc in coeffs):
             continue
         roots = univar.roots_gf(coeffs, F, sub) if isinstance(F, GF) else \
@@ -378,21 +350,21 @@ def _point_on_surface(R: Ring, abc, rng: Rng):
 def determinantal(seed, field: Field) -> RationalMap:
     """Signed 3x3 minors of a random 4x3 matrix of linear forms."""
     R = ring(field, 4)
-    F = field
-    rng0 = Rng(seed, "determinantal")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
-        rowsM = [[_rand_linear(R, rng.split(f"m{i}{j}")) for j in range(3)] for i in range(4)]
-        comps = []
-        for i in range(4):
-            sub = [rowsM[j] for j in range(4) if j != i]
-            dd = _det3(sub)
-            comps.append(dd if i % 2 == 0 else dd.scale(F.of(-1)))
-        try:
-            return new_map(*comps, label="E2", seed=seed)
-        except MapError:
-            continue
-    raise DegenerateInput(f"determinantal sampling failed for seed {seed}")
+
+    def draw(rng):
+        M = [[_rand_linear(R, rng.split(f"m{i}{j}")) for j in range(3)] for i in range(4)]
+        return new_map(*_signed_minors(M), label="E2", seed=seed)
+
+    return _sample("determinantal", seed, draw)
+
+
+def _signed_minors(M) -> list:
+    """(-1)^i det of the 4x3 matrix M without row i, for i = 0..3."""
+    out = []
+    for i in range(4):
+        d = _det3([M[j] for j in range(4) if j != i])
+        out.append(-d if i % 2 else d)
+    return out
 
 
 def _det3(M):
@@ -415,37 +387,30 @@ def dejonquieres(variant: str, seed, field: Field) -> RationalMap:
     if variant not in ("E3", "E3.5", "E4"):
         raise MapError(f"unknown de Jonquieres variant {variant}")
     R = ring(field, 4)
-    rng0 = Rng(seed, f"dejonquieres-{variant}")
     z3 = R.var(3)
     p = _origin(R)
     expect = {"E3": "DoublePoint", "E3.5": "Binode", "E4": "DoubleContactPoint"}[variant]
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         if variant == "E4":
-            h1 = _rand_linear(R, rng.split("h1"), z3free=True)
-            h2 = _rand_linear(R, rng.split("h2"), z3free=True)
-            Q = h1 * h2
+            Q = (_rand_linear(R, rng.split("h1"), z3free=True)
+                 * _rand_linear(R, rng.split("h2"), z3free=True))
         else:
             l = _rand_linear(R, rng.split("l"), z3free=True)
             Q = z3 * l + _rand_form(R, 2, rng.split("q"), z3free=True)
-        qS = (_rand_form(R, 2, rng.split("qS"), z3free=True) if variant != "E3.5"
-              else None)
         if variant == "E3.5":
-            u = _rand_linear(R, rng.split("u"), z3free=True)
-            qS = l * u
+            qS = l * _rand_linear(R, rng.split("u"), z3free=True)
+        else:
+            qS = _rand_form(R, 2, rng.split("qS"), z3free=True)
         S = z3 * qS + _rand_form(R, 3, rng.split("cS"), z3free=True)
-        try:
-            psi = new_map(R.var(0) * Q, R.var(1) * Q, R.var(2) * Q, S,
-                          label=variant, seed=seed)
-        except MapError:
-            continue
-        tag = classify_point(psi, p, rng.split("verify")).tag
-        if tag != expect:
-            continue
+        psi = new_map(R.var(0) * Q, R.var(1) * Q, R.var(2) * Q, S, label=variant, seed=seed)
+        if classify_point(psi, p, rng.split("verify")).tag != expect:
+            return None
         if variant == "E3" and _rank4(Q) != 4:
-            continue
+            return None
         return psi
-    raise DegenerateInput(f"{variant} sampling failed for seed {seed}")
+
+    return _sample(f"dejonquieres-{variant}", seed, draw)
 
 
 # -------------------------------------------------------------- (3,4) maps
@@ -484,19 +449,14 @@ def _pencil_matrix_maps(R: Ring, Ls, t):
 
 def _build_e6(seed, field: Field, t=None) -> RationalMap:
     R = ring(field, 4)
-    F = field
-    rng0 = Rng(seed, "E6")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         Ls = [_rand_linear(R, rng.split(f"L{i}")) for i in range(4)]
-        tval = t if t is not None else F.rand_nonzero(rng.split("t"))
-        minors = _pencil_matrix_maps(R, Ls, tval)
-        p1 = _rand_point(R, rng.split("p1"))
-        try:
-            return _assemble(R, minors, [p1], label="E6", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-    raise DegenerateInput(f"E6 sampling failed for seed {seed}")
+        tval = t if t is not None else field.rand_nonzero(rng.split("t"))
+        return _assemble(R, _pencil_matrix_maps(R, Ls, tval), [_rand_point(R, rng.split("p1"))],
+                         label="E6", seed=seed)
+
+    return _sample("E6", seed, draw)
 
 
 def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
@@ -505,12 +465,11 @@ def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
     z3-free (cones with vertex p = (0:0:0:1)) and p on Q."""
     R = ring(field, 4)
     F = field
-    rng0 = Rng(seed, f"{variant}")
     z3 = R.var(3)
     p = _origin(R)
     expect = {"E7": "DoublePoint", "E7.5": "Binode", "E9": "DoubleContactPoint"}[variant]
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         ls = [_rand_linear(R, rng.split(f"l{i}"), z3free=True) for i in range(4)]
         if variant == "E9":
             a0 = F.rand_nonzero(rng.split("a0"))
@@ -530,7 +489,7 @@ def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
             T = (ls[3].scale(avals[0]) + ls[0].scale(avals[3])
                  - ls[2].scale(avals[1]) - ls[1].scale(avals[2]))
             if not T:
-                continue
+                return None
             hprime = _rand_linear(R, rng.split("h'"), z3free=True)
             Q2 = (T * hprime - Q1.scale(avals[0])).scale(F.inv(avals[1]))
         else:
@@ -538,17 +497,14 @@ def _build_e7_family(variant: str, seed, field: Field) -> RationalMap:
         S1 = Ls[0] * Q1 + Ls[1] * Q2
         S2 = Ls[2] * Q1 + Ls[3] * Q2
         span = [R.var(i) * Q for i in range(3)] + [S1, S2]
-        p1 = _rand_point(R, rng.split("p1"))
-        try:
-            psi = _assemble(R, span, [p1], label=variant, seed=seed)
-        except (DegenerateInput, MapError):
-            continue
+        psi = _assemble(R, span, [_rand_point(R, rng.split("p1"))], label=variant, seed=seed)
         if classify_point(psi, p, rng.split("verify")).tag != expect:
-            continue
+            return None
         if variant in ("E7", "E7.5") and _rank4(Q) != 4:
-            continue
+            return None
         return psi
-    raise DegenerateInput(f"{variant} sampling failed for seed {seed}")
+
+    return _sample(variant, seed, draw)
 
 
 def _build_e8(seed, field: Field) -> RationalMap:
@@ -562,26 +518,24 @@ def _build_e8(seed, field: Field) -> RationalMap:
     plane of the binode."""
     R = ring(field, 4)
     F = field
-    rng0 = Rng(seed, "E8")
     z0, z1, z2, z3 = R.vars()
     p = (F.one, F.zero, F.zero, F.zero)
-    for attempt in range(12):
-        rng = rng0.split(f"try-{attempt}")
 
-        def lin_e0(sub):
-            while True:
-                f = R.linear_form([F.zero] + [F.rand(sub) for _ in range(3)])
-                if f:
-                    return f
+    def lin_e0(sub):
+        while True:
+            f = R.linear_form([F.zero] + [F.rand(sub) for _ in range(3)])
+            if f:
+                return f
 
-        def quad12(sub):
-            d = {}
-            for e in ((0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)):
-                c = F.rand(sub)
-                if c != F.zero:
-                    d[R.pack(e)] = c
-            return R.poly(d) if d else quad12(sub)
+    def quad12(sub):
+        d = {}
+        for e in ((0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0)):
+            c = F.rand(sub)
+            if c != F.zero:
+                d[R.pack(e)] = c
+        return R.poly(d) if d else quad12(sub)
 
+    def draw(rng):
         Ls = [lin_e0(rng.split(f"L{i}")) for i in range(4)]
         m = R.poly({R.pack((0, 1, 0, 0)): F.rand_nonzero(rng.split("m1")),
                     R.pack((0, 0, 1, 0)): F.rand(rng.split("m2"))})
@@ -590,18 +544,16 @@ def _build_e8(seed, field: Field) -> RationalMap:
         Q2 = z0 * m.scale(gamma) + quad12(rng.split("c2"))
         Q = Ls[0] * Ls[3] - Ls[1] * Ls[2]
         if _rank4(Q) != 3:
-            continue
+            return None
         S1 = Ls[0] * Q1 + Ls[1] * Q2
         S2 = Ls[2] * Q1 + Ls[3] * Q2
         span = [Q * z1, Q * z2, Q * z3, S1, S2]
-        try:
-            psi = _assemble(R, span, [_rand_point(R, rng.split("p1"))], label="E8", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
+        psi = _assemble(R, span, [_rand_point(R, rng.split("p1"))], label="E8", seed=seed)
         if classify_point(psi, p, rng.split("verify")).tag != "Binode":
-            continue
+            return None
         return psi
-    raise DegenerateInput(f"E8 sampling failed for seed {seed}")
+
+    return _sample("E8", seed, draw, attempts=12)
 
 
 # -------------------------------------------------------------- (3,5) maps
@@ -630,115 +582,91 @@ def _assemble(R: Ring, span_polys, point_conds, label="", seed=None):
     return new_map(*_solve_system(R, rows), label=label, seed=seed)
 
 
+def _two_points(R: Ring, rng: Rng) -> list:
+    return [_rand_point(R, rng.split("p1")), _rand_point(R, rng.split("p2"))]
+
+
 def _build_e12(seed, field: Field) -> RationalMap:
     """C2 = twisted cubic plus a disjoint line; two ordinary base points."""
     R = ring(field, 4)
     F = field
-    rng0 = Rng(seed, "E12")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
-        M = linalg.random_invertible(F, 4, rng.split("M"))
-        Gamma = _twisted_cubic(R, M)
-        a, b = _rand_point(R, rng.split("la")), _rand_point(R, rng.split("lb"))
-        forms = line_forms(R, a, b)
+
+    def draw(rng):
+        Gamma = _twisted_cubic(R, linalg.random_invertible(F, 4, rng.split("M")))
+        forms = line_forms(R, _rand_point(R, rng.split("la")), _rand_point(R, rng.split("lb")))
         if forms is None:
-            continue
+            return None
         ell = IdealHandle(forms, R, saturated=True)
-        meet = sat_irrelevant(IdealHandle(list(Gamma.gens) + list(ell.gens), R))
-        if not meet.is_unit():
-            continue
+        if not sat_irrelevant(IdealHandle(list(Gamma.gens) + list(ell.gens), R)).is_unit():
+            return None
         span_g, mons = piece_span(Gamma, 3)
         span_l, _ = piece_span(ell, 3)
         rows = linalg.nullspace(F, span_g, len(mons)) + linalg.nullspace(F, span_l, len(mons))
-        rows.append(_eval_monomials(R, mons, _rand_point(R, rng.split("p1"))))
-        rows.append(_eval_monomials(R, mons, _rand_point(R, rng.split("p2"))))
-        try:
-            comps = _solve_system(R, rows)
-            return new_map(*comps, label="E12", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-    raise DegenerateInput(f"E12 sampling failed for seed {seed}")
+        rows.extend(_eval_monomials(R, mons, x) for x in _two_points(R, rng))
+        return new_map(*_solve_system(R, rows), label="E12", seed=seed)
+
+    return _sample("E12", seed, draw)
 
 
 def _build_e13(seed, field: Field) -> RationalMap:
     """C2 a (2,2) complete intersection through p; system I_C2 * I_p plus
     two ordinary points."""
     R = ring(field, 4)
-    rng0 = Rng(seed, "E13")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         Q1 = _rand_form(R, 2, rng.split("Q1"), z3free=False)
         Q2 = _rand_form(R, 2, rng.split("Q2"), z3free=False)
         # force through p: drop the z3^2 coefficient
         Q1 = Q1 - R.poly({R.pack((0, 0, 0, 2)): Q1.coeff_of((0, 0, 0, 2))})
         Q2 = Q2 - R.poly({R.pack((0, 0, 0, 2)): Q2.coeff_of((0, 0, 0, 2))})
         if not Q1 or not Q2:
-            continue
+            return None
         span = [R.var(i) * Qj for i in range(3) for Qj in (Q1, Q2)]
-        try:
-            psi = _assemble(R, span, [_rand_point(R, rng.split("p1")),
-                                      _rand_point(R, rng.split("p2"))],
-                            label="E13", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-        return psi
-    raise DegenerateInput(f"E13 sampling failed for seed {seed}")
+        return _assemble(R, span, _two_points(R, rng), label="E13", seed=seed)
+
+    return _sample("E13", seed, draw)
 
 
 def _build_e14(seed, field: Field) -> RationalMap:
     """C2 = twisted cubic and a line meeting at p; system I_Gamma * I_ell."""
     R = ring(field, 4)
-    rng0 = Rng(seed, "E14")
     p = _origin(R)
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         Gamma = _twisted_cubic(R)  # contains (0:0:0:1)
-        x = _rand_point(R, rng.split("x"))
-        forms = line_forms(R, p, x)
+        forms = line_forms(R, p, _rand_point(R, rng.split("x")))
         if forms is None:
-            continue
-        meet = sat_irrelevant(IdealHandle(list(Gamma.gens) + forms, R))
-        hm = meet.hilbert()
+            return None
+        hm = sat_irrelevant(IdealHandle(list(Gamma.gens) + forms, R)).hilbert()
         if hm.dimension != 0 or hm.degree != 1:
-            continue  # the line must meet the cubic only at p
+            return None  # the line must meet the cubic only at p
         qspan, _ = piece_span(Gamma, 2)
         qpolys = vectors_to_polys(qspan, R.monomials_of_degree(2), R)
         span = [q * l for q in qpolys for l in forms]
-        try:
-            psi = _assemble(R, span, [_rand_point(R, rng.split("p1")),
-                                      _rand_point(R, rng.split("p2"))],
-                            label="E14", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-        return psi
-    raise DegenerateInput(f"E14 sampling failed for seed {seed}")
+        return _assemble(R, span, _two_points(R, rng), label="E14", seed=seed)
+
+    return _sample("E14", seed, draw)
 
 
 def _build_e19(seed, field: Field) -> RationalMap:
     """C2 = twisted cubic with the secant line through its two marked
     points; all cubics singular at both."""
     R = ring(field, 4)
-    rng0 = Rng(seed, "E19")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
+
+    def draw(rng):
         Gamma = _twisted_cubic(R)  # contains e0 and e3
-        z1, z2 = R.var(1), R.var(2)
         qspan, _ = piece_span(Gamma, 2)
         qpolys = vectors_to_polys(qspan, R.monomials_of_degree(2), R)
-        span = [q * l for q in qpolys for l in (z1, z2)]
-        try:
-            psi = _assemble(R, span, [_rand_point(R, rng.split("p1")),
-                                      _rand_point(R, rng.split("p2"))],
-                            label="E19", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
-        return psi
-    raise DegenerateInput(f"E19 sampling failed for seed {seed}")
+        span = [q * l for q in qpolys for l in (R.var(1), R.var(2))]
+        return _assemble(R, span, _two_points(R, rng), label="E19", seed=seed)
+
+    return _sample("E19", seed, draw)
 
 
-def _e23_quartic(R: Ring, a, b, c):
-    """(Q, S0, S1, S2): the rational quartic on the standard smooth quadric."""
-    z0, z1, z2, z3 = R.vars()
+def _e23_quartic(R: Ring, a, b, c, coords=None):
+    """(Q, S0, S1, S2): the rational quartic on the standard smooth quadric,
+    written in `coords` (default the variables z0..z3)."""
+    z0, z1, z2, z3 = coords or R.vars()
     Q = z0 * z3 - z1 * z2
     S0 = a * (z0 * z2) + b * (z0 * z3) + c * (z1 * z3)
     S1 = a * (z0 * z0) + b * (z0 * z1) + c * (z1 * z1)
@@ -748,7 +676,8 @@ def _e23_quartic(R: Ring, a, b, c):
 
 def _contact_point_rows(R: Ring, rng: Rng):
     """A random contact structure: point q, plane H_q through q; returns the
-    three linear conditions on cubics and (q, H-points)."""
+    three linear conditions on cubics (f restricted to H_q is singular at q)
+    and q."""
     F = R.field
     q = _rand_point(R, rng.split("q"))
     # two more points spanning a random plane through q
@@ -757,61 +686,43 @@ def _contact_point_rows(R: Ring, rng: Rng):
         y = _rand_point(R, rng.split("hy"))
         if linalg.rank(F, [list(q), list(x), list(y)]) == 3:
             break
-    mons = _mons3(R)
-    return _contact_rows(R, mons, q, [x, y]), q
+    return _restriction_rows(R, (q, x, y), CONTACT_EXPONENTS), q
 
 
 def _build_e23(seed, field: Field) -> RationalMap:
     R = ring(field, 4)
-    rng0 = Rng(seed, "E23")
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
-        a = _rand_linear(R, rng.split("a"))
-        b = _rand_linear(R, rng.split("b"))
-        c = _rand_linear(R, rng.split("c"))
-        Q, S0, S1, S2 = _e23_quartic(R, a, b, c)
-        span = [R.var(i) * Q for i in range(4)] + [S0, S1, S2]
-        rows = _span_conditions(R, span)
+
+    def draw(rng):
+        Q, S0, S1, S2 = _e23_quartic(R, *_rand_linears(R, rng, "abc"))
+        rows = _span_conditions(R, [R.var(i) * Q for i in range(4)] + [S0, S1, S2])
         crow, q = _contact_point_rows(R, rng.split("ct"))
-        rows.extend(crow)
-        try:
-            comps = _solve_system(R, rows)
-            psi = new_map(*comps, label="E23", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
+        psi = new_map(*_solve_system(R, rows + crow), label="E23", seed=seed)
         if classify_point(psi, q, rng.split("verify")).tag != "ContactPoint":
-            continue
+            return None
         return psi
-    raise DegenerateInput(f"E23 sampling failed for seed {seed}")
+
+    return _sample("E23", seed, draw)
 
 
 def _build_e24(seed, field: Field) -> RationalMap:
     R = ring(field, 4)
-    rng0 = Rng(seed, "E24")
-    z0, z1, z2, z3 = ring(field, 4).vars()
+    z0, z1, z2, z3 = R.vars()
     p = _origin(R)
-    for attempt in range(10):
-        rng = rng0.split(f"try-{attempt}")
-        a = _rand_linear(R, rng.split("a"))
-        b = _rand_linear(R, rng.split("b"))
-        c = _rand_linear(R, rng.split("c"))
+
+    def draw(rng):
+        a, b, c = _rand_linears(R, rng, "abc")
         Q0 = z1 * z2 - z0 * z0
         Qp = a * z2 + b * z0 + c * z1
         span = [Q0 * v for v in (z0, z1, z2, z3)] + [Qp * z0, Qp * z1, Qp * z2]
-        rows = _span_conditions(R, span)
         crow, q = _contact_point_rows(R, rng.split("ct"))
-        rows.extend(crow)
-        try:
-            comps = _solve_system(R, rows)
-            psi = new_map(*comps, label="E24", seed=seed)
-        except (DegenerateInput, MapError):
-            continue
+        psi = new_map(*_solve_system(R, _span_conditions(R, span) + crow), label="E24", seed=seed)
         if classify_point(psi, p, rng.split("va")).tag != "DoublePoint":
-            continue
+            return None
         if classify_point(psi, q, rng.split("vb")).tag != "ContactPoint":
-            continue
+            return None
         return psi
-    raise DegenerateInput(f"E24 sampling failed for seed {seed}")
+
+    return _sample("E24", seed, draw)
 
 
 # ------------------------------------------------------------ golden maps
@@ -865,9 +776,7 @@ def a1_example(field: Field = QQ) -> tuple:
         IdealHandle([pp("z0-z2"), pp("z1-z2")], R),
     ]
     IC2 = intersect(intersect(c2_parts[0], c2_parts[1]), c2_parts[2])
-    dpc = IdealHandle([pp("z2^2*z3 - z0*z1*z3")] +
-                      [vectors_to_polys([v], R.monomials_of_degree(3), R)[0]
-                       for v in _cube_ip3_span(R)], R)
+    dpc = IdealHandle([pp("z2^2*z3 - z0*z1*z3")] + _z3_free_cubics(R), R)
     span_c2, mons = piece_span(IC2, 3)
     span_dpc, _ = piece_span(dpc, 3)
     rows = linalg.nullspace(F, span_c2, len(mons)) + linalg.nullspace(F, span_dpc, len(mons))
@@ -878,16 +787,9 @@ def a1_example(field: Field = QQ) -> tuple:
     return psi, _origin(R), IC2
 
 
-def _cube_ip3_span(R: Ring):
-    F = R.field
-    mons = R.monomials_of_degree(3)
-    out = []
-    for i, m in enumerate(mons):
-        if R.mexp(m, 3) == 0:
-            v = [F.zero] * len(mons)
-            v[i] = F.one
-            out.append(v)
-    return out
+def _z3_free_cubics(R: Ring) -> list:
+    """The cubic monomials free of z3."""
+    return [R.poly({m: R.field.one}) for m in _mons3(R) if not R.mexp(m, 3)]
 
 
 def a2_example(field: Field = QQ) -> tuple:
@@ -899,9 +801,7 @@ def a2_example(field: Field = QQ) -> tuple:
     IC3 = IdealHandle([pp("z1-z0"), pp("z1^2*z3 - z1*z2*z3 + z0^3 + z1^3 + z2^3")], R)
     Iell = IdealHandle([pp("z1"), pp("z2")], R)
     IC2 = intersect(IC3, Iell)
-    dpc = IdealHandle([pp("z1^2 - z0*z2")] +
-                      [vectors_to_polys([v], R.monomials_of_degree(3), R)[0]
-                       for v in _cube_ip3_span(R)], R)
+    dpc = IdealHandle([pp("z1^2 - z0*z2")] + _z3_free_cubics(R), R)
     J = intersect(IC2, dpc)
     span_j, mons = piece_span(J, 3)
     rows = linalg.nullspace(F, span_j, len(mons))
@@ -935,15 +835,11 @@ def det_to_dJ_map(t, seed, field: Field) -> RationalMap:
           for j in range(3)] for i in range(4)]
     tv = R5.var(4)
     M = [[A[i][j] + tv * B[i][j] for j in range(3)] for i in range(4)]
+    tval = F.of(t)
     comps = []
-    for i in range(4):
-        sub = [M[j] for j in range(4) if j != i]
-        d = _det3(sub)
-        if i % 2 == 1:
-            d = d.scale(F.of(-1))
+    for d in _signed_minors(M):
         # every term carries t at least once; divide and substitute t = value
         dd: dict = {}
-        tval = F.of(t)
         for m, cf in d.terms:
             e = R5.mexp(m, 4)
             if e == 0:
@@ -970,25 +866,15 @@ def ruled_jump_map(eps, seed, field: Field) -> RationalMap:
 def e24_to_e23_map(t, seed, field: Field) -> RationalMap:
     """J_t meet ct_q with J_t the coordinate-degenerated quartic pencil."""
     R = ring(field, 4)
-    F = field
     rng = Rng(seed, "E24_to_E23")
     z0, z1, z2, z3 = R.vars()
-    a = _rand_linear(R, rng.split("a"))
-    b = _rand_linear(R, rng.split("b"))
-    c = _rand_linear(R, rng.split("c"))
-    tv = F.of(t)
-    Z0, Z1, Z2, Z3 = z0 + z3.scale(tv), z1, z2, z0 - z3.scale(tv)
-    Qt = Z1 * Z2 - Z0 * Z3
-    S0 = a * (Z0 * Z2) + b * (Z0 * Z3) + c * (Z1 * Z3)
-    S1 = a * (Z0 * Z0) + b * (Z0 * Z1) + c * (Z1 * Z1)
-    S2 = a * (Z2 * Z2) + b * (Z2 * Z3) + c * (Z3 * Z3)
-    span = [Qt * v for v in (z0, z1, z2, z3)] + [S0, S1, S2]
-    rows = _span_conditions(R, span)
+    tv = field.of(t)
+    Q, S0, S1, S2 = _e23_quartic(R, *_rand_linears(R, rng, "abc"),
+                                 (z0 + z3.scale(tv), z1, z2, z0 - z3.scale(tv)))
+    rows = _span_conditions(R, [Q * v for v in (z0, z1, z2, z3)] + [S0, S1, S2])
     # fixed contact structure along the path
     crows, _ = _contact_point_rows(R, rng.split("ct"))
-    rows.extend(crows)
-    comps = _solve_system(R, rows)
-    return new_map(*comps, label=f"E24_to_E23(t={t})", seed=seed)
+    return new_map(*_solve_system(R, rows + crows), label=f"E24_to_E23(t={t})", seed=seed)
 
 
 PATH_BUILDERS = {

@@ -192,13 +192,9 @@ def groebner_basis(
     gens: list,
     order: MonomialOrder = GREVLEX,
     budget: Budget | None = None,
-    strategy: str = "normal",
 ) -> list:
-    """Reduced Groebner basis, deterministic, leads descending.
-
-    strategy "normal" selects pairs by smallest lcm, "sugar" by smallest
-    sugar degree; both must return the identical reduced basis.
-    """
+    """Reduced Groebner basis, deterministic, leads descending.  Pairs are
+    selected by smallest lcm (degree, then order key)."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -214,21 +210,11 @@ def groebner_basis(
 
     G: list = []
     lead: list = []  # packed lead monomials, parallel to G
-    sugars: list = []
     active: list = []  # indices into G whose lead no later lead divides
-    pending: list = []  # heap of (sel, lcm_key, i, j, lcm)
+    pending: list = []  # heap of (lcm degree, lcm key, i, j, lcm)
     npairs = 0
 
-    def push_pair(i: int, j: int, lcm_m: int):
-        li, lj = lead[i], lead[j]
-        lk = eng.key(lcm_m)
-        if strategy == "sugar":
-            sel = (max(sugars[i] + mdeg(lcm_m) - mdeg(li), sugars[j] + mdeg(lcm_m) - mdeg(lj)), lk)
-        else:
-            sel = (mdeg(lcm_m), lk)
-        heapq.heappush(pending, (sel, lk, i, j, lcm_m))
-
-    def add_element(lst: list, sugar: int):
+    def add_element(lst: list):
         # Gebauer-Moeller update: pair the new element h only with the active
         # elements; a new pair goes (criteria M and F) when the lcm of a later
         # new pair or of a kept one divides its lcm, unless its leads are
@@ -237,7 +223,6 @@ def groebner_basis(
         lh = lst[0][1]
         G.append(lst)
         lead.append(lh)
-        sugars.append(sugar)
         new = [(i, mlcm(lead[i], lh)) for i in active]
         kept: list = []
         for n, (i, lcm_m) in enumerate(new):
@@ -247,12 +232,12 @@ def groebner_basis(
                 kept.append((i, lcm_m))
         for i, lcm_m in kept:
             if lcm_m != lead[i] + lh:
-                push_pair(i, h, lcm_m)
+                heapq.heappush(pending, (mdeg(lcm_m), eng.key(lcm_m), i, h, lcm_m))
         active[:] = [i for i in active if not mdiv(lh, lead[i])]
         active.append(h)
 
     for lst in sorted((eng.to_list(g.monic()) for g in gens), key=lambda l: l[0][0]):
-        add_element(lst, max(mdeg(t[1]) for t in lst))
+        add_element(lst)
 
     while pending:
         _, _, i, j, lcm_m = heapq.heappop(pending)
@@ -275,7 +260,7 @@ def groebner_basis(
         s = eng.spoly(G[i], G[j], lcm_m)
         s = eng.reduce_full(s, G)
         if s:
-            add_element(eng.make_monic(s), max(mdeg(t[1]) for t in s))
+            add_element(eng.make_monic(s))
 
     # drop redundant leads, then tail-reduce to the unique reduced basis
     order_idx = sorted(range(len(G)), key=lambda t: G[t][0][0])

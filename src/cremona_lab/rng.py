@@ -68,9 +68,6 @@ class Rng:
     def randint(self, a: int, b: int) -> int:
         return a + self.randrange(b - a + 1)
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 def random_prime(rng: Rng, lo: int = 10**6, hi: int = 2**31) -> int:
     """Random prime in (lo, hi), by trial sampling + Miller-Rabin."""

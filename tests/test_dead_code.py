@@ -4,6 +4,8 @@ A stdlib stand-in for an unused-code linter: a `_name` defined in
 `cremona_lab` must be referenced (as a name or an attribute) outside its
 own body, or it is dead and should be deleted.  A reference from inside a
 dead function does not count, so helpers only dead code calls are found too.
+A public function or method must be named somewhere in the package, the
+tests or the benchmark (`perfbench/`), outside its own body.
 
 A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
 `Reducer`, `normal_form`) inside `ideals` and `groebner`, so that every
@@ -16,6 +18,8 @@ from pathlib import Path
 import cremona_lab
 
 PKG = Path(cremona_lab.__file__).parent
+TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _private_defs_and_refs():
@@ -49,6 +53,38 @@ def test_no_unreferenced_private_functions():
             break
         dead = found
     assert sorted(dead) == [], "private functions nothing live references"
+
+
+def _names(tree) -> list:
+    """(name, node) for every name, attribute and imported name in `tree`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node))
+        elif isinstance(node, ast.alias):
+            out.append((node.name.rsplit(".", 1)[-1], node))
+    return out
+
+
+def test_every_public_function_is_named_somewhere():
+    defs = []  # (module, name, node)
+    refs = []
+    for path in sorted(PKG.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        refs += _names(tree)
+        if path.parent == PKG:
+            defs += [(path.stem, node.name, node) for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not node.name.startswith("_")]
+    assert defs, "the scan found no public functions at all"
+    unnamed = []
+    for module, name, node in defs:
+        body = {id(n) for n in ast.walk(node)}
+        if not any(r == name and id(n) not in body for r, n in refs):
+            unnamed.append(f"{module}.{name}")
+    assert sorted(unnamed) == [], "public functions nothing names"
 
 
 RAW_READERS = {"hilbert_from_basis", "Reducer", "normal_form"}

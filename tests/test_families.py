@@ -1,12 +1,17 @@
 """Constructor determinism, invariants (one seed here; the acceptance suite
 covers 20), special examples and degeneration paths."""
 
-from cremona_lab.cremona import analyze_map, line_preimage_split
-from cremona_lab.families import (EXPECTED, FAMILY_LABELS, PATHS, a1_example,
-                                  a2_example, build, deform, det_to_dJ_map,
+import hashlib
+
+import pytest
+
+from cremona_lab.cremona import MapError, analyze_map, line_preimage_split
+from cremona_lab.families import (EXPECTED, FAMILY_LABELS, PATHS, _conic_root, _sample,
+                                  a1_example, a2_example, build, deform, det_to_dJ_map,
                                   pro_inter, ruled, special_examples)
 from cremona_lab.fields import GF, QQ
-from cremona_lab.ideals import IdealHandle, graded_piece_dim, multiplicity_at
+from cremona_lab.ideals import (DegenerateInput, IdealHandle, graded_piece_dim,
+                                multiplicity_at)
 from cremona_lab.poly import ring
 from cremona_lab.rng import Rng
 
@@ -19,6 +24,53 @@ def test_constructor_determinism():
         a, _ = build(label, 11, FP)
         b, _ = build(label, 11, FP)
         assert a.components == b.components, label
+
+
+# sha256 of every constructor's components over GF(10007): both seeds of every
+# family, three points of every path, and the pinned examples over Q
+CONSTRUCTOR_DIGEST = "65edbbc0dbaca73b2718df8431e0cabd1de16ee95058ce3896f8842391693966"
+
+
+def test_constructor_output_is_pinned():
+    maps = [build(label, seed, FP)[0] for label in FAMILY_LABELS for seed in (0, 1)]
+    maps += [psi for path in PATHS for _, psi in deform(path, (0, 1, 2), 5, FP)]
+    maps += list(special_examples(QQ).values())
+    maps += [a1_example(QQ)[0], a2_example(QQ)[0]]
+    text = "\n".join(" | ".join(str(c) for c in psi.components) for psi in maps)
+    assert len(maps) == 57
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCTOR_DIGEST
+
+
+def test_sample_takes_the_first_accepted_attempt():
+    def draw(rng):
+        k = len(seen)
+        seen.append(rng)
+        if k == 0:
+            return None
+        if k == 1:
+            raise DegenerateInput("rejected")
+        if k == 2:
+            raise MapError("rejected")
+        return rng.randbits(64)
+
+    seen = []
+    assert _sample("unit", 7, draw) == Rng(7, "unit").split("try-3").randbits(64)
+    assert len(seen) == 4
+
+
+def test_sample_names_stream_and_seed_when_no_attempt_is_accepted():
+    seen = []
+    with pytest.raises(DegenerateInput, match="unit-stream sampling failed for seed 7"):
+        _sample("unit-stream", 7, seen.append, attempts=3)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("a,b,c", [(0, 5, 7), (0, 0, 3), (1, 0, 100), (2, 3, 1)])
+def test_conic_root_is_a_root(a, b, c):
+    F = GF(101)
+    v0, v1 = _conic_root(F, a, b, c, Rng(0))
+    assert (v0, v1) != (0, 0)
+    assert (a * v0 * v0 + b * v0 * v1 + c * v1 * v1) % 101 == 0
 
 
 def test_constructors_meet_their_specs_single_seed():

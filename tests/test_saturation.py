@@ -96,9 +96,9 @@ def _count_bases(monkeypatch):
     calls = []
     real = ideals.groebner_basis
 
-    def counted(gens, order=groebner.GREVLEX, budget=None, strategy="normal"):
+    def counted(gens, order=groebner.GREVLEX, budget=None):
         calls.append(budget)
-        return real(gens, order, budget, strategy)
+        return real(gens, order, budget)
 
     monkeypatch.setattr(ideals, "groebner_basis", counted)
     return calls
