@@ -18,7 +18,8 @@ from . import linalg
 from .fields import GF, GF2
 from .groebner import Budget, BudgetError
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, ideal_sum,
-                     isolated_points, piece_span, quotient, sat_irrelevant, saturate)
+                     isolated_points, piece_span, quotient, sat_irrelevant, saturate,
+                     saturate_by_poly)
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
 # spot-checks that the tracer rewraps this from-imported binding
 from .ideals import extract_points  # noqa: F401
@@ -149,7 +150,6 @@ class CurveRecord:
     ideal: IdealHandle
     degree: int
     p_a: int
-    sing: list | None = None  # [(point, multiplicity)]; None = not computed
 
     @classmethod
     def from_ideal(cls, I: IdealHandle, budget: Budget | None = None) -> "CurveRecord":
@@ -282,7 +282,10 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
     Returns (verdict, fiber_degree) with verdict in {yes, no, inconclusive}:
     yes iff every sampled fiber is a single reduced point; a fiber of degree
     >= 2 (stable under one retry) is a no; positive-dimensional fibers are a
-    no (non-dominant map); budget blowups give inconclusive.
+    no (non-dominant map); budget blowups give inconclusive.  Each fiber
+    is saturated by the one component of psi that is nonzero at the
+    sampled image, which is exact (see `_fiber_degree`): no generic
+    combination is drawn and no certificate or fallback is needed.
     """
     F = psi.ring.field
     if not (isinstance(F, GF) and not isinstance(F, GF2)):
@@ -304,6 +307,20 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
 
 
 def _fiber_degree(psi: RationalMap, rng: Rng, budget):
+    """(degree, dimension) of the fiber of psi through a random point x:
+    Fib = (y_j psi_i - y_i psi_j) for y = psi(x), without its components
+    in the base locus, i.e. Fib : (psi)^oo.
+
+    That saturation equals Fib : psi_i^oo for the first i with y_i != 0,
+    for fibers of any dimension.  I : g^oo keeps exactly the primary
+    components of I whose prime does not contain g (Atiyah-Macdonald,
+    ch. 4).  Take a prime P associated to Fib.  If V(P) lies in the base
+    locus, P contains (psi) and so psi_i.  Otherwise, at a general point
+    of V(P), psi = lambda*y with lambda != 0 (the 2x2 minors vanish there),
+    so psi_i = lambda*y_i != 0 and psi_i is not in P.  So both saturations
+    drop the same components, and one Rabinowitsch elimination gives the
+    answer.
+    """
     R = psi.ring
     F = R.field
     x = None
@@ -323,9 +340,8 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
             g = psi.components[i].scale(y[j]) - psi.components[j].scale(y[i])
             if g:
                 gens.append(g)
-    Fib = IdealHandle(gens, R)
-    FibS = saturate(Fib, psi.ideal(), budget)
-    h = FibS.hilbert(budget)
+    i = next(i for i, v in enumerate(y) if v != F.zero)
+    h = saturate_by_poly(IdealHandle(gens, R), psi.components[i], budget).hilbert(budget)
     if h.dimension <= 0:
         return (h.degree if h.dimension == 0 else 0), 0
     return h.degree, h.dimension
@@ -338,15 +354,22 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     member with C1 at C1 meet C2 and at the isolated base points.  Equals 1
     exactly for birational maps.
 
-    Computed scheme-theoretically: degree of (S meet C1) after stripping the
-    points supported on C1 meet C2 and on Theta.  Only Hilbert data of these
-    ideals is read, so none is saturated by the irrelevant ideal: I and
-    I : m^oo have the same Hilbert polynomial, and saturating by J commutes
-    with saturating by m.
+    Computed scheme-theoretically: the degree of T = C1 + (S) after
+    stripping the points supported on C1 meet C2 and on Theta, which is
+    one saturation T : (psi)^oo.  A saturation of T depends only on the
+    zero set of the saturating ideal L inside V(T) (T : L^oo equals
+    T : (L + T)^oo, and a saturation by L depends only on the radical of
+    L), and:
+    - T contains C1, so V(T) meet V(C1 + C2) = V(T) meet V(C2);
+    - Theta = J : C2^oo (J itself when deg C2 = 0), so V(J) = V(C2) u V(Theta);
+    - so T : (C1 + C2)^oo : Theta^oo = T : J^oo = T : (psi)^oo, since J is
+      the saturation of (psi) by the irrelevant ideal m and cuts the same
+      cone (up to its vertex, which no Hilbert polynomial sees).
+    Only Hilbert data is read, so nothing is saturated by m: I and I : m^oo
+    have the same Hilbert polynomial.
     """
     R = psi.ring
-    c1, c2 = analysis.c1, analysis.c2
-    gamma = analysis.gamma
+    c1, gamma = analysis.c1, analysis.gamma
     for attempt in range(retries):
         sub = rng.split(f"cert-{attempt}")
         S = psi.random_member(sub)
@@ -358,10 +381,7 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
             continue
         if hT.degree != psi.degree * c1.degree:
             continue
-        rest = saturate(T, ideal_sum(c1.ideal, c2.ideal), budget) if c2.degree else T
-        if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
-            rest = saturate(rest, analysis.theta_ideal, budget)
-        hr = rest.hilbert(budget)
+        hr = saturate(T, psi.ideal(), budget).hilbert(budget)
         return hr.degree if hr.dimension == 0 else 0
     raise DegenerateInput("no suitable member for the certificate")
 

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import linalg
+from . import linalg, univar
 from .cremona import CurveRecord, MapAnalysis, RationalMap
 from .fields import GF, GF2
 from .groebner import Budget
@@ -152,10 +152,7 @@ def _factor_rank2(vec, F):
     if not isinstance(F, GF) or isinstance(F, GF2):
         return None
     F2 = GF2(F.p)
-    s2 = F2.sqrt(F2.lift(disc))
-    inv2a = F2.inv(F2.lift(F.mul(F.of(2), a)))
-    r1 = F2.mul(F2.add(F2.lift(F.neg(b)), s2), inv2a)
-    r2 = F2.mul(F2.sub(F2.lift(F.neg(b)), s2), inv2a)
+    r1, r2 = univar.quadratic_roots_ext([c, b, a], F, F2)
     sig0 = [F2.lift(x) for x in sigma[0]]
     sig1 = [F2.lift(x) for x in sigma[1]]
     f1 = [F2.sub(sig0[i], F2.mul(r1, sig1[i])) for i in range(3)]

@@ -347,3 +347,81 @@ def test_rings_are_released_with_their_last_polynomial():
     del rings, R
     gc.collect()
     assert not [key for key in _ring_cache.keys() if key[0].char in primes]
+
+
+def _bir_map(name):
+    """A family member at seed 1, or a pinned Q example, over GF(1000003)."""
+    if name in families.FAMILY_LABELS:
+        return families.build(name, 1, GF(1000003))[0]
+    return families.special_examples(QQ)[name].reduce_mod(1000003)
+
+
+def _hilbert_pair(h):
+    """What `_fiber_degree` returns for the Hilbert data h of a fiber."""
+    return ((h.degree if h.dimension == 0 else 0), 0) if h.dimension <= 0 \
+        else (h.degree, h.dimension)
+
+
+@pytest.mark.parametrize("name", ["E8", "cube", "dJ-smooth-S", "segre-squares"])
+def test_the_fiber_oracle_saturates_by_one_component(monkeypatch, name):
+    """Each fiber is saturated by the component psi_i with y_i != 0 of the
+    sampled image y: no saturate or _certified call inside is_birational,
+    and every fiber degree equals that of the reference saturate(Fib, (psi))."""
+    psi = _bir_map(name)
+    refused = []
+    for mod, fn in ((ideals, "saturate"), (cremona, "saturate"), (ideals, "_certified")):
+        monkeypatch.setattr(mod, fn, lambda *a, fn=fn, **k: refused.append(fn))
+    fibers, results = [], []
+    real_sat, real_fiber = cremona.saturate_by_poly, cremona._fiber_degree
+
+    def recorded_sat(I, g, budget=None):
+        fibers.append((I, g))
+        return real_sat(I, g, budget)
+
+    def recorded_fiber(*args):
+        results.append(real_fiber(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cremona, "saturate_by_poly", recorded_sat)
+    monkeypatch.setattr(cremona, "_fiber_degree", recorded_fiber)
+    cremona.is_birational(psi, Rng(6, name), trials=2)
+    monkeypatch.undo()
+    assert not refused
+    assert results and len(fibers) == len(results)
+    for (Fib, g), got in zip(fibers, results):
+        assert g in psi.components
+        assert got == _hilbert_pair(saturate(_fresh(Fib), psi.ideal()).hilbert())
+
+
+def _two_step_certificate_value(T, an):
+    """The reference stripping in two steps: saturate by C1 + C2 when
+    deg C2 > 0, then by Theta when Theta is not the unit ideal."""
+    rest = T
+    if an.c2.degree:
+        rest = saturate(rest, ideals.ideal_sum(an.c1.ideal, an.c2.ideal))
+    if an.theta_ideal is not None and not an.theta_ideal.is_unit():
+        rest = saturate(rest, an.theta_ideal)
+    h = rest.hilbert()
+    return h.degree if h.dimension == 0 else 0
+
+
+@pytest.mark.parametrize("name,theta,c2", [
+    ("E2", 0, 6), ("E13", 2, 4), ("ruled_3_4", 4, 5), ("cube", 0, 0)])
+def test_the_certificate_takes_one_saturation(monkeypatch, name, theta, c2):
+    """One saturate(T, (psi)) gives the value of stripping C1 meet C2 and
+    then Theta."""
+    psi = _bir_map(name)
+    an = analyze_map(psi, seed=1, trials=0, with_certificate=False)
+    assert (an.theta_count, an.c2.degree) == (theta, c2)
+    calls = []
+    real = cremona.saturate
+
+    def counted(I, J, budget=None):
+        calls.append((I, J))
+        return real(I, J, budget)
+
+    monkeypatch.setattr(cremona, "saturate", counted)
+    got = cremona.birationality_certificate(psi, an, Rng(1, "cert"))
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0][1].gens == psi.ideal().gens
+    assert got == _two_step_certificate_value(_fresh(calls[0][0]), an)
