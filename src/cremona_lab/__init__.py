@@ -20,8 +20,8 @@ from .cremona import (MapAnalysis, RationalMap, analyze_map, base_locus,
                       inverse, is_birational, is_ruled, line_preimage_split,
                       map_of_degree, new_map)
 from .hudson import (HudsonVector, PointType, classify_component,
-                     classify_point, hudson_vector, load_table, match_table,
-                     tangent_profile)
+                     classify_point, curve_singular_points, hudson_vector,
+                     load_table, match_table, tangent_profile)
 from .families import build, deform, special_examples
 from .rng import Rng
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .fields import GF, GF2
+from .fields import GF
 from .groebner import Budget, BudgetError
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, ideal_sum,
                      isolated_points, piece_span, quotient, sat_irrelevant, saturate,
@@ -202,7 +202,7 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
         _, count = isolated_points(J, None, rng.split("theta"), budget)
         return J, 0, count
     if c2 is None:
-        _, _, c2rec = line_preimage_split(psi, rng.split("split"), J, budget)
+        _, _, c2rec = line_preimage_split(psi, rng.split("split"), budget)
         c2 = c2rec.ideal
     _, count = isolated_points(J, c2, rng.split("theta"), budget)
     return J, deg1, count
@@ -211,20 +211,19 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
 # ------------------------------------------------------- liaison splitting
 
 
-def line_preimage_split(psi: RationalMap, rng: Rng, J: IdealHandle | None = None,
-                        budget: Budget | None = None, retries: int = 5):
+def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None):
     """Preimage of a generic line and its liaison split.
 
     Returns (Gamma, C1, C2) where Gamma is the complete intersection of two
     generic members, C1 = sat(Gamma, base) is the strict transform of the
     line and C2 = (Gamma : C1) the residual supported on the base locus.
-    Redraws the line if the two curves share a component.
+    Redraws the line, up to five times, if the two curves share a component.
     """
     R = psi.ring
     F = R.field
     Ipsi = psi.ideal()
     last_err = None
-    for attempt in range(retries):
+    for attempt in range(5):
         sub = rng.split(f"line-{attempt}")
         rows = [[F.rand(sub) for _ in range(4)] for _ in range(2)]
         if linalg.rank(F, [r[:] for r in rows]) < 2:
@@ -288,7 +287,7 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
     combination is drawn and no certificate or fallback is needed.
     """
     F = psi.ring.field
-    if not (isinstance(F, GF) and not isinstance(F, GF2)):
+    if not isinstance(F, GF):
         raise MapError("fiber oracle needs a prime field; reduce mod p first")
     if not psi.components_independent():
         return "no", None
@@ -348,7 +347,7 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
 
 
 def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rng,
-                              budget: Budget | None = None, retries: int = 5) -> int:
+                              budget: Budget | None = None) -> int:
     """Number of preimage points of a generic target point that avoid the
     base locus: 3*deg C1 minus the local intersection lengths of a generic
     member with C1 at C1 meet C2 and at the isolated base points.  Equals 1
@@ -370,7 +369,7 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     """
     R = psi.ring
     c1, gamma = analysis.c1, analysis.gamma
-    for attempt in range(retries):
+    for attempt in range(5):
         sub = rng.split(f"cert-{attempt}")
         S = psi.random_member(sub)
         if gamma is not None and gamma.contains(S, budget):
@@ -486,7 +485,7 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     R = psi.ring
     F = R.field
     rng = rng or Rng(psi.seed or 0, "inverse")
-    if not (isinstance(F, GF) and not isinstance(F, GF2) and F.p < (1 << 20)):
+    if not (isinstance(F, GF) and F.p < (1 << 20)):
         raise InverseUnavailable(
             "inverse extraction needs a prime field with p < 2^20 (budget)")
     import numpy as np  # loaded on the first inverse only, as in linalg.nullspace_gfp

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, univar
 from .cremona import MapError, RationalMap, map_of_degree, new_map
 from .fields import GF, QQ, Field
 from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, intersect, line_forms,
@@ -281,7 +281,7 @@ def _ruling_line(R: Ring, abc, rng: Rng):
         q = (F.zero, F.zero, F.rand(sub), F.rand(sub))
         if q[2] == F.zero and q[3] == F.zero:
             continue
-        root = _conic_root(F, a.evaluate(q), b.evaluate(q), c.evaluate(q), sub)
+        root = _conic_root(F, a.evaluate(q), b.evaluate(q), c.evaluate(q))
         if root is None:
             continue
         v0, v1 = root
@@ -304,17 +304,12 @@ def _ruling_line(R: Ring, abc, rng: Rng):
     return None
 
 
-def _conic_root(F, a, b, c, rng: Rng):
+def _conic_root(F, a, b, c):
     """(v0 : v1) with a v0^2 + b v0 v1 + c v1^2 = 0, F-rational."""
     if a == F.zero:
         return (F.one, F.zero)
-    disc = F.sub(F.mul(b, b), F.mul(F.of(4), F.mul(a, c)))
-    s = F.sqrt(disc)
-    if s is None:
-        return None
-    inv2a = F.inv(F.mul(F.of(2), a))
-    r = F.mul(F.add(F.neg(b), s), inv2a)
-    return (r, F.one)
+    roots = univar.quadratic_roots([c, b, a], F)
+    return None if roots is None else (roots[1][0], F.one)
 
 
 def _point_on_surface(R: Ring, abc, rng: Rng):
@@ -323,8 +318,6 @@ def _point_on_surface(R: Ring, abc, rng: Rng):
     a, b, c = abc
     z0, z1 = R.var(0), R.var(1)
     S = z0 * z0 * a + z0 * z1 * b + z1 * z1 * c
-    from . import univar
-
     for k in range(20):
         sub = rng.split(f"draw-{k}")
         x = _rand_point(R, sub)

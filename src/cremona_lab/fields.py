@@ -4,6 +4,10 @@ Field elements are plain Python values (Fraction for Q, int for GF(p),
 pair-of-ints for GF(p^2)); the Field object carries the arithmetic.  Mixing
 elements from different fields is a constructive error caught where values
 enter a ring, not per operation.
+
+GF(p^2) is a field of its own (`GF2`), not a kind of GF(p): it holds its
+prime field as `base` and that field's smallest non-residue r, so a test
+`isinstance(F, GF)` means "a prime field" everywhere.
 """
 
 from __future__ import annotations
@@ -127,8 +131,8 @@ class GF(Field):
 
     name = "gf"
 
-    def __init__(self, p: int, check: bool = True):
-        if check and not is_prime(p):
+    def __init__(self, p: int):
+        if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
@@ -139,7 +143,7 @@ class GF(Field):
         return f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, GF) and not isinstance(other, GF2) and other.p == self.p
+        return isinstance(other, GF) and other.p == self.p
 
     def __hash__(self):
         return hash(("GF", self.p))
@@ -216,7 +220,7 @@ class GF(Field):
             r = r * b % p
         return r
 
-    def non_residue(self, rng: Rng | None = None) -> int:
+    def non_residue(self) -> int:
         """Smallest quadratic non-residue (deterministic)."""
         a = 2
         while self.is_square(a):
@@ -224,22 +228,22 @@ class GF(Field):
         return a
 
 
-class GF2(GF):
-    """GF(p^2) = GF(p)[w]/(w^2 - r), r a fixed non-residue.
+class GF2(Field):
+    """GF(p^2) = base[w]/(w^2 - r), base = GF(p) and r its smallest
+    non-residue.
 
     Values are pairs (a, b) meaning a + b*w.  Used for point extraction and
     quadratic-form factorization when GF(p) is not enough.
     """
 
     name = "gf2"
+    zero = (0, 0)
+    one = (1, 0)
 
-    def __init__(self, p: int, check: bool = True):
-        super().__init__(p, check)
-        self.r = GF.non_residue(self)
-        self.base = GF(p, check=False)
-        self.zero = (0, 0)
-        self.one = (1, 0)
-        self.char = p
+    def __init__(self, p: int):
+        self.base = GF(p)
+        self.r = self.base.non_residue()
+        self.p = self.char = p
 
     def __repr__(self):
         return f"GF({self.p}^2)"
@@ -344,8 +348,6 @@ def field_from_descriptor(desc: str) -> Field:
 def field_descriptor(field: Field) -> str:
     if field == QQ:
         return "q"
-    if isinstance(field, GF2):
-        raise FieldError("GF(p^2) is internal only")
     if isinstance(field, GF):
         return f"gf:{field.p}"
     raise FieldError(f"unknown field {field!r}")

@@ -18,9 +18,8 @@ explicit errors: classification code must be able to tell "expensive" from
 from __future__ import annotations
 
 import heapq
-import os
 
-from .fields import GF, GF2
+from .fields import GF
 from .poly import GREVLEX, MonomialOrder, Polynomial, Ring
 
 
@@ -39,10 +38,8 @@ class Budget:
     __slots__ = ("max_pairs", "max_degree")
 
     def __init__(self, max_pairs: int | None = None, max_degree: int | None = None):
-        env_pairs = os.environ.get("CREMONA_LAB_MAX_PAIRS")
-        env_deg = os.environ.get("CREMONA_LAB_MAX_DEGREE")
-        self.max_pairs = max_pairs if max_pairs is not None else int(env_pairs or 200_000)
-        self.max_degree = max_degree if max_degree is not None else int(env_deg or 30)
+        self.max_pairs = 200_000 if max_pairs is None else max_pairs
+        self.max_degree = 30 if max_degree is None else max_degree
 
 
 DEFAULT_BUDGET = Budget()
@@ -119,7 +116,7 @@ class _Engine:
         self.keyf = ring._grevlex_key if order == GREVLEX else order.key_func(ring)
         self.cache: dict = {}
         F = ring.field
-        p = F.char if (isinstance(F, GF) and not isinstance(F, GF2)) else 0
+        p = F.char if isinstance(F, GF) else 0
         self.gf_p = p
         # the merge and its last argument, picked once for the field
         self.merge, self.arith = (_merge_sub_gf, p) if p else (_merge_sub_gen, F)

@@ -139,25 +139,15 @@ def _factor_rank2(vec, F):
         # t (b s + c t)
         l2 = [F.add(F.mul(b, sigma[0][i]), F.mul(c, sigma[1][i])) for i in range(3)]
         return ([sigma[1], l2], F)
-    disc = F.sub(F.mul(b, b), F.mul(F.of(4), F.mul(a, c)))
-    s = F.sqrt(disc) if hasattr(F, "sqrt") else None
-    if s is not None:
-        inv2a = F.inv(F.mul(F.of(2), a))
-        r1 = F.mul(F.add(F.neg(b), s), inv2a)
-        r2 = F.mul(F.sub(F.neg(b), s), inv2a)
-        # a(s - r1 t)(s - r2 t): factors s - r_k t
-        f1 = [F.sub(sigma[0][i], F.mul(r1, sigma[1][i])) for i in range(3)]
-        f2 = [F.sub(sigma[0][i], F.mul(r2, sigma[1][i])) for i in range(3)]
-        return ([f1, f2], F)
-    if not isinstance(F, GF) or isinstance(F, GF2):
+    # a (s - r1 t)(s - r2 t): factors s - r_k t, over GF(p^2) if need be
+    roots = univar.quadratic_roots([c, b, a], F, GF2(F.p) if isinstance(F, GF) else None)
+    if roots is None:
         return None
-    F2 = GF2(F.p)
-    r1, r2 = univar.quadratic_roots_ext([c, b, a], F, F2)
-    sig0 = [F2.lift(x) for x in sigma[0]]
-    sig1 = [F2.lift(x) for x in sigma[1]]
-    f1 = [F2.sub(sig0[i], F2.mul(r1, sig1[i])) for i in range(3)]
-    f2 = [F2.sub(sig0[i], F2.mul(r2, sig1[i])) for i in range(3)]
-    return ([f1, f2], F2)
+    K, rs = roots
+    sig0, sig1 = sigma[0], sigma[1]
+    if K != F:
+        sig0, sig1 = [K.lift(x) for x in sig0], [K.lift(x) for x in sig1]
+    return ([[K.sub(sig0[i], K.mul(r, sig1[i])) for i in range(3)] for r in rs], K)
 
 
 def _complete_basis(ker, F):
@@ -216,17 +206,11 @@ def classify_point(system, p, rng: Rng | None = None) -> PointType:
     if factored is None:
         return PointType("Binode", rank_data=grank, needs_extension=True)
     factors, FF = factored
-    if FF != F:
-        W2 = [[FF.lift(c) for c in row] for row in W]
-        for l in factors:
-            if all(_quad_restrict_zero(row, l, FF) for row in W2):
-                return PointType("Binode", rank_data=grank,
-                                 fixed_plane=_plane_back(l, M, FF, R),
-                                 needs_extension=True)
-        return PointType("DoublePoint", rank_data=grank)
+    W2 = W if FF == F else [[FF.lift(c) for c in row] for row in W]
     for l in factors:
-        if all(_quad_restrict_zero(row, l, F) for row in W):
-            return PointType("Binode", rank_data=grank, fixed_plane=_plane_back(l, M, F, R))
+        if all(_quad_restrict_zero(row, l, FF) for row in W2):
+            return PointType("Binode", rank_data=grank, fixed_plane=_plane_back(l, M, FF, R),
+                             needs_extension=FF != F)
     return PointType("DoublePoint", rank_data=grank)
 
 
@@ -367,9 +351,10 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
         prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"), budget)
         profiles.append((p, pt.tag, prof[0], prof[1], prof[2]))
     partial = unresolved > 0
-    for p in ext:
+    if ext:
         R2 = ring(GF2(F.p), 4, psi.ring.names)
         comps2 = [f.map_field(R2) for f in psi.components]
+    for p in ext:
         pt = classify_point(comps2, p, rng.split("class-ext"))
         if pt.tag == "Ordinary":
             continue

@@ -790,14 +790,13 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     return h.degree - (rest.degree if rest.dimension == 0 else 0)
 
 
-def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None,
-                    trials: int = 5) -> int:
+def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -> int:
     """Multiplicity of the curve C at p: local length of a generic plane
-    section; two independent planes must agree."""
+    section; two independent planes among the first five must agree."""
     R = C.ring
     F = R.field
     values = []
-    for k in range(trials):
+    for k in range(5):
         sub = rng.split(f"mult-plane-{k}")
         # random hyperplane through p
         coeffs = None
@@ -964,7 +963,7 @@ def _extract_chart(Isat, rng, budget, depth: int = 0):
     affine = [g for g in affine if g]
     root_sets = []
     ext_root_sets = []
-    F2 = GF2(F.p) if isinstance(F, GF) and not isinstance(F, GF2) else None
+    F2 = GF2(F.p) if isinstance(F, GF) else None
     for w in range(n - 1):
         elim_f = _affine_eliminant(affine, A, w, budget)
         if elim_f is None:
@@ -973,10 +972,8 @@ def _extract_chart(Isat, rng, budget, depth: int = 0):
             rs = univar.roots_gf(elim_f, F, rng.split(f"roots-{w}"))
             root_sets.append(rs)
             quads = univar.irreducible_quadratics(elim_f, F, rng.split(f"quads-{w}"))
-            ers = []
-            for q in quads:
-                ers.extend(univar.quadratic_roots_ext(q, F, F2))
-            ext_root_sets.append([F2.lift(r) for r in rs] + ers)
+            ext_root_sets.append([F2.lift(r) for r in rs]
+                                 + [r for q in quads for r in univar.quadratic_roots(q, F, F2)[1]])
         elif F == QQ:
             root_sets.append(univar.roots_qq(elim_f, F))
         else:

@@ -148,21 +148,6 @@ def inverse(F: Field, A):
     return [row[n:] for row in R[:n]]
 
 
-def mat_mul(F: Field, A, B):
-    m, k, n = len(A), len(B), len(B[0])
-    out = []
-    for i in range(m):
-        row = []
-        Ai = A[i]
-        for j in range(n):
-            s = F.zero
-            for t in range(k):
-                s = F.add(s, F.mul(Ai[t], B[t][j]))
-            row.append(s)
-        out.append(row)
-    return out
-
-
 def mat_vec(F: Field, A, v):
     out = []
     for row in A:
@@ -178,7 +163,3 @@ def random_invertible(F: Field, n: int, rng: Rng):
         A = [[F.rand(rng) for _ in range(n)] for _ in range(n)]
         if det(F, A) != F.zero:
             return A
-
-
-def identity(F: Field, n: int):
-    return [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]

@@ -559,27 +559,6 @@ class Polynomial:
         return ring2.poly(d)
 
 
-# ------------------------------------------------------- arithmetic facade
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatcher: op in {add, sub, mul, scale}; homogeneity is enforced
-    for add/sub (equal degrees or a zero operand)."""
-    if op == "scale":
-        return a.scale(b)
-    if a.ring != b.ring:
-        raise PolyError("field/ring mismatch")
-    if op in ("add", "sub"):
-        if a and b:
-            da, db = a.degree, b.degree
-            if da != db:
-                raise PolyError(f"inhomogeneous {op}: degrees {da} != {db}")
-        return a + b if op == "add" else a - b
-    if op == "mul":
-        return a * b
-    raise PolyError(f"unknown op {op!r}")
-
-
 # ------------------------------------------------------------ text format
 
 

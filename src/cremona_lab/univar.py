@@ -4,6 +4,12 @@ Polynomials are coefficient lists [c0, c1, ...] (c_k the coefficient of
 x^k), normalized to have a nonzero top coefficient.  Only tiny degrees occur
 here (eliminants of zero-dimensional schemes), so everything is quadratic
 and plain.
+
+Each root problem is solved once: `roots_gf` and `irreducible_quadratics`
+share the squarefree part and gcd(f, x^p - x), and split with the one
+Cantor-Zassenhaus routine `_equal_degree_factors`; `quadratic_roots` is the
+one quadratic formula, over any field, going to GF(p^2) when asked.
+Rational roots over Q come from `roots_qq`.
 """
 
 from __future__ import annotations
@@ -102,82 +108,70 @@ def powmod(base, e: int, f, F):
     return result
 
 
+def _frobenius_gcd(f, q: int, F: GF) -> list:
+    """gcd(f, x^q - x): the product of the distinct factors of f whose
+    degree divides k, for q = p^k."""
+    xq = powmod([F.zero, F.one], q, f, F)
+    return gcd(add(xq, [F.zero, F.neg(F.one)], F), f, F)
+
+
+def _squarefree_and_linear(f, F: GF):
+    """(monic squarefree part of f, the product of its linear factors)."""
+    f = monic(squarefree_part(f, F), F)
+    return f, _frobenius_gcd(f, F.p, F)
+
+
 def roots_gf(f, F: GF, rng: Rng) -> list:
     """All roots in GF(p) of a nonzero polynomial (with multiplicity dropped)."""
-    assert isinstance(F, GF) and not isinstance(F, GF2)
-    f = monic(squarefree_part(f, F), F)
-    # linear-factor part: gcd(f, x^p - x)
-    xp = powmod([F.zero, F.one], F.p, f, F)
-    lin = gcd(add(xp, [F.zero, F.neg(F.one)], F), f, F)
-    out: list = []
-    _split_roots(lin, F, rng, out)
-    out.sort()
-    return out
-
-
-def _split_roots(f, F: GF, rng: Rng, out: list) -> None:
-    """Equal-degree splitting of a product of distinct linear factors."""
-    d = deg(f)
-    if d <= 0:
-        return
-    if d == 1:
-        out.append(F.neg(F.mul(f[0], F.inv(f[1]))))
-        return
-    p = F.p
-    while True:
-        a = F.rand(rng)
-        # gcd(f, (x+a)^((p-1)/2) - 1) splits the root set
-        g = powmod([a, F.one], (p - 1) // 2, f, F)
-        g = add(g, [F.neg(F.one)], F)
-        h = gcd(g, f, F)
-        if 0 < deg(h) < d:
-            _split_roots(h, F, rng, out)
-            _split_roots(divmod_(f, h, F)[0], F, rng, out)
-            return
-
-
-def quadratic_roots_ext(f, F: GF, F2: GF2) -> list:
-    """Roots in GF(p^2) of an irreducible quadratic over GF(p)."""
-    assert deg(f) == 2
-    a, b, c = f[2], f[1], f[0]
-    disc = F.sub(F.mul(b, b), F.mul(F.of(4), F.mul(a, c)))
-    s = F2.sqrt(F2.lift(disc))
-    inv2a = F2.inv(F2.lift(F.mul(F.of(2), a)))
-    r1 = F2.mul(F2.add(F2.lift(F.neg(b)), s), inv2a)
-    r2 = F2.mul(F2.sub(F2.lift(F.neg(b)), s), inv2a)
-    return [r1, r2]
+    assert isinstance(F, GF)
+    _, lin = _squarefree_and_linear(f, F)
+    return sorted(F.neg(g[0]) for g in _equal_degree_factors(lin, 1, F, rng))
 
 
 def irreducible_quadratics(f, F: GF, rng: Rng) -> list:
-    """The distinct irreducible quadratic factors of f over GF(p)."""
-    f = monic(squarefree_part(f, F), F)
-    # remove linear part
-    xp = powmod([F.zero, F.one], F.p, f, F)
-    lin = gcd(add(xp, [F.zero, F.neg(F.one)], F), f, F)
+    """The distinct irreducible quadratic factors of f over GF(p), monic."""
+    f, lin = _squarefree_and_linear(f, F)
     f = divmod_(f, lin, F)[0]
     if deg(f) <= 0:
         return []
-    # quadratic part: gcd(f, x^{p^2} - x)
-    xp2 = powmod([F.zero, F.one], F.p * F.p, f, F)
-    quad = gcd(add(xp2, [F.zero, F.neg(F.one)], F), f, F)
-    return _split_quadratics(quad, F, rng)
+    return _equal_degree_factors(_frobenius_gcd(f, F.p * F.p, F), 2, F, rng)
 
 
-def _split_quadratics(f, F: GF, rng: Rng) -> list:
+def _equal_degree_factors(f, k: int, F: GF, rng: Rng) -> list:
+    """The monic factors of f, a product of distinct irreducible factors of
+    degree k over GF(p) (Cantor-Zassenhaus): for a random monic a of degree
+    k, gcd(f, a^((p^k - 1)/2) - 1) holds each factor independently with
+    probability about 1/2."""
     d = deg(f)
     if d <= 0:
         return []
-    if d == 2:
+    if d == k:
         return [monic(f, F)]
-    # Cantor-Zassenhaus equal-degree split for degree-2 factors
-    p2 = F.p * F.p
+    e = (F.p ** k - 1) // 2
     while True:
-        a = [F.rand(rng), F.rand(rng), F.one]
-        g = powmod(a, (p2 - 1) // 2, f, F)
-        g = add(g, [F.neg(F.one)], F)
+        a = [F.rand(rng) for _ in range(k)] + [F.one]
+        g = add(powmod(a, e, f, F), [F.neg(F.one)], F)
         h = gcd(g, f, F)
         if 0 < deg(h) < d:
-            return _split_quadratics(h, F, rng) + _split_quadratics(divmod_(f, h, F)[0], F, rng)
+            return (_equal_degree_factors(h, k, F, rng)
+                    + _equal_degree_factors(divmod_(f, h, F)[0], k, F, rng))
+
+
+def quadratic_roots(f, F: Field, F2: GF2 | None = None):
+    """(K, [r1, r2]): the roots (-b ± s) / 2a of f = [c, b, a], a != 0, with
+    s a square root of b^2 - 4ac.  K is F when the discriminant is a square
+    in F; otherwise K is the quadratic extension F2 of F = GF(p), or the
+    result is None when F2 is not given."""
+    c, b, a = f
+    disc = F.sub(F.mul(b, b), F.mul(F.of(4), F.mul(a, c)))
+    K, s = F, F.sqrt(disc)
+    if s is None:
+        if F2 is None:
+            return None
+        K, s = F2, F2.sqrt(F2.lift(disc))
+        a, b = F2.lift(a), F2.lift(b)
+    inv2a = K.inv(K.mul(K.of(2), a))
+    return K, [K.mul(K.add(K.neg(b), s), inv2a), K.mul(K.sub(K.neg(b), s), inv2a)]
 
 
 def roots_qq(f, F) -> list:

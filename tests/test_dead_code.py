@@ -5,7 +5,9 @@ A stdlib stand-in for an unused-code linter: a `_name` defined in
 own body, or it is dead and should be deleted.  A reference from inside a
 dead function does not count, so helpers only dead code calls are found too.
 A public function or method must be named somewhere in the package, the
-tests or the benchmark (`perfbench/`), outside its own body.
+tests or the benchmark (`perfbench/`), outside its own body, and a public
+module-level function that only the tests name must be exported from
+`__init__`.
 
 A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
 `Reducer`, `normal_form`) inside `ideals` and `groebner`, so that every
@@ -85,6 +87,32 @@ def test_every_public_function_is_named_somewhere():
         if not any(r == name and id(n) not in body for r, n in refs):
             unnamed.append(f"{module}.{name}")
     assert sorted(unnamed) == [], "public functions nothing names"
+
+
+def test_functions_only_tests_name_are_exported():
+    """A module-level public function that nothing in the package (outside
+    `__init__`) or the benchmark names is used by the tests alone; it is
+    library API, so `__init__` exports it."""
+    defs = []  # (module, name, node)
+    refs = []
+    exported = set()
+    for path in sorted(PKG.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path == PKG / "__init__.py":
+            exported = {name for name, node in _names(tree) if isinstance(node, ast.alias)}
+            continue
+        refs += _names(tree)
+        if path.parent == PKG:
+            defs += [(path.stem, node.name, node) for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not node.name.startswith("_")]
+    assert defs and exported, "the scan found no public functions or exports"
+    test_only = []
+    for module, name, node in defs:
+        body = {id(n) for n in ast.walk(node)}
+        if not any(r == name and id(n) not in body for r, n in refs) and name not in exported:
+            test_only.append(f"{module}.{name}")
+    assert sorted(test_only) == [], "functions only tests name: export them or delete them"
 
 
 RAW_READERS = {"hilbert_from_basis", "Reducer", "normal_form"}

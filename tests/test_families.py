@@ -68,7 +68,7 @@ def test_sample_names_stream_and_seed_when_no_attempt_is_accepted():
 @pytest.mark.parametrize("a,b,c", [(0, 5, 7), (0, 0, 3), (1, 0, 100), (2, 3, 1)])
 def test_conic_root_is_a_root(a, b, c):
     F = GF(101)
-    v0, v1 = _conic_root(F, a, b, c, Rng(0))
+    v0, v1 = _conic_root(F, a, b, c)
     assert (v0, v1) != (0, 0)
     assert (a * v0 * v0 + b * v0 * v1 + c * v1 * v1) % 101 == 0
 

@@ -62,6 +62,15 @@ def test_gf2_field_axioms_and_sqrt():
         assert s is not None and F2.mul(s, s) == F2.lift(x)
 
 
+def test_gf2_is_a_field_of_its_own():
+    F2 = GF2(101)
+    assert not isinstance(F2, GF)
+    assert GF(101) != F2 and F2 != GF(101)
+    assert F2.base == GF(101) and F2.r == GF(101).non_residue() == 2
+    with pytest.raises(FieldError):
+        GF2(100)
+
+
 def test_descriptor_roundtrip():
     assert field_from_descriptor("q") == QQ
     assert field_from_descriptor("gf:10007") == GF(10007)

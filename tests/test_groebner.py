@@ -76,6 +76,14 @@ def test_budget_errors():
         groebner_basis(gens, budget=Budget(max_degree=2))
 
 
+def test_budget_defaults_ignore_the_environment(monkeypatch):
+    # the limits come from the arguments (--max-pairs/--max-degree) alone
+    monkeypatch.setenv("CREMONA_LAB_MAX_PAIRS", "7")
+    monkeypatch.setenv("CREMONA_LAB_MAX_DEGREE", "3")
+    b = Budget()
+    assert (b.max_pairs, b.max_degree) == (200_000, 30)
+
+
 def test_pair_count_and_the_exact_pair_budget(monkeypatch):
     # four random cubics: the Gebauer-Moeller update leaves 75 S-pairs to
     # reduce (117 with the product and chain criteria alone) for the same

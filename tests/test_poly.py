@@ -6,8 +6,8 @@ import pytest
 from cremona_lab import linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.poly import (GREVLEX, LEX, ElimBlock, ParseError, PolyError,
-                              WeightedGrevlex, _ring_cache, parse_poly, poly_arith,
-                              print_poly, ring)
+                              WeightedGrevlex, _ring_cache, parse_poly, print_poly,
+                              ring)
 from cremona_lab.rng import Rng, random_prime
 
 FQ = ring(QQ, 4)
@@ -36,13 +36,11 @@ def test_characteristic_wraps():
     assert f.is_zero()
 
 
-def test_poly_arith_dispatch_and_errors():
-    assert poly_arith(pq("z0"), pq("z1"), "add") == pq("z0 + z1")
+def test_ring_mismatch_is_an_error():
     with pytest.raises(PolyError):
-        poly_arith(pq("z0"), pq("z1*z2"), "add")  # inhomogeneous add
+        pq("z0") * pp("z0")
     with pytest.raises(PolyError):
-        poly_arith(pq("z0"), pp("z0"), "mul")  # field mismatch
-    assert poly_arith(pq("z0"), Fraction(3), "scale") == pq("3*z0")
+        pq("z0") + pp("z0")
 
 
 def test_ring_axioms_random_triples():
@@ -117,10 +115,10 @@ def test_evaluate_representative_independent():
 
 def test_linear_substitute_identity_swap_roundtrip():
     F = FP.field
-    I4 = linalg.identity(F, 4)
+    I4 = [[F.one if i == j else F.zero for j in range(4)] for i in range(4)]
     f = pp("z0*z3 - z1*z2")
     assert f.substitute_linear(I4) == f
-    swap = linalg.identity(F, 4)
+    swap = [row[:] for row in I4]
     swap[0], swap[1] = swap[1], swap[0]
     assert f.substitute_linear(swap) == pp("z1*z3 - z0*z2")
     rng = Rng(17)
@@ -130,7 +128,8 @@ def test_linear_substitute_identity_swap_roundtrip():
     assert g == f
     # composition law: f(MN z) = (f o M) o N
     N = linalg.random_invertible(F, 4, rng)
-    MN = linalg.mat_mul(F, M, N)
+    columns = [linalg.mat_vec(F, M, [row[j] for row in N]) for j in range(4)]
+    MN = [[col[i] for col in columns] for i in range(4)]
     assert f.substitute_linear(MN) == f.substitute_linear(M).substitute_linear(N)
 
 

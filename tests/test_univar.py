@@ -1,0 +1,46 @@
+"""Root finding over GF(p), GF(p^2) and Q: the pinned values are those of
+the quadratic formula and splitting draws the package has always used."""
+
+from fractions import Fraction
+
+from cremona_lab import univar
+from cremona_lab.fields import GF, GF2, QQ
+from cremona_lab.rng import Rng
+
+F = GF(101)  # 101 = 5 mod 8, so 2 is the smallest non-residue
+F2 = GF2(101)
+
+
+def test_quadratic_roots_square_discriminant_stays_in_the_field():
+    # (x - 3)(x - 5): disc 4 is a square, so GF2 is not used even if given
+    assert univar.quadratic_roots([15, 93, 1], F) == (F, [3, 5])
+    assert univar.quadratic_roots([15, 93, 1], F, F2) == (F, [3, 5])
+
+
+def test_quadratic_roots_non_square_discriminant():
+    # 3x^2 + x + 5: disc 1 - 60 = 42 is a non-residue mod 101
+    assert univar.quadratic_roots([5, 1, 3], F) is None
+    K, roots = univar.quadratic_roots([5, 1, 3], F, F2)
+    assert K == F2 and roots == [(84, 3), (84, 98)]
+    for r in roots:
+        v = F2.add(F2.mul(F2.lift(3), F2.mul(r, r)), F2.add(r, F2.lift(5)))
+        assert v == F2.zero
+
+
+def test_quadratic_roots_over_q():
+    assert univar.quadratic_roots([Fraction(6), Fraction(-5), Fraction(1)], QQ) \
+        == (QQ, [Fraction(3), Fraction(2)])
+    assert univar.quadratic_roots([Fraction(-2), Fraction(0), Fraction(1)], QQ) is None
+
+
+# (x - 3)(x - 50)(x - 7)^2 (x^2 - 2)(x^2 + x + 1)(x^2 + 3x + 5) over GF(101)
+MIXED = [28, 70, 88, 13, 81, 2, 85, 12, 74, 38, 1]
+
+
+def test_roots_and_irreducible_quadratics_of_a_mixed_product():
+    assert univar.roots_gf(MIXED, F, Rng(7, "roots")) == [3, 7, 50]
+    # the order of the quadratics is the order of the splitting draws
+    assert univar.irreducible_quadratics(MIXED, F, Rng(7, "quads")) \
+        == [[5, 3, 1], [99, 0, 1], [1, 1, 1]]
+    assert univar.irreducible_quadratics(MIXED, F, Rng(8, "quads")) \
+        == [[99, 0, 1], [5, 3, 1], [1, 1, 1]]
