@@ -468,6 +468,10 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     x_0 g_k(y) - x_k g_0(y) = 0 on the 4N coefficients of g (N degree-d'
     monomials); points come from the "graph" stream until there are at least
     4N + 24 conditions, and `linalg.nullspace_gfp` solves them in one batch.
+    The points are drawn `need` at a time and psi is evaluated on a batch in
+    one numpy pass (`_monomial_values` times psi's coefficient matrix), which
+    also gives the degree-d' monomial values of the y's.  Such a product sums
+    N terms below p^2, so it stays inside int64 (N p^2 < 2^63) for p < 2^20.
 
     Exactness: the sampled kernel contains the exact one, and its basis is
     read off the RREF, a canonical form, so equal kernels give equal vectors
@@ -477,7 +481,8 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980) each of the 5
     independent verification points passes with probability at most
     (3d'+1)/p, all five with at most ((3d'+1)/p)^5: about 1e-24 for d' = 5
-    at p = 1000003.
+    at p = 1000003.  A verification draw on the base locus is drawn again
+    from its own stream, so all five points are checked.
 
     Raises InverseUnavailable unless the field is GF(p) with p < 2^20, the
     sampled solution space is a line and the candidate passes verification.
@@ -491,25 +496,25 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     import numpy as np  # loaded on the first inverse only, as in linalg.nullspace_gfp
 
     p = F.p
+    mons_psi = sorted({m for f in psi.components for m, _ in f.terms})
+    coeffs = np.array([[dict(f.terms).get(m, 0) for m in mons_psi] for f in psi.components],
+                      dtype=np.int64).T  # coeffs[a, k]: monomial a in psi_k
     mons_d = R.monomials_of_degree(dprime)
     N = len(mons_d)
     need = -(-(4 * N + 24) // 3)
     sub = rng.split("graph")
-    pts = []
-    for _ in range(50 * need):
-        x = tuple(F.rand(sub) for _ in range(4))
-        y = psi.apply(x) if any(x) else None
-        if y is not None:
-            pts.append(x + y)
-            if len(pts) == need:
-                break
+    X = Y = np.zeros((0, 4), dtype=np.int64)
+    for _ in range(50):  # at most 50 * need draws, in stream order
+        Xb = np.array([[F.rand(sub) for _ in range(4)] for _ in range(need)], dtype=np.int64)
+        Yb = _monomial_values(R, mons_psi, Xb, p) @ coeffs % p
+        ok = Xb.any(axis=1) & Yb.any(axis=1)
+        X, Y = np.vstack([X, Xb[ok]]), np.vstack([Y, Yb[ok]])
+        if len(X) >= need:
+            break
     else:
         raise InverseUnavailable("could not sample enough points off the base locus")
-    X, Y = np.hsplit(np.array(pts, dtype=np.int64), 2)
-    vals = np.ones((need, N), dtype=np.int64)  # vals[s, a] = y_s^alpha_a
-    for i, col in enumerate(np.array([R.unpack(m) for m in mons_d]).T):
-        for e in range(1, dprime + 1):
-            vals = np.where(col >= e, vals * Y[:, i:i + 1] % p, vals)
+    X, Y = X[:need], Y[:need]
+    vals = _monomial_values(R, mons_d, Y, p)  # vals[s, a] = y_s^alpha_a
     # column k*N + a holds the coefficient of monomial a in g_k
     rows = np.zeros((3, need, 4 * N), dtype=np.int64)
     for k in (1, 2, 3):
@@ -524,18 +529,34 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     # verify g o psi = id up to scalar on random points
     for t in range(5):
         sub = rng.split(f"verify-{t}")
-        x = tuple(F.rand(sub) for _ in range(4))
-        if all(c == F.zero for c in x):
-            continue
-        y = psi.apply(x)
-        if y is None:
-            continue
+        for _ in range(50):
+            x = tuple(F.rand(sub) for _ in range(4))
+            y = psi.apply(x) if any(x) else None
+            if y is not None:
+                break
+        else:
+            raise InverseUnavailable("could not sample a verification point off the base locus")
         z = g.apply(y)
         if z is None:
             raise InverseUnavailable("candidate inverse vanishes on the image")
         if not _parallel(F, z, x):
             raise InverseUnavailable("candidate inverse fails point verification")
     return g
+
+
+def _monomial_values(R, mons, X, p: int):
+    """vals[s, a] = X_s^mons[a] mod p, for rows X_s of residues mod p < 2^31."""
+    import numpy as np
+
+    E = np.array([R.unpack(m) for m in mons], dtype=np.int64)
+    powers = [np.ones_like(X)]  # powers[e][s, i] = X[s, i]^e
+    for _ in range(int(E.max())):
+        powers.append(powers[-1] * X % p)
+    powers = np.stack(powers)
+    vals = np.ones((len(X), len(mons)), dtype=np.int64)
+    for i in range(R.nvars):
+        vals = vals * powers[E[:, i], :, i].T % p
+    return vals
 
 
 def _parallel(F, a, b) -> bool:

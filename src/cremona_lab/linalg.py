@@ -18,7 +18,7 @@ def mat_copy(A):
 
 
 def rref(F: Field, A, ncols=None):
-    """Reduced row echelon form in place; returns (R, pivot column list)."""
+    """Reduced row echelon form of a copy of A; returns (R, pivot column list)."""
     A = mat_copy(A)
     if not A:
         return A, []
@@ -75,35 +75,70 @@ def nullspace_gfp(rows, p: int):
     The dense GF(p) eliminator for systems too large for `nullspace`: the
     same RREF (first nonzero pivot, one basis vector per free column, 1 in
     that column), so it returns the vectors `nullspace(GF(p), A)` returns, as
-    lists of ints in [0, p).  Entries of A may be any int64 values; p < 2^31
-    keeps every product of two residues inside int64.
+    lists of ints in [0, p).  Entries of A may be any int64 values; A itself
+    is left unmodified.  Needs p < 2^31.
+
+    Forward elimination updates only the rows below the pivot that are
+    nonzero in its column, and only the columns right of it.  Each update
+    subtracts products of two residues, so the trailing block is reduced
+    mod p only when one more update could leave int64: after
+    k = floor(2^62 / (p-1)^2) updates, about 4.6e6 at p = 1000003 and 1 near
+    2^31.  The pivot column and row are reduced before each use.
+    Back-substitution then runs on the free columns only: a reduced row is
+    zero at every pivot column right of its own, so subtracting it from an
+    earlier row changes no other pivot entry of that row.
     """
     import numpy as np
 
     A = np.asarray(rows, dtype=np.int64) % p
-    ncols = A.shape[1]
     A = A[A.any(axis=1)]
-    m = A.shape[0]
+    m, ncols = A.shape
+    k = (1 << 62) // (p - 1) ** 2
+
+    def subtract(B, idx, mult, row, n):
+        """B[idx] -= mult (x) row, B holding n unreduced updates; returns n + 1."""
+        if n == k:
+            B %= p
+            n = 0
+        if len(idx) == len(B):  # every row: update in place, without a gather
+            B -= mult[:, None] * row
+        else:
+            B[idx] -= mult[:, None] * row
+        return n + 1
+
     pivots = []
-    r = 0
+    r = n = 0
     for c in range(ncols):
         if r >= m:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        col = A[r:, c] % p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
-        pr = r + int(nz[0])
-        A[[r, pr]] = A[[pr, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        A = (A - np.outer(col, A[r])) % p
+        if nz[0]:
+            A[[r, r + nz[0]], c:] = A[[r + nz[0], r], c:]
+            col[[0, nz[0]]] = col[[nz[0], 0]]
+        row = A[r, c:] % p
+        A[r, :c] = 0  # there it holds multiples of p that no update touched
+        A[r, c:] = row = row * pow(int(row[0]), p - 2, p) % p
+        below = col[1:].nonzero()[0]
+        if below.size:
+            n = subtract(A[r + 1:, c + 1:], below, col[1:][below], row[1:], n)
         pivots.append(c)
         r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    U = A[:r, pivots]  # unit upper triangular
+    X = A[:r, free]
+    n = 0
+    for t in range(r - 1, 0, -1):
+        X[t] %= p
+        above = U[:t, t].nonzero()[0]
+        if above.size:
+            n = subtract(X[:t], above, U[above, t], X[t], n)
     out = np.zeros((len(free), ncols), dtype=np.int64)
     out[:, free] = np.eye(len(free), dtype=np.int64)
-    out[:, pivots] = (-A[:len(pivots), free] % p).T
+    out[:, pivots] = (-X % p).T
     return out.tolist()
 
 

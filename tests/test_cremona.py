@@ -1,8 +1,10 @@
 """Map-level pipeline: validation, liaison split, oracles, inverse."""
 
+import hashlib
+
 import pytest
 
-from cremona_lab import linalg
+from cremona_lab import cremona, linalg
 from cremona_lab.cremona import (InverseUnavailable, MapError, analyze_map,
                                  base_locus, bidegree, birationality_certificate,
                                  genus_of_map, inverse, is_birational, is_ruled,
@@ -10,7 +12,7 @@ from cremona_lab.cremona import (InverseUnavailable, MapError, analyze_map,
 from cremona_lab.families import determinantal, special_examples
 from cremona_lab.fields import GF, QQ
 from cremona_lab.ideals import IdealHandle
-from cremona_lab.poly import parse_poly, ring
+from cremona_lab.poly import parse_poly, print_poly, ring
 from cremona_lab.rng import Rng
 
 P = 10007
@@ -169,6 +171,47 @@ def test_inverse_rejects_a_wrong_line_by_point_verification(monkeypatch):
     with pytest.raises(InverseUnavailable,
                        match="^candidate inverse fails point verification$"):
         inverse(psi, 4, Rng(1, "inverse"))
+
+
+@pytest.mark.parametrize("label,dprime,digest", [
+    ("ruled_3_2", 2, "96338ce5a1b4838ae2439f44e60431519ab63b8e607e8fc1e944f7f5b1c0c2c3"),
+    ("E4", 3, "9ea3cfae58afaa0a7fc16b95c9f08729d5f35fc443583c7952c9dc574e14c75c"),
+    ("E8", 4, "28be971faa7aa09ce4731690b7259d3b9c5f210d3ea10cf5b8c8dadcaba33170"),
+    ("E24", 5, "f3d379d435da97441babb8ae5d3cac7b9e169b1be6cc8f89ce8510873829b55b"),
+])
+def test_inverse_is_pinned_for_each_inverse_degree(label, dprime, digest):
+    # sha256 of the printed components, one per line, as `analyze --inverse` prints them
+    from cremona_lab.families import build
+
+    psi, spec = build(label, 1, GF(1000003))
+    assert spec.bidegree == (3, dprime)
+    g = inverse(psi, dprime, Rng(1, "inverse"))
+    text = "\n".join(print_poly(f) for f in g.components)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_inverse_verifies_five_points_when_a_draw_hits_the_base_locus(monkeypatch):
+    # the standard involution's base locus, the six coordinate lines, holds about
+    # 6/p^2 of P^3(GF(p)); over GF(11) one of the five verification draws at
+    # Rng(0) lands there and is drawn again
+    R11 = ring(GF(11), 4)
+    psi = map_of_degree([parse_poly(s, R11)
+                         for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
+    checked = []
+    exact = cremona._parallel
+    monkeypatch.setattr(cremona, "_parallel",
+                        lambda F, a, b: checked.append(b) or exact(F, a, b))
+    g = inverse(psi, 3, Rng(0))
+    assert len(checked) == 5
+    assert all(psi.apply(x) is not None for x in checked)
+    assert [f.monic() for f in g.components] == [f.monic() for f in psi.components]
+
+
+def test_inverse_gives_up_when_no_verification_point_avoids_the_base_locus(monkeypatch):
+    # the graph points are evaluated in numpy, so only verification calls apply
+    monkeypatch.setattr(cremona.RationalMap, "apply", lambda self, point: None)
+    with pytest.raises(InverseUnavailable, match="^could not sample a verification point"):
+        inverse(_e8_big(), 4, Rng(1, "inverse"))
 
 
 def test_inverse_gives_up_when_no_point_avoids_the_base_locus():

@@ -1,8 +1,10 @@
 """Hypothesis property checks on the kernel (deterministic profile)."""
 
 import itertools
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,21 +124,33 @@ def test_an_ideal_and_its_saturation_share_hilbert_data(data):
 
 
 @st.composite
-def gfp_matrices(draw, p=10007):
-    """m x n matrices over GF(p), m, n <= 12, of rank <= r as products of an
-    m x r and an r x n factor, with some rows then zeroed."""
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def gfp_matrices(draw):
+    """(m, n, r, rnd, zero_rows): a shape m, n <= 40, a rank bound r, a seeded
+    Random for the entries and up to 3 rows to zero.  The test builds A over
+    each prime as the product of an m x r and an r x n factor; drawing a seed
+    rather than 1600 entries keeps large shapes within the example buffer."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     r = draw(st.integers(0, min(m, n)))
-    entries = st.integers(0, p - 1)
-    B = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
-    C = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
-    A = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(n)] for i in range(m)]
-    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
-        A[i] = [0] * n
-    return A
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    return m, n, r, rnd, draw(st.lists(st.integers(0, m - 1), max_size=3))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(gfp_matrices())
-def test_nullspace_gfp_matches_the_field_eliminator(A):
-    assert linalg.nullspace_gfp(A, 10007) == linalg.nullspace(GF(10007), A)
+def test_nullspace_gfp_matches_the_field_eliminator(shape):
+    m, n, r, rnd, zero_rows = shape
+    # k = floor(2^62 / (p-1)^2) updates between reductions: 2^62, ~4.6e10, ~4.6e6, 4 and 1
+    for p in (2, 10007, 1000003, 1073741789, 2147483647):
+        B = [[rnd.randrange(p) for _ in range(r)] for _ in range(m)]
+        C = [[rnd.randrange(p) for _ in range(n)] for _ in range(r)]
+        A = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(n)] for i in range(m)]
+        for i in zero_rows:
+            A[i] = [0] * n
+        shifted = np.array(A, dtype=np.int64).reshape(m, n) + p * np.array(
+            [[rnd.randrange(-2**30 // p - 1, 2**30 // p + 1) for _ in range(n)] for _ in range(m)],
+            dtype=np.int64)
+        before = shifted.copy()
+        want = linalg.nullspace(GF(p), A)
+        assert linalg.nullspace_gfp(A, p) == want, p
+        assert linalg.nullspace_gfp(shifted, p) == want, p
+        assert np.array_equal(shifted, before), p  # the caller's array is left alone
