@@ -481,8 +481,10 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980) each of the 5
     independent verification points passes with probability at most
     (3d'+1)/p, all five with at most ((3d'+1)/p)^5: about 1e-24 for d' = 5
-    at p = 1000003.  A verification draw on the base locus is drawn again
-    from its own stream, so all five points are checked.
+    at p = 1000003.  A verification draw x on the base locus of psi, or
+    with psi(x) on the base locus of the candidate (x on a surface psi
+    contracts), is drawn again from its own stream, so all five points are
+    checked; both loci are proper closed subsets.
 
     Raises InverseUnavailable unless the field is GF(p) with p < 2^20, the
     sampled solution space is a line and the candidate passes verification.
@@ -532,13 +534,11 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
         for _ in range(50):
             x = tuple(F.rand(sub) for _ in range(4))
             y = psi.apply(x) if any(x) else None
-            if y is not None:
+            z = g.apply(y) if y is not None else None
+            if z is not None:
                 break
         else:
-            raise InverseUnavailable("could not sample a verification point off the base locus")
-        z = g.apply(y)
-        if z is None:
-            raise InverseUnavailable("candidate inverse vanishes on the image")
+            raise InverseUnavailable("could not sample a verification point off the base loci")
         if not _parallel(F, z, x):
             raise InverseUnavailable("candidate inverse fails point verification")
     return g

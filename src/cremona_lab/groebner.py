@@ -233,7 +233,7 @@ def groebner_basis(
         active[:] = [i for i in active if not mdiv(lh, lead[i])]
         active.append(h)
 
-    for lst in sorted((eng.to_list(g.monic()) for g in gens), key=lambda l: l[0][0]):
+    for lst in sorted((eng.make_monic(eng.to_list(g)) for g in gens), key=lambda l: l[0][0]):
         add_element(lst)
 
     while pending:
@@ -268,19 +268,16 @@ def groebner_basis(
             continue
         keep = [u for u in keep if not mdiv(lm, lead[u])]
         keep.append(t)
-    minimal = [G[t] for t in sorted(keep, key=lambda t: G[t][0][0], reverse=True)]
 
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(minimal)):
-            others = minimal[:idx] + minimal[idx + 1 :]
-            red = eng.make_monic(eng.reduce_full(list(minimal[idx]), others))
-            if red != minimal[idx]:
-                minimal[idx] = red
-                changed = True
-    minimal.sort(key=lambda l: l[0][0], reverse=True)
-    return [eng.from_list(lst) for lst in minimal]
+    # one ascending pass over the minimal basis (`keep` is ascending): a tail
+    # term of an element is below its lead, so only a smaller lead can divide
+    # it, and those elements are reduced already; the leads stay, since no
+    # lead of a minimal basis divides another
+    reduced: list = []
+    for t in keep:
+        reduced.append([G[t][0]] + eng.reduce_full(G[t][1:], reduced))
+    reduced.reverse()
+    return [eng.from_list(lst) for lst in reduced]
 
 
 class Reducer:
@@ -299,7 +296,8 @@ class Reducer:
         if any(g.ring != ring for g in basis):
             raise ValueError("order/ring mismatch")
         self._eng = eng = _Engine(ring, order, budget or DEFAULT_BUDGET)
-        self._G = sorted((eng.to_list(g.monic()) for g in basis if g), key=lambda l: l[0][0])
+        self._G = sorted((eng.make_monic(eng.to_list(g)) for g in basis if g),
+                         key=lambda l: l[0][0])
 
     def __call__(self, f: Polynomial) -> Polynomial:
         eng = self._eng
@@ -354,7 +352,7 @@ def spoly_reduces_to_zero(basis: list, i: int, j: int, order=GREVLEX) -> bool:
     """Check one S-pair of a claimed Groebner basis."""
     ring = basis[0].ring
     eng = _Engine(ring, order, DEFAULT_BUDGET)
-    G = [eng.to_list(g.monic()) for g in basis]
+    G = [eng.make_monic(eng.to_list(g)) for g in basis]
     lcm_m = ring.mlcm(G[i][0][1], G[j][0][1])
     s = eng.spoly(G[i], G[j], lcm_m)
     return not eng.reduce_full(s, G)

@@ -324,6 +324,22 @@ class HudsonVector:
 
 def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
                   budget: Budget | None = None) -> HudsonVector:
+    """Counts, profiles and F-curves of the system at its special points.
+
+    A point of contact whose tangent profile is (0, >= 2, on C2) is not
+    counted: its common tangent plane is forced by C2.  Every member of
+    the system contains the base curve C2, and a surface smooth at p that
+    contains a curve contains the curve's tangent cone at p in its tangent
+    plane.  At such a point C2 has two branches (multiplicity >= 2, as at the
+    node where E4's two plane cubics cross), whose tangent lines span a
+    plane; so every member smooth at p has that plane as its tangent plane.
+    The tangency follows from containing C2 and is no further condition on
+    the system, and Hudson's rows count only such further conditions.  The
+    genuine points of contact (E23, E24) have profile (2, 0, off C2).  The
+    rule reads the multiplicity, not the span of the tangent cone, so a
+    cusp of C2 at a point of contact would be skipped too.  A skipped point
+    is left out of `specials` and `profiles` as well.
+    """
     rng = rng or Rng(analysis.seed, "hudson")
     psi = analysis.psi
     F = psi.ring.field
@@ -343,12 +359,14 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
         pt = classify_point(psi, p, rng.split(f"class-{p}"))
         if pt.tag == "Ordinary":
             continue
+        prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"), budget)
+        if pt.tag == "ContactPoint" and prof[0] == 0 and prof[1] >= 2 and prof[2]:
+            continue  # a tangency forced by C2, see above
         specials.append((p, pt))
         counts[pt.tag] = counts.get(pt.tag, 0) + 1
         if theta is not None and not theta.is_unit(budget):
             if all(g.evaluate(list(p)) == F.zero for g in theta.gens):
                 absorbed += 1
-        prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"), budget)
         profiles.append((p, pt.tag, prof[0], prof[1], prof[2]))
     partial = unresolved > 0
     if ext:

@@ -6,9 +6,9 @@ ideal itself, never of its saturation: an ideal and its saturation by the
 irrelevant ideal share dimension, degree and p_a), and `nf` / `contains`
 (one cached `Reducer`).  `eliminate` is the one reader of elimination
 ideals: the part of the reduced ElimBlock(k) basis free of the first k
-variables, in the smaller ring and attached as its grevlex basis.  Only
-the saturation proof of `sat_irrelevant` reads Hilbert data and normal
-forms off a bare basis.  The constructions used throughout:
+variables, in the smaller ring and attached as its grevlex basis.  Only the
+certificate of `sat_irrelevant` reads Hilbert data off a bare basis.  The
+constructions used throughout:
 
 * intersection   -- t * I + (1-t) * J in a scratch ring, eliminate t;
 * quotient I:g   -- (I meet (g)) / g;
@@ -19,7 +19,8 @@ forms off a bare basis.  The constructions used throughout:
   in J, and Q lies in I:J.  Otherwise the reference route
   `_quotient_by_parts`, the intersection of the single-generator
   quotients.  Both return the reduced grevlex basis of I:J when J has at
-  least two nonzero generators;
+  least two nonzero generators, and the unit ideal when all of them lie
+  in I;
 * saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), with the
   cheaper divide-out-the-last-variable shortcut when g is a variable and I
   is homogeneous;
@@ -31,23 +32,23 @@ forms off a bare basis.  The constructions used throughout:
   saturations (valid because saturation only sees the zero locus of J).
   Where the shortcut applies, both routes return the reduced grevlex basis
   of I:J^oo;
-* saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` first tries to
-  prove I saturated from its grevlex basis (Bayer-Stillman): when no lead is
-  divisible by z_last, or none is after z_last -> z_last + sum c_i z_i
-  (one more basis), a linear form h has I = I : h^oo, which contains I^sat.
-  The c_i come from a fixed stream and only decide whether the proof
-  succeeds.  A proved-saturated I whose zero set lies in no coordinate
-  hyperplane is returned as its reduced basis; finite length gives the
-  unit ideal; everything else takes the reference route
-  `_sat_irrelevant_by_parts` (one saturation per variable, intersected).
-  Every route returns the reference's exact generator tuple, because
-  downstream point extraction depends on the generating set.
+* saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` reads the grevlex
+  basis of I: finite length gives the unit ideal, and when no lead is
+  divisible by z_last, z_last is a non-zerodivisor and I is saturated.
+  Otherwise it moves z_last -> h = z_last + sum c_i z_i (the c_i from a
+  fixed stream), takes one grevlex basis and divides each element by its
+  z_last power (Bayer-Stillman), which gives K = I : h^oo, containing
+  I^sat.  K is accepted when its Hilbert polynomial equals I's: S/I^sat
+  has no finite-length submodule, so any K strictly larger than I^sat has
+  a smaller Hilbert polynomial.  A refused draw is redrawn a bounded
+  number of times, then DegenerateInput is raised.  The result is the
+  reduced grevlex basis of I^sat, whatever the draw.
 
-`saturate` and `sat_irrelevant` share one loop, `_intersect_distinct`,
-which skips unit parts, drops parts whose reduced basis was already seen and
-intersects the rest.  `local_length` strips the component at a point with
-`saturate` by the point's maximal ideal and reads only degrees, so it
-saturates nothing by the irrelevant ideal.
+`saturate` takes the intersection of its distinct parts in one loop,
+`_intersect_distinct`, which skips unit parts, drops parts whose reduced
+basis was already seen and intersects the rest.  `local_length` strips the
+component at a point with `saturate` by the point's maximal ideal and reads
+only degrees, so it saturates nothing by the irrelevant ideal.
 
 Saturated zero-dimensional schemes additionally get point counting
 (`count_points`: degree of a squarefree generic eliminant) and point
@@ -66,7 +67,7 @@ from math import comb
 from . import linalg, univar
 from .fields import GF, GF2, QQ, Field
 from .groebner import DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide, groebner_basis
-from .poly import EXP_MAX, GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
+from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
 
@@ -221,7 +222,8 @@ def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
     chain of parts ends in `intersect`.  The draws, in turn: a fixed
     combination (`_generic_combination`) of J's lowest-degree generators
     that are not in I, then of all of J's generators when that is a
-    different polynomial.  When both are refused, or a BudgetError is
+    different polynomial.  When every generator of J lies in I, I : J is
+    the unit ideal.  When both draws are refused, or a BudgetError is
     raised inside the shortcut, the reference route is taken.
     """
     _same_ring(I, J)
@@ -238,11 +240,11 @@ def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
 
 def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> IdealHandle | None:
     """I : f for the first draw f whose quotient passes the certificate, as
-    its reduced grevlex basis; None when no generator is outside I or every
-    draw is refused."""
+    its reduced grevlex basis; the unit ideal when no generator is outside
+    I; None when every draw is refused."""
     outside = [g for g in gens if I.nf(g, budget)]
     if not outside:
-        return None
+        return unit_ideal(I.ring)
     low = min(g.total_degree() for g in outside)
     first = _generic_combination([g for g in outside if g.total_degree() == low])
     every = _generic_combination(gens)
@@ -318,18 +320,8 @@ def _saturate_variable(I: IdealHandle, i: int, budget: Budget | None = None) -> 
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
     # z_{n-1} is already cheapest: the permutation is the identity
     moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
-    gb = moved.groebner(GREVLEX, budget)
-    out = []
-    step = 1 << (8 * (n - 1))
-    dstep = 1 << R.deg_shift
-    divided = False
-    for g in gb:
-        e = min(R.mexp(m, n - 1) for m, _ in g.terms)
-        if e:
-            divided = True
-            g = Polynomial(R, tuple((m - e * step - e * dstep, c) for m, c in g.terms))
-        out.append(g.map_vars(R, perm))
-    part = IdealHandle(out, R)
+    out, divided = _divide_last_power(moved.groebner(GREVLEX, budget), R)
+    part = IdealHandle([g.map_vars(R, perm) for g in out], R)
     known = I._gb.get(GREVLEX)
     if not divided and known is not None:
         # no lead divisible by z_i: z_i is a non-zerodivisor mod I, the part is I
@@ -435,17 +427,29 @@ def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
     return acc
 
 
-def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """Saturation with respect to (z_0, ..., z_{n-1}).
+# the draws of the moved variable before sat_irrelevant gives up
+_SAT_DRAWS = 4
 
-    Returns exactly the generators `_sat_irrelevant_by_parts` returns; the
-    shortcuts only skip work.  A finite-length I gives the unit ideal.  A
-    proved-saturated I whose zero set lies in no coordinate hyperplane gives
-    its reduced grevlex basis, as the reference does: no part I : z_i^oo is
-    then the unit ideal, so either all parts equal I or at least two
-    distinct ones are intersected, and `intersect` eliminates down to the
-    reduced grevlex basis of I.  A lead z_last^a means z_last^a is in I, so
-    the zero set lies in z_last = 0 and the reference route is taken.
+
+def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+    """Saturation with respect to (z_0, ..., z_{n-1}), as its reduced grevlex
+    basis, flagged as saturated.
+
+    A finite-length I gives the unit ideal, and I itself is returned when no
+    lead of its grevlex basis is divisible by z_last (then z_last is a
+    non-zerodivisor mod I, so I = I : z_last^oo, which contains I^sat).
+    Otherwise I is moved by z_last -> z_last + sum c_i z_i, the c_i drawn
+    from the fixed stream "sat-irrelevant-certificate", and each element of
+    one grevlex basis of the moved ideal is divided by its z_last power
+    (Bayer-Stillman).  That is a Groebner basis of the moved ideal's
+    saturation by z_last, which moved back is K = I : h^oo for a nonzero
+    linear form h, so K contains I^sat.  K is accepted when its Hilbert
+    polynomial equals that of I (and so of I^sat); then the reduced grevlex
+    basis of K moved back is returned.  The check is exact: S/I^sat has no
+    finite-length submodule, so a nonzero K/I^sat has a nonzero Hilbert
+    polynomial and K would have a smaller one.  A refused draw is followed
+    by another from the same stream; after `_SAT_DRAWS` draws are refused,
+    DegenerateInput is raised.  A BudgetError is not caught.
     """
     R = I.ring
     if not I.gens:
@@ -453,92 +457,64 @@ def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
     if any(not g.is_homogeneous() for g in I.gens):
         raise ValueError("variable saturation requires homogeneous input")
     gb0 = I.groebner(GREVLEX, budget)
-    h = hilbert_from_basis(gb0, R)
-    if h.dimension == -1:
+    h0 = I.hilbert(budget)
+    if h0.dimension == -1:
         return IdealHandle([R.one], R, saturated=True)
-    pure = _pure_power_leads(gb0, R)
-    if (R.nvars - 1 not in pure and _proved_saturated(gb0, R, budget)
-            and _off_coordinate_hyperplanes(gb0, h, pure, budget)):
-        return IdealHandle(list(gb0), R, saturated=True).with_basis(GREVLEX, gb0)
-    return _sat_irrelevant_by_parts(I, budget)
-
-
-def _sat_irrelevant_by_parts(I: IdealHandle, budget: Budget | None) -> IdealHandle:
-    """The reference route: saturate by each variable and intersect the
-    distinct parts."""
-    R = I.ring
-    gb0 = I.groebner(GREVLEX, budget)
-    parts = [_saturate_variable(I, i, budget) for i in range(R.nvars)]
-    if all(tuple(S.groebner(GREVLEX, budget)) == tuple(gb0) for S in parts):
-        out = IdealHandle(list(gb0), R, saturated=True)
-        return out.with_basis(GREVLEX, gb0)
-    acc = _intersect_distinct(parts, budget)
-    if acc is None:
-        return IdealHandle([R.one], R, saturated=True)
-    return acc.as_saturated()
-
-
-def _pure_power_leads(gb: tuple, R: Ring) -> set:
-    """Indices i such that some lead of `gb` is a power of z_i.  Every z_i
-    in the radical of the ideal is among them: z_i^k in I puts z_i^k in the
-    lead ideal, whose minimal generators are the leads of a reduced basis."""
-    out = set()
-    for g in gb:
-        m = g.lead()[0]
-        support = _support(m, R)
-        if len(support) == 1:
-            out.add(support[0])
-    return out
-
-
-def _proved_saturated(gb0: tuple, R: Ring, budget: Budget | None) -> bool:
-    """True when the reduced grevlex basis `gb0` of a homogeneous I proves
-    I saturated (Bayer-Stillman).  If no lead is divisible by the last
-    variable, z_last is a non-zerodivisor mod I, so I = I : z_last^oo, which
-    contains I^sat.  Otherwise the same test runs once after
-    z_last -> z_last + sum c_i z_i, for a linear form h in place of z_last.
-    The c_i come from a fixed stream; they only decide whether the proof
-    succeeds, never what is returned.  False means "not proved"."""
     n = R.nvars
     if not any(R.mexp(g.lead()[0], n - 1) for g in gb0):
-        return True
+        return _saturated_basis(gb0, R)
     F = R.field
-    coeffs = _small_coefficients(F, Rng(0, "sat-irrelevant-certificate"), n - 1)
-    M = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
-    M.append(coeffs + [F.one])
-    moved = [g.substitute_linear(M, check_invertible=False) for g in gb0]
-    try:
-        gb = groebner_basis(moved, GREVLEX, budget)
-    except BudgetError:
-        return False
-    return not any(R.mexp(g.lead()[0], n - 1) for g in gb)
+    rng = Rng(0, "sat-irrelevant-certificate")
+    for _ in range(_SAT_DRAWS):
+        coeffs = _small_coefficients(F, rng, n - 1)
+        move = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
+        back = [row[:] for row in move]
+        move.append(coeffs + [F.one])
+        back.append([F.neg(c) for c in coeffs] + [F.one])
+        K, divided = _divide_last_power(
+            groebner_basis([g.substitute_linear(move, check_invertible=False) for g in gb0],
+                           GREVLEX, budget), R)
+        if not divided:  # K is the moved I: I is saturated
+            return _saturated_basis(gb0, R)
+        hK = hilbert_from_basis(K, R)
+        if _same_hilbert_polynomial(hK, h0):
+            gb = groebner_basis([g.substitute_linear(back, check_invertible=False) for g in K],
+                                GREVLEX, budget)
+            return _saturated_basis(gb, R)
+    raise DegenerateInput("sat_irrelevant: the Hilbert polynomial certificate refused "
+                          f"{_SAT_DRAWS} draws of the moved variable")
 
 
-def _off_coordinate_hyperplanes(gb0: tuple, h: HilbertData, pure: set,
-                                budget: Budget | None) -> bool:
-    """True when no z_i lies in the radical of the saturated ideal with
-    reduced grevlex basis `gb0` and Hilbert data `h`, i.e. V(I) lies in no
-    coordinate hyperplane.  Only the indices in `pure` can fail.  For a
-    finite scheme of degree d each local ring has length <= d, so z_i is in
-    the radical iff z_i^d is in I.  Otherwise it suffices that adding the
-    product of those variables drops the dimension: then no top-dimensional
-    component lies in their hyperplanes.  False means "not proved"."""
-    if not pure:
-        return True
-    R = gb0[0].ring
-    if h.dimension == 0:
-        if h.degree > EXP_MAX:
-            return False
-        powers = (R.pack([h.degree if j == i else 0 for j in range(R.nvars)])
-                  for i in pure)
-        nf = Reducer(gb0)
-        return all(nf(R.poly({m: R.field.one})) for m in powers)
-    prod = R.pack([1 if i in pure else 0 for i in range(R.nvars)])
-    try:
-        cut = groebner_basis(list(gb0) + [R.poly({prod: R.field.one})], GREVLEX, budget)
-    except BudgetError:
-        return False
-    return hilbert_from_basis(cut, R).dimension < h.dimension
+def _saturated_basis(gb, R: Ring) -> IdealHandle:
+    """The saturated ideal with reduced grevlex basis `gb`, as generators
+    and as its cached basis."""
+    return IdealHandle(list(gb), R, saturated=True).with_basis(GREVLEX, gb)
+
+
+def _same_hilbert_polynomial(a: HilbertData, b: HilbertData) -> bool:
+    """Equal Hilbert polynomials: the same dimension d, and equal values at
+    d + 1 degrees past both numerators, where `hp` is the polynomial."""
+    start = max(len(a.hilbert_numerator), len(b.hilbert_numerator))
+    return a.dimension == b.dimension and all(
+        a.hp(k) == b.hp(k) for k in range(start, start + a.dimension + 1))
+
+
+def _divide_last_power(gb, R: Ring) -> tuple:
+    """Each element of a grevlex basis divided by its power of z_last, and
+    whether any was divisible.  For a homogeneous ideal that is a Groebner
+    basis of I : z_last^oo (Bayer-Stillman): in grevlex z_last divides a
+    homogeneous form exactly when it divides its lead."""
+    n = R.nvars
+    step = (1 << (8 * (n - 1))) + (1 << R.deg_shift)
+    out = []
+    divided = False
+    for g in gb:
+        e = min(R.mexp(m, n - 1) for m, _ in g.terms)
+        if e:
+            divided = True
+            g = Polynomial(R, tuple((m - e * step, c) for m, c in g.terms))
+        out.append(g)
+    return out, divided
 
 
 def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHandle:

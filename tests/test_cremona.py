@@ -207,6 +207,29 @@ def test_inverse_verifies_five_points_when_a_draw_hits_the_base_locus(monkeypatc
     assert [f.monic() for f in g.components] == [f.monic() for f in psi.components]
 
 
+def test_inverse_redraws_a_verification_point_on_a_contracted_surface(monkeypatch):
+    # the standard involution contracts each coordinate plane z_i = 0 to a
+    # point on its own base locus; over GF(11) at Rng(2) a verification draw x
+    # lies on such a plane, so psi(x) is a base point of the inverse and x is
+    # drawn again
+    R11 = ring(GF(11), 4)
+    psi = map_of_degree([parse_poly(s, R11)
+                         for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
+    images = []
+    real_apply = cremona.RationalMap.apply
+
+    def recorded(self, point):
+        out = real_apply(self, point)
+        if self.label == "inverse":
+            images.append(out)
+        return out
+
+    monkeypatch.setattr(cremona.RationalMap, "apply", recorded)
+    g = inverse(psi, 3, Rng(2))
+    assert None in images and len([z for z in images if z is not None]) == 5
+    assert [f.monic() for f in g.components] == [f.monic() for f in psi.components]
+
+
 def test_inverse_gives_up_when_no_verification_point_avoids_the_base_locus(monkeypatch):
     # the graph points are evaluated in numpy, so only verification calls apply
     monkeypatch.setattr(cremona.RationalMap, "apply", lambda self, point: None)

@@ -144,13 +144,10 @@ def test_order_keys_are_affine_in_the_exponents(n):
             assert key(a + b) == key(a) + key(b) - one, order
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "groebner_basis normalises its inputs with Polynomial.monic(), which uses the grevlex "
-    "lead, while _merge_sub_gf assumes lists monic in the engine's order: for an order "
-    "whose lead differs from the grevlex lead the basis is wrong"))
 def test_elimination_basis_when_the_grevlex_lead_is_not_the_order_lead():
     # x = -y^2/2 and x*y = 1 give y^3 = -2; under ElimBlock(1) the lead of
-    # 2*x + y^2 is x, under grevlex it is y^2
+    # 2*x + y^2 is x, under grevlex it is y^2, and the inputs are made monic
+    # with the order's lead
     R2 = ring(GF(101), 2, ("x", "y"))
     gb = groebner_basis([parse_poly("2*x + y^2", R2), parse_poly("x*y - 1", R2)], ElimBlock(1))
     assert parse_poly("y^3 + 2", R2) in gb

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from cremona_lab import linalg
+from cremona_lab import cli, hudson, linalg
 from cremona_lab.cremona import analyze_map, map_of_degree
 from cremona_lab.families import build, dejonquieres, determinantal
 from cremona_lab.fields import GF, GF2
@@ -168,3 +168,25 @@ def test_c2_singular_points_match_families():
     an = analyze_map(psi, seed=9, trials=0, with_certificate=False)
     sing = curve_singular_points(an.c2, Rng(10))
     assert sing == [((F.zero, F.zero, F.zero, F.one), 3)]
+
+
+@pytest.mark.parametrize("seed", [6, 25])
+def test_a_contact_point_forced_by_a_node_of_c2_is_not_counted(monkeypatch, seed):
+    """E4's special locus holds a point of contact where C2 has a node and
+    C1 does not pass (profile (0, 2, on C2)); Hudson's row 4 does not count
+    it, so E4 keeps one double point of contact and its table row."""
+    seen = []
+    real_classify, real_profile = hudson.classify_point, hudson.tangent_profile
+    monkeypatch.setattr(hudson, "classify_point",
+                        lambda *a: seen.append(real_classify(*a)) or seen[-1])
+    monkeypatch.setattr(hudson, "tangent_profile",
+                        lambda *a: seen.append(real_profile(*a)) or seen[-1])
+    psi, _ = build("E4", seed, GF(1000003))
+    rep = cli.analysis_report(psi, seed)
+    assert rep["hudson_counts"] == [1, 0, 0, 0, 0, 0]
+    assert rep["table_rows"] == [4]
+    assert rep["hudson_partial"] is False
+    # a profile is computed right after the classification of its point
+    forced = [prof for pt, prof in zip(seen, seen[1:])
+              if getattr(pt, "tag", None) == "ContactPoint" and isinstance(prof, tuple)]
+    assert forced == [(0, 2, True)]

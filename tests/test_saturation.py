@@ -1,6 +1,7 @@
-"""sat_irrelevant, saturate and quotient: every shortcut returns exactly
-the generators of the reference route (saturate by each variable or by
-each generator, or divide by each generator, and intersect the parts),
+"""sat_irrelevant, saturate and quotient against their reference routes
+(saturate by each variable or by each generator, or divide by each
+generator, and intersect the parts): sat_irrelevant gives the reference's
+reduced grevlex basis, saturate and quotient its exact generators.  Each
 costs the pinned number of Groebner bases, and the caller's budget reaches
 every Groebner call of an analysis."""
 
@@ -12,10 +13,10 @@ from cremona_lab import cli, cremona, families, groebner, hudson, ideals
 from cremona_lab.cremona import analyze_map, map_of_degree, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
-from cremona_lab.ideals import (IdealHandle, _certified, _certified_quotient,
-                                _quotient_by_parts, _sat_irrelevant_by_parts,
-                                _saturate_by_parts, ideal_product, intersect, quotient,
-                                sat_irrelevant, saturate, saturate_by_poly)
+from cremona_lab.ideals import (DegenerateInput, IdealHandle, _certified, _certified_quotient,
+                                _quotient_by_parts, _saturate_by_parts, ideal_product,
+                                intersect, quotient, sat_irrelevant, saturate,
+                                saturate_by_poly)
 from cremona_lab.poly import _ring_cache, parse_poly, ring
 from cremona_lab.rng import Rng, random_prime
 
@@ -66,15 +67,33 @@ def _inputs(F):
     }
 
 
+def _sat_irrelevant_by_parts(I, budget):
+    """The reference: saturate by each variable and intersect the distinct
+    parts."""
+    R = I.ring
+    gb0 = I.groebner(groebner.GREVLEX, budget)
+    parts = [ideals._saturate_variable(I, i, budget) for i in range(R.nvars)]
+    if all(S.groebner(groebner.GREVLEX, budget) == gb0 for S in parts):
+        return IdealHandle(list(gb0), R, saturated=True)
+    acc = ideals._intersect_distinct(parts, budget)
+    if acc is None:
+        return IdealHandle([R.one], R, saturated=True)
+    return acc.as_saturated()
+
+
 def _same(got, want):
-    assert got.gens == want.gens
+    """The same saturation: both flagged, equal reduced grevlex bases (the
+    generators may differ), and any cached basis is the basis of got's
+    generators."""
     assert got.saturated and want.saturated
     assert got.groebner() == want.groebner()
+    _cached_basis_is_exact(got)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=["gf", "q"])
 @pytest.mark.parametrize("name", list(_inputs(GF(10007))))
 def test_sat_irrelevant_returns_the_reference_generators(F, name):
+    """The reference's saturation, as a reduced grevlex basis."""
     I = _inputs(F)[name]
     want = _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring), None)
     _same(sat_irrelevant(I), want)
@@ -106,15 +125,52 @@ def _count_bases(monkeypatch):
 
 @pytest.mark.parametrize("name,bases", [
     ("finite length", 1),            # the basis itself shows finite length
-    ("coordinate point", 7),         # reference route: basis, 3 moved, 3 parts (z0's is I)
-    ("saturated curve", 2),          # z3 a non-zerodivisor; + the coordinate-hyperplane test
+    ("coordinate point", 2),         # + the moved basis, where no element is divided
+    ("saturated curve", 1),          # z3 a non-zerodivisor
     ("two points, one on z3 = 0", 2),  # + the basis after z3 -> z3 + sum c_i z_i
+    ("curve times (z0..z3)", 3),     # + the moved basis, divided, + the basis moved back
 ])
 def test_groebner_calls_per_branch(monkeypatch, name, bases):
     I = _inputs(GF(10007))[name]
     calls = _count_bases(monkeypatch)
     sat_irrelevant(I)
     assert len(calls) == bases
+
+
+def _zero_draws(monkeypatch, refused):
+    """Make the first `refused` draws of the moved variable zero, so that
+    h = z_last; later draws come from the stream as before.  Returns the
+    list of draws made."""
+    real = ideals._small_coefficients
+    draws = []
+
+    def drawn(F, rng, k):
+        out = real(F, rng, k)
+        draws.append(out)
+        return [F.zero] * k if len(draws) <= refused else out
+
+    monkeypatch.setattr(ideals, "_small_coefficients", drawn)
+    return draws
+
+
+def test_a_refused_certificate_draws_again(monkeypatch):
+    """With h = z_last, I : h^oo drops the point of I on z3 = 0 and its
+    Hilbert polynomial is 1, not 2: the draw is refused and the next one
+    gives the saturation."""
+    I = _inputs(GF(10007))["two points, one on z3 = 0"]
+    draws = _zero_draws(monkeypatch, 1)
+    got = sat_irrelevant(I)
+    assert len(draws) == 2
+    monkeypatch.undo()
+    _same(got, _sat_irrelevant_by_parts(_fresh(I), None))
+
+
+def test_every_draw_refused_raises_degenerate_input(monkeypatch):
+    I = _inputs(GF(10007))["two points, one on z3 = 0"]
+    draws = _zero_draws(monkeypatch, ideals._SAT_DRAWS)
+    with pytest.raises(DegenerateInput, match="^sat_irrelevant: "):
+        sat_irrelevant(I)
+    assert len(draws) == ideals._SAT_DRAWS
 
 
 def test_saturated_points_off_the_coordinate_hyperplanes_cost_one_basis(monkeypatch):
@@ -288,6 +344,18 @@ def test_the_certificate_rejects_a_quotient_by_one_generator(monkeypatch):
     assert _certified_quotient(I, list(J.gens), None) is None
     got = quotient(I, J)
     assert got.gens == _quotient_by_parts(I, J, None).gens == I.gens
+
+
+def test_a_quotient_by_an_ideal_inside_i_is_the_unit_ideal(monkeypatch):
+    """Every generator of J lies in I: the unit ideal, with no elimination."""
+    R = ring(GF(10007), 4)
+    I, J = _ideal(R, ("z0*z1", "z2")), _ideal(R, ("z0*z1*z3", "z2*z3"))
+    I.groebner()
+    calls = _count_bases(monkeypatch)
+    got = quotient(I, J)
+    assert got.gens == (R.one,) and not calls
+    monkeypatch.undo()
+    assert got.gens == _quotient_by_parts(I, J, None).gens
 
 
 def test_the_split_quotient_costs_two_bases(monkeypatch):
