@@ -23,6 +23,7 @@ from .hudson import (HudsonVector, PointType, classify_component,
                      classify_point, curve_singular_points, hudson_vector,
                      load_table, match_table, tangent_profile)
 from .families import build, deform, special_examples
+from .univar import irreducible_quadratics, roots_gf
 from .rng import Rng
 
 __version__ = "0.1.0"

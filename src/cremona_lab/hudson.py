@@ -267,6 +267,8 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     Returns (rational points, extension points, unresolved count), the
     last being the points of the special locus that `count_points` counts
     but `extract_points` does not find (defined over a larger field).
+    DegenerateInput is raised when Theta's extracted points outnumber
+    `theta_count`.
     """
     psi = analysis.psi
     spec = special_locus(psi, analysis.base_ideal, budget)
@@ -281,6 +283,9 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
         unresolved = max(0, total - len(pts) - len(ext))
     if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
         got, got_ext = extract_points(analysis.theta_ideal, rng.split("theta"), budget)
+        if len(got) + len(got_ext) > analysis.theta_count:
+            raise DegenerateInput(f"candidate_points: {len(got) + len(got_ext)} points "
+                                  f"extracted from Theta, {analysis.theta_count} counted")
         for q in got:
             if q not in pts:
                 pts.append(q)
@@ -472,7 +477,10 @@ def load_table(verify: bool = False) -> list:
 def match_table(v: HudsonVector) -> list:
     """Rows compatible with the observed bidegree and counts; the F-curve
     line/omega structure disambiguates when it was computable.  An empty
-    list is legal (the classification itself flags two missing rows)."""
+    list is legal (the classification itself flags two missing rows), and
+    is the answer for a partial vector, whose counts miss points."""
+    if v.partial:
+        return []
     rows = load_table()
     if v.ruled:
         dbl = [r for r in rows if r.bidegree == v.bidegree and r.fcurves.startswith("l^2")]

@@ -46,18 +46,44 @@ constructions used throughout:
 
 `saturate` takes the intersection of its distinct parts in one loop,
 `_intersect_distinct`, which skips unit parts, drops parts whose reduced
-basis was already seen and intersects the rest.  `local_length` strips the
-component at a point with `saturate` by the point's maximal ideal and reads
-only degrees, so it saturates nothing by the irrelevant ideal.
+basis was already seen and intersects the rest.
 
-Saturated zero-dimensional schemes additionally get point counting
-(`count_points`: degree of a squarefree generic eliminant) and point
-extraction (`extract_points`: the points over GF(p) and GF(p^2), with no
-count behind them; a caller that needs to know what was missed compares
-with `count_points`).  `candidate_lines` is the one search for lines on a
-curve: cut with two generic planes, extract the points of each section and
-yield the line through each pair (`line_forms`).  Linear forms are built
-with `Ring.linear_form`.
+Zero-dimensional schemes are read off one algebra, `IdealHandle.algebra`:
+the matrices M_j of multiplication by z_j / h on k[x]/I in a chart h = 1,
+built from the cached grevlex basis with no further Groebner basis.  Two
+exact checks pick the chart:
+
+* z_last = 1.  Setting z_last = 1 in the grevlex basis keeps each lead but
+  for its z_last power (Bayer-Stillman), so the standard monomials are a
+  basis of the chart algebra, for an unsaturated I too.  The chart holds
+  every point exactly when their number equals the degree of I.  An
+  unsaturated I keeps this chart even when it misses points: `local_length`
+  needs only the chart of its point;
+* otherwise, for a saturated I, a generic h = sum h_i z_i.  For d with
+  HF(d) = deg I, let X_j : (S/I)_d -> (S/I)_{d+1} be multiplication by z_j.
+  H = sum h_i X_i is invertible exactly when h vanishes at no point, and
+  then M_j = X_j H^-1.
+
+By Stickelberger's theorem chi_l = det(t - M_l) = prod (t - l(q)/h(q))^len(q)
+over the points q, for a linear form l drawn from a fixed stream.  The
+separation certificate: the kernel W of M_l - lam is invariant under every
+M_j, and it lies at one point exactly when each M_j restricted to W is a
+scalar plus a nilpotent map (the scalar is its trace over dim W; the degree
+is kept below the characteristic).  `extract_points` reads the GF(p) points
+off the roots of chi_l in GF(p) and the GF(p^2) points off its irreducible
+quadratic factors, so no rational point is found twice; each point is
+checked on the generators.  `local_length` is the multiplicity of the root
+l(p)/h(p) once its kernel lies at p.  A draw that fails the certificate is
+redrawn a bounded number of times, then DegenerateInput names the stage.
+`count_points` needs no draw: it is the rank of the trace form
+(f, g) -> Tr(M_fg), exact because every length is below the
+characteristic.  Extraction does no counting; a caller that needs to know
+what was missed compares with `count_points`.
+
+`candidate_lines` is the one search for lines on a curve: cut with two
+generic planes, extract the points of each section and yield the line
+through each pair (`line_forms`).  Linear forms are built with
+`Ring.linear_form`.
 """
 
 from __future__ import annotations
@@ -65,7 +91,7 @@ from __future__ import annotations
 from math import comb
 
 from . import linalg, univar
-from .fields import GF, GF2, QQ, Field
+from .fields import GF, GF2, Field
 from .groebner import DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide, groebner_basis
 from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
@@ -77,10 +103,11 @@ class DegenerateInput(RuntimeError):
 
 class IdealHandle:
     """A homogeneous ideal with cached Groebner bases, and the facts read
-    off its grevlex basis: Hilbert data (`hilbert`) and normal forms (`nf`,
-    `contains`)."""
+    off its grevlex basis: Hilbert data (`hilbert`), normal forms (`nf`,
+    `contains`) and, for a 0-dimensional ideal, the multiplication matrices
+    of its algebra (`algebra`)."""
 
-    __slots__ = ("ring", "gens", "saturated", "_gb", "_hilbert", "_reducer")
+    __slots__ = ("ring", "gens", "saturated", "_gb", "_hilbert", "_reducer", "_algebra")
 
     def __init__(self, gens, ring_: Ring | None = None, saturated: bool = False):
         gens = [g for g in gens if g]
@@ -97,6 +124,7 @@ class IdealHandle:
         self._gb: dict = {}
         self._hilbert = None
         self._reducer = None
+        self._algebra = None
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
@@ -146,6 +174,13 @@ class IdealHandle:
         if self._hilbert is None:
             self._hilbert = hilbert_from_basis(self.groebner(GREVLEX, budget), self.ring)
         return self._hilbert
+
+    def algebra(self, budget: Budget | None = None) -> "_Algebra":
+        """The multiplication matrices of k[x]/I for a 0-dimensional I,
+        built once off the grevlex basis (`_build_algebra`)."""
+        if self._algebra is None:
+            self._algebra = _build_algebra(self, budget)
+        return self._algebra
 
     def substituted(self, M) -> "IdealHandle":
         return IdealHandle([g.substitute_linear(M) for g in self.gens], self.ring,
@@ -750,20 +785,43 @@ def point_frame(R: Ring, p) -> list:
 
 def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     """Length of the component at the point p of the 0-dimensional scheme
-    defined by I: the degree of I minus that of I : m_p^oo (the component
-    at p stripped by `saturate` with p's maximal ideal m_p).  Only these
-    degrees are read, and saturating by the irrelevant ideal changes
-    neither, so I is not saturated."""
+    defined by I, read off I's algebra (`IdealHandle.algebra`): for a draw
+    l, the multiplicity of the root lam = l(p)/h(p) of chi_l, accepted when
+    the kernel of M_l - lam lies at the one point p (`_point_of`).  Then
+    no other point shares the value lam, so the multiplicity is p's length;
+    a kernel at one other point shows that p is off the scheme, and lam no
+    root at all gives 0 too.  A kernel at two points is a refused draw;
+    after `_DRAWS` refused draws DegenerateInput is raised.
+
+    I is not saturated: the chart z_last = 1 of I and of its saturation is
+    the same algebra.  When that chart misses a point of the scheme and p
+    lies on z_last = 0, p is first moved to e_last by `point_frame`.  On a
+    complete algebra h vanishes at no point of the scheme, so h(p) = 0
+    gives length 0."""
     R = I.ring
     h = I.hilbert(budget)
     if h.dimension > 0:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
         return 0
-    J = I.substituted(point_frame(R, p))
-    m_p = IdealHandle([R.var(i) for i in range(R.nvars - 1)], R)  # p is e_last in J's frame
-    rest = saturate(J, m_p, budget).hilbert(budget)
-    return h.degree - (rest.degree if rest.dimension == 0 else 0)
+    F = R.field
+    alg = I.algebra(budget)
+    if not alg.complete and p[-1] == F.zero:
+        e_last = (F.zero,) * (R.nvars - 1) + (F.one,)
+        return local_length(I.substituted(point_frame(R, p)), e_last, budget)
+    hp = linalg.dot(F, alg.h, p)
+    if hp == F.zero:
+        return 0
+    for k in range(_DRAWS):
+        ell, M, chi = alg.draw(k)
+        lam = F.div(linalg.dot(F, ell, p), hp)
+        mult = _root_multiplicity(chi, lam, F)
+        if not mult:
+            return 0
+        q = _point_of(alg.mats, M, lam, F)
+        if q is not None:
+            return mult if q == _normalize_point(p, F) else 0
+    raise DegenerateInput(f"local_length: {_DRAWS} draws of l did not separate the point")
 
 
 def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -> int:
@@ -778,9 +836,7 @@ def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -
         coeffs = None
         while coeffs is None:
             cand = [F.rand(sub) for _ in range(R.nvars)]
-            s = F.zero
-            for c, x in zip(cand, p):
-                s = F.add(s, F.mul(c, x))
+            s = linalg.dot(F, cand, p)
             i0 = next((i for i, x in enumerate(p) if x != F.zero), None)
             # adjust to vanish at p
             corr = F.div(s, p[i0])
@@ -800,226 +856,325 @@ def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -
 
 # ----------------------------------------- 0-dimensional scheme analysis
 
+# the draws of the generic form l (and of the chart form h) before the point
+# work gives up; over GF(11) a draw separates four points about half the time
+_DRAWS = 8
 
-def count_points(I: IdealHandle, rng: Rng, budget: Budget | None = None) -> int:
-    """Number of distinct points of a 0-dim scheme over the closure:
-    degree of the squarefree part of a generic binary eliminant (max of 3
-    draws, collisions only undercount)."""
-    R = I.ring
-    Isat = I if I.saturated else sat_irrelevant(I, budget)
-    if Isat.is_unit(budget):
-        return 0
-    best = 0
-    for k in range(3):
-        sub = rng.split(f"count-{k}")
-        B = _binary_eliminant(Isat, sub, budget)
-        if B is None:
+
+class _Algebra:
+    """k[x]/I of a 0-dimensional scheme in the chart h = 1: the matrices
+    `mats`[j] of multiplication by z_j / h on a basis of the algebra, row b
+    of each holding the coordinates of (z_j / h) * b.  The basis element b
+    is the function prod_j (z_j / h)^e_j for the exponents e in `basis`.
+    `h` holds the coefficients of the linear form h; `complete` says that
+    the chart holds every point of the scheme.
+
+    `draw(k)` is the k-th generic form l of the fixed stream
+    "zero-dim-ell-k", with M_l = sum_j l_j M_j and chi_l = det(t - M_l),
+    cached.  By Stickelberger's theorem chi_l = prod (t - l(q)/h(q))^len(q)
+    over the points q of the chart, and the evaluation vectors (b(q))_b of
+    the points span the kernels of M_l - l(q)/h(q)."""
+
+    __slots__ = ("field", "basis", "h", "mats", "complete", "_draws")
+
+    def __init__(self, field: Field, basis: list, h: list, mats: list, complete: bool):
+        self.field = field
+        self.basis = basis
+        self.h = h
+        self.mats = mats
+        self.complete = complete
+        self._draws: dict = {}
+
+    def draw(self, k: int) -> tuple:
+        """(coefficients of l, M_l, chi_l) for the k-th draw."""
+        got = self._draws.get(k)
+        if got is None:
+            F = self.field
+            ell = _ell_coefficients(F, len(self.mats), k)
+            M = _combine(F, ell, self.mats)
+            got = self._draws[k] = (ell, M, linalg.charpoly(F, M))
+        return got
+
+    def basis_matrices(self) -> list:
+        """The matrix of multiplication by each basis element: the product
+        of the M_j over its exponents."""
+        F = self.field
+        n = len(self.mats)
+        D = len(self.mats[0])
+        memo = {(0,) * n: [[F.one if r == c else F.zero for c in range(D)] for r in range(D)]}
+
+        def of(e):
+            got = memo.get(e)
+            if got is None:
+                j = next(i for i, x in enumerate(e) if x)
+                got = memo[e] = linalg.mat_mul(
+                    F, self.mats[j], of(e[:j] + (e[j] - 1,) + e[j + 1:]))
+            return got
+
+        return [of(e) for e in self.basis]
+
+
+def _ell_coefficients(F: Field, n: int, k: int) -> list:
+    """The coefficients of the k-th generic form l of the point work."""
+    return _small_coefficients(F, Rng(0, f"zero-dim-ell-{k}"), n)
+
+
+def _combine(F: Field, coeffs: list, mats: list) -> list:
+    """sum_j coeffs[j] * mats[j]."""
+    D = len(mats[0])
+    out = [[F.zero] * D for _ in range(D)]
+    for c, M in zip(coeffs, mats):
+        if c == F.zero:
             continue
-        sq = _binary_squarefree(B, R.field)
-        best = max(best, sq)
-    if best == 0:
-        raise DegenerateInput("eliminant computation failed")
-    return best
-
-
-def _binary_eliminant(I: IdealHandle, rng: Rng, budget) -> list | None:
-    """Image of V(I) under a random P^3 -> P^1; returns a binary form as
-    coefficient list in (s, t): [c_0 s^d, ..., c_d t^d] -> list of c_i."""
-    R = I.ring
-    F = R.field
-    n = R.nvars
-    S = ring(F, n + 2, R.names + ("s@", "t@"))
-    lift = list(range(n))
-    gens = [g.map_vars(S, lift) for g in I.gens]
-    lin_u = S.linear_form([F.rand(rng) for _ in range(n)])
-    lin_v = S.linear_form([F.rand(rng) for _ in range(n)])
-    gens.append(S.var(n) - lin_u)
-    gens.append(S.var(n + 1) - lin_v)
-    # eliminate the original variables: they form the FIRST block
-    E = eliminate(IdealHandle(gens, S), n, budget)
-    if not E.gens:
-        return None
-    # collect as binary forms, take gcd
-    forms = []
-    for g in E.gens:
-        d = g.total_degree()
-        coeffs = [F.zero] * (d + 1)
-        ok = True
-        for m, c in g.terms:
-            es, et = E.ring.mexp(m, 0), E.ring.mexp(m, 1)
-            if es + et != d:
-                ok = False
-                break
-            coeffs[et] = c
-        if ok:
-            forms.append(coeffs)
-    if not forms:
-        return None
-    acc = forms[0]
-    for f2 in forms[1:]:
-        acc = _binary_gcd(acc, f2, F)
-    return acc
-
-
-def _split_binary(B: list, F: Field):
-    """B as (s_power, t_power, dehomogenized univariate in t/s ...).
-
-    Representation: B[i] is the coefficient of s^(d-i) t^i.  Dehomogenize by
-    s=1: univariate in t with coefficient list B (low degree first after
-    stripping t-powers)."""
-    lo = 0
-    while lo < len(B) and B[lo] == F.zero:
-        lo += 1
-    hi = len(B) - 1
-    while hi >= lo and B[hi] == F.zero:
-        hi -= 1
-    core = B[lo : hi + 1]
-    return lo, len(B) - 1 - hi, core
-
-
-def _binary_gcd(B1: list, B2: list, F: Field) -> list:
-    t1, s1, c1 = _split_binary(B1, F)
-    t2, s2, c2 = _split_binary(B2, F)
-    g = univar.gcd(c1, c2, F)
-    ts, ss = min(t1, t2), min(s1, s2)
-    out = [F.zero] * ts + g + [F.zero] * ss
+        for r in range(D):
+            out[r] = [F.add(a, F.mul(c, b)) for a, b in zip(out[r], M[r])]
     return out
 
 
-def _binary_squarefree(B: list, F: Field) -> int:
-    """Degree of the squarefree part of a binary form."""
-    t, s, core = _split_binary(B, F)
-    d = univar.deg(core)
-    extra = (1 if t else 0) + (1 if s else 0)
-    if d <= 0:
-        return extra
-    sq = univar.squarefree_part(core, F)
-    return univar.deg(sq) + extra
+def _build_algebra(I: IdealHandle, budget: Budget | None) -> _Algebra:
+    """The algebra of a 0-dimensional I, read off its grevlex basis with no
+    further Groebner basis.
+
+    Setting z_last = 1 in a grevlex basis keeps each lead but for its z_last
+    power (Bayer-Stillman), so it is a grevlex basis of the chart z_last = 1,
+    for an unsaturated I too.  Its standard monomials B are a basis of the
+    chart algebra, whose length |B| equals the degree of I exactly when no
+    point lies on z_last = 0.  That chart is taken when it is complete, or
+    when I is not flagged saturated (`local_length` needs only p's chart);
+    otherwise `_graded_algebra` builds the algebra of a generic chart.
+    DegenerateInput is raised when the degree is not below the
+    characteristic, where local lengths and squarefree parts could be
+    divisible by p."""
+    R = I.ring
+    F = R.field
+    n = R.nvars
+    hd = I.hilbert(budget)
+    if hd.dimension != 0:
+        raise DegenerateInput("zero-dimensional algebra: the scheme is not 0-dimensional")
+    if F.char and hd.degree >= F.char:
+        raise DegenerateInput(f"zero-dimensional algebra: degree {hd.degree} is not below "
+                              f"the characteristic {F.char}")
+    A = ring(F, n - 1, R.names[:-1])
+    chart = [_dehomogenize_last(g, A) for g in I.groebner(GREVLEX, budget)]
+    normal = _normal_set([g.lead()[0] for g in chart], A)
+    complete = len(normal) == hd.degree
+    if not complete and I.saturated:
+        return _graded_algebra(I, hd, budget)
+    index = {m: i for i, m in enumerate(normal)}
+    reduce = Reducer(chart, GREVLEX, budget)
+    D = len(normal)
+    mats = []
+    for j in range(n - 1):
+        step = A.pack([int(i == j) for i in range(n - 1)])
+        M = []
+        for b in normal:
+            row = [F.zero] * D
+            i = index.get(b + step)
+            if i is not None:
+                row[i] = F.one
+            else:
+                for m, c in reduce(Polynomial(A, ((b + step, F.one),))).terms:
+                    row[index[m]] = c
+            M.append(row)
+        mats.append(M)
+    mats.append([[F.one if r == c else F.zero for c in range(D)] for r in range(D)])
+    return _Algebra(F, [A.unpack(b) + (0,) for b in normal], [F.zero] * (n - 1) + [F.one],
+                    mats, complete)
+
+
+def _dehomogenize_last(g: Polynomial, A: Ring) -> Polynomial:
+    """g with z_last = 1, in the ring A of the other variables."""
+    k = g.ring.nvars - 1
+    return A.poly({A.pack(g.ring.unpack(m)[:k]): c for m, c in g.terms})
+
+
+def _normal_set(leads: list, A: Ring) -> list:
+    """The standard monomials of a finite-colength monomial ideal, from 1
+    up by multiplying with each variable (they form an order ideal)."""
+    steps = [A.pack([int(i == j) for i in range(A.nvars)]) for j in range(A.nvars)]
+    out = [] if 0 in leads else [0]
+    seen = set(out)
+    i = 0
+    while i < len(out):
+        b = out[i]
+        i += 1
+        for s in steps:
+            m = b + s
+            if m not in seen and not any(A.mdivides(lead, m) for lead in leads):
+                seen.add(m)
+                out.append(m)
+    return out
+
+
+def _graded_algebra(I: IdealHandle, hd: HilbertData, budget: Budget | None) -> _Algebra:
+    """The algebra of a saturated 0-dimensional I in the chart h = 1 of a
+    generic linear form h.  For d with HF(d) = deg, the maps
+    X_j : (S/I)_d -> (S/I)_{d+1}, multiplication by z_j, are read off normal
+    forms.  H = sum_i h_i X_i is invertible exactly when h vanishes at no
+    point (I saturated), and then M_j = X_j H^-1 is multiplication by z_j / h
+    on (S/I)_d.  h is drawn from the fixed stream "zero-dim-h"; a singular H
+    is redrawn, and after `_DRAWS` singular draws DegenerateInput is
+    raised."""
+    R = I.ring
+    F = R.field
+    n = R.nvars
+    leads = [g.lead()[0] for g in I.groebner(GREVLEX, budget)]
+    d = 0
+    while hd.hf(d) != hd.degree:
+        d += 1
+
+    def standard(k):
+        return [m for m in R.monomials_of_degree(k)
+                if not any(R.mdivides(lead, m) for lead in leads)]
+
+    low = standard(d)
+    index = {m: i for i, m in enumerate(standard(d + 1))}
+    X = []
+    for j in range(n):
+        step = R.pack([int(i == j) for i in range(n)])
+        rows = []
+        for b in low:
+            row = [F.zero] * len(low)
+            for m, c in I.nf(Polynomial(R, ((b + step, F.one),)), budget).terms:
+                row[index[m]] = c
+            rows.append(row)
+        X.append(rows)
+    rng = Rng(0, "zero-dim-h")
+    for _ in range(_DRAWS):
+        h = _small_coefficients(F, rng, n)
+        try:
+            Hinv = linalg.inverse(F, _combine(F, h, X))
+        except ZeroDivisionError:  # h vanishes at a point of the scheme
+            continue
+        return _Algebra(F, [R.unpack(b) for b in low], h,
+                        [linalg.mat_mul(F, Xj, Hinv) for Xj in X], True)
+    raise DegenerateInput(f"zero-dimensional algebra: {_DRAWS} draws of the chart form h "
+                          "each vanish at a point")
+
+
+def _root_multiplicity(f: list, a, F: Field) -> int:
+    """How often t - a divides f."""
+    k = 0
+    while len(f) > 1:
+        q, r = univar.divmod_(f, [F.neg(a), F.one], F)
+        if r:
+            break
+        f, k = q, k + 1
+    return k
+
+
+def count_points(I: IdealHandle, rng: Rng, budget: Budget | None = None) -> int:
+    """Number of distinct points of a 0-dim scheme over the closure: the
+    rank of the trace form (f, g) -> Tr(M_fg) of its algebra.  Over the
+    closure that form is sum_q len(q) ev_q (x) ev_q, with the evaluations at
+    the points independent, so its rank counts the points whose length is
+    nonzero in the field: all of them, as lengths are at most the degree,
+    which is below the characteristic (`_build_algebra`).  Exact, with no
+    draw, so rng is not read."""
+    Isat = I if I.saturated else sat_irrelevant(I, budget)
+    if Isat.is_unit(budget):
+        return 0
+    alg = Isat.algebra(budget)
+    F = alg.field
+    mats = alg.basis_matrices()
+    tau = [_trace(F, Mb) for Mb in mats]
+    # row i of M_{b_j} holds the coordinates of b_i b_j
+    return linalg.rank(F, [[linalg.dot(F, Mb[i], tau) for Mb in mats] for i in range(len(mats))])
 
 
 def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None):
     """Points of a 0-dimensional scheme: (rational points, GF(p^2) points),
-    normalized projective tuples.  Points whose field of definition is
-    larger are not returned; `count_points` counts them."""
+    normalized projective tuples, each list sorted.  Points whose field of
+    definition is larger are not returned; `count_points` counts them.
+
+    The points of one draw l (`_points_of_draw`, rng splitting the roots)
+    are returned; a draw whose l does not separate the points, or that gives
+    a point off the scheme, is refused, and after `_DRAWS` refused draws
+    DegenerateInput is raised."""
     Isat = I if I.saturated else sat_irrelevant(I, budget)
     if Isat.is_unit(budget):
         return [], []
     if Isat.hilbert(budget).dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
-    return _extract_chart(Isat, rng, budget)
+    alg = Isat.algebra(budget)
+    for k in range(_DRAWS):
+        got = _points_of_draw(alg, k, Isat, rng.split(f"roots-{k}"))
+        if got is not None:
+            return got
+    raise DegenerateInput(f"extract_points: {_DRAWS} draws of l were refused (no separation)")
 
 
-def _extract_chart(Isat, rng, budget, depth: int = 0):
-    R = Isat.ring
-    F = R.field
-    n = R.nvars
-    chart = None
-    for i in range(n - 1, -1, -1):
-        test = IdealHandle(list(Isat.gens) + [R.var(i)], R)
-        if test.hilbert(budget).dimension == -1:
-            chart = i
-            break
-    if chart is None:
-        if depth >= 2:
-            return [], []
-        M = linalg.random_invertible(F, n, rng.split(f"chart-change-{depth}"))
-        moved = Isat.substituted(M)
-        pts, ext = _extract_chart(moved, rng, budget, depth + 1)
-        # map back: x_orig = M x_new
-        back_pts = [_normalize_point(linalg.mat_vec(F, M, list(p)), F) for p in pts]
-        back_ext = []
-        if ext:
-            F2 = GF2(F.p)
-            M2 = [[F2.lift(c) for c in row] for row in M]
-            back_ext = [_normalize_point(linalg.mat_vec(F2, M2, list(p)), F2) for p in ext]
-        return back_pts, back_ext
-    # dehomogenize: z_chart = 1
-    A = ring(F, n - 1, tuple(nm for i, nm in enumerate(R.names) if i != chart))
-    affine = [_dehomogenize(g, chart, A) for g in Isat.gens]
-    affine = [g for g in affine if g]
-    root_sets = []
-    ext_root_sets = []
-    F2 = GF2(F.p) if isinstance(F, GF) else None
-    for w in range(n - 1):
-        elim_f = _affine_eliminant(affine, A, w, budget)
-        if elim_f is None:
-            return [], []
-        if F2 is not None:
-            rs = univar.roots_gf(elim_f, F, rng.split(f"roots-{w}"))
-            root_sets.append(rs)
-            quads = univar.irreducible_quadratics(elim_f, F, rng.split(f"quads-{w}"))
-            ext_root_sets.append([F2.lift(r) for r in rs]
-                                 + [r for q in quads for r in univar.quadratic_roots(q, F, F2)[1]])
-        elif F == QQ:
-            root_sets.append(univar.roots_qq(elim_f, F))
-        else:
-            return [], []
-    pts = _combine_roots(affine, A, root_sets, F, chart, R)
-    ext_pts = []
-    if F2 is not None:
-        A2 = ring(F2, n - 1, A.names)
-        affine2 = [g.map_field(A2) for g in affine]
-        allpts = _combine_roots(affine2, A2, ext_root_sets, F2, chart, R)
-        ext_pts = [p for p in allpts if not all(F2.in_base(c) for c in p)]
-    return pts, ext_pts
-
-
-def _dehomogenize(g: Polynomial, chart: int, A: Ring) -> Polynomial:
-    R = g.ring
-    F = A.field
-    d: dict = {}
-    for m, c in g.terms:
-        exps = []
-        for i in range(R.nvars):
-            if i != chart:
-                exps.append(R.mexp(m, i))
-        mm = A.pack(exps)
-        d[mm] = F.add(d.get(mm, F.zero), c)
-    return A.poly(d)
-
-
-def _affine_eliminant(affine: list, A: Ring, keep: int, budget) -> list | None:
-    """Univariate eliminant in variable `keep` of a 0-dim affine ideal."""
-    n = A.nvars
-    others = [i for i in range(n) if i != keep]
-    perm = others + [keep]
-    inv = [0] * n
-    for pos, i in enumerate(perm):
-        inv[i] = pos
-    E = eliminate(IdealHandle([g.map_vars(A, inv) for g in affine], A), n - 1, budget)
-    F = A.field
-    best = None
-    for g in E.gens:
-        d = g.total_degree()
-        coeffs = [F.zero] * (d + 1)
-        for m, c in g.terms:
-            coeffs[E.ring.mexp(m, 0)] = c
-        best = coeffs if best is None else univar.gcd(best, coeffs, F)
-    return best
-
-
-def _combine_roots(affine, A, root_sets, F, chart, R):
-    from itertools import product
-
-    cands = 1
-    for rs in root_sets:
-        cands *= len(rs)
-    if cands == 0 or cands > 4000:
-        return []
+def _points_of_draw(alg: _Algebra, k: int, I: IdealHandle, rng: Rng):
+    """The points read off the roots of chi_l for the k-th draw l, or None
+    when the draw is refused.  Each root in GF(p) (or Q) gives a rational
+    point and each irreducible quadratic factor of chi_l over GF(p) a pair
+    of conjugate GF(p^2) points, so no rational point is found twice.  Every
+    point is checked on the generators of I."""
+    F = alg.field
+    _, M, chi = alg.draw(k)
+    if isinstance(F, GF):
+        roots, quads = univar.roots_and_quadratics(chi, F, rng)
+    else:
+        roots, quads = univar.roots_qq(chi, F), []
     pts = []
-    for combo in product(*root_sets):
-        if all(g.evaluate(list(combo), projective=False) == F.zero for g in affine):
-            proj = list(combo)
-            proj.insert(chart, F.one)
-            pts.append(_normalize_point(proj, F))
-    # dedupe
-    seen = set()
-    out = []
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    for lam in roots:
+        q = _point_of(alg.mats, M, lam, F)
+        if q is None or not _on_scheme(I.gens, q):
+            return None
+        pts.append(q)
+    ext = []
+    if quads:
+        F2 = GF2(F.p)
+        R2 = ring(F2, I.ring.nvars, I.ring.names)
+        gens2 = [g.map_field(R2) for g in I.gens]
+        mats2 = [[[F2.lift(x) for x in row] for row in A] for A in alg.mats]
+        M2 = [[F2.lift(x) for x in row] for row in M]
+        for quad in quads:
+            q = _point_of(mats2, M2, univar.quadratic_roots(quad, F, F2)[1][0], F2)
+            if q is None or not _on_scheme(gens2, q):
+                return None
+            ext += [q, tuple((a, F.neg(b)) for a, b in q)]  # and its conjugate
+    return sorted(pts), sorted(ext)
+
+
+def _point_of(mats: list, M: list, lam, K: Field) -> tuple | None:
+    """The point q with l(q)/h(q) = lam, from the kernel W of M - lam (over
+    the field K of lam), or None when l does not separate two points there.
+    W is invariant under every M_j.  Restricted to W, M_j is q_j / h(q)
+    plus a nilpotent map when W lies at one point, so q_j / h(q) is its
+    trace over dim W (dim W <= degree < char); two points in W show as a
+    restriction with a second eigenvalue, which the nilpotency test refuses.
+    nullspace gives each basis vector a 1 at its own free column (its last
+    nonzero entry) and 0 at the others', so the restriction's coordinates
+    are read at those columns."""
+    D = len(M)
+    W = linalg.nullspace(K, [[K.sub(x, lam) if r == c else x for c, x in enumerate(row)]
+                             for r, row in enumerate(M)], D)
+    k = len(W)
+    free = [max(i for i, x in enumerate(w) if x != K.zero) for w in W]
+    q = []
+    for Mj in mats:
+        images = [linalg.mat_vec(K, Mj, w) for w in W]
+        C = [[images[i][free[r]] for i in range(k)] for r in range(k)]
+        qj = K.div(_trace(K, C), K.of(k))
+        if k > 1:
+            N = [[K.sub(x, qj) if r == c else x for c, x in enumerate(row)]
+                 for r, row in enumerate(C)]
+            if linalg.charpoly(K, N) != [K.zero] * k + [K.one]:
+                return None
+        q.append(qj)
+    return _normalize_point(q, K)
+
+
+def _trace(K: Field, C: list):
+    s = K.zero
+    for i, row in enumerate(C):
+        s = K.add(s, row[i])
+    return s
+
+
+def _on_scheme(gens, q) -> bool:
+    return all(g.evaluate(list(q)) == g.ring.field.zero for g in gens)
 
 
 def _normalize_point(p, F) -> tuple:

@@ -183,14 +183,64 @@ def inverse(F: Field, A):
     return [row[n:] for row in R[:n]]
 
 
+def dot(F: Field, u, v):
+    """sum_i u_i v_i."""
+    s = F.zero
+    for a, b in zip(u, v):
+        if a != F.zero and b != F.zero:
+            s = F.add(s, F.mul(a, b))
+    return s
+
+
+def mat_mul(F: Field, A, B):
+    """The product A B of an m x k and a k x n matrix."""
+    cols = list(zip(*B))
+    return [[dot(F, row, col) for col in cols] for row in A]
+
+
+def charpoly(F: Field, A) -> list:
+    """det(t - A) as a coefficient list [c0, c1, ..., 1] (c_k the coefficient
+    of t^k), over any field: a similarity to upper Hessenberg form H, then
+    the recurrence p_m = (t - H[m-1][m-1]) p_{m-1}
+    - sum_i H[m-i-1][m-1] H[m-1][m-2] ... H[m-i][m-i-1] p_{m-i-1}."""
+    H = mat_copy(A)
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1] != F.zero), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[piv], H[m] = H[m], H[piv]
+            for row in H:
+                row[piv], row[m] = row[m], row[piv]
+        inv = F.inv(H[m][m - 1])
+        for i in range(m + 1, n):
+            u = F.mul(H[i][m - 1], inv)
+            if u == F.zero:
+                continue
+            H[i] = [F.sub(a, F.mul(u, b)) for a, b in zip(H[i], H[m])]
+            for row in H:
+                row[m] = F.add(row[m], F.mul(u, row[i]))
+    polys = [[F.one]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        p = [F.zero] + prev  # t * p_{m-1}
+        c = H[m - 1][m - 1]
+        for i, a in enumerate(prev):
+            p[i] = F.sub(p[i], F.mul(c, a))
+        prod = F.one
+        for i in range(1, m):
+            prod = F.mul(prod, H[m - i][m - i - 1])
+            c = F.mul(H[m - i - 1][m - 1], prod)
+            if c != F.zero:
+                for k, a in enumerate(polys[m - i - 1]):
+                    p[k] = F.sub(p[k], F.mul(c, a))
+        polys.append(p)
+    return polys[n]
+
+
 def mat_vec(F: Field, A, v):
-    out = []
-    for row in A:
-        s = F.zero
-        for a, x in zip(row, v):
-            s = F.add(s, F.mul(a, x))
-        out.append(s)
-    return out
+    return [dot(F, row, v) for row in A]
 
 
 def random_invertible(F: Field, n: int, rng: Rng):

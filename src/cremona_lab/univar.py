@@ -2,13 +2,15 @@
 
 Polynomials are coefficient lists [c0, c1, ...] (c_k the coefficient of
 x^k), normalized to have a nonzero top coefficient.  Only tiny degrees occur
-here (eliminants of zero-dimensional schemes), so everything is quadratic
-and plain.
+here (characteristic polynomials of zero-dimensional schemes), so
+everything is quadratic and plain.
 
 Each root problem is solved once: `roots_gf` and `irreducible_quadratics`
-share the squarefree part and gcd(f, x^p - x), and split with the one
-Cantor-Zassenhaus routine `_equal_degree_factors`; `quadratic_roots` is the
-one quadratic formula, over any field, going to GF(p^2) when asked.
+share the squarefree part, x^p mod f and gcd(f, x^p - x), and split with
+the one Cantor-Zassenhaus routine `_equal_degree_factors`.
+`roots_and_quadratics` gives both from one powmod: x^(p^2) comes from
+composing x^p mod f with itself.  `quadratic_roots` is the one quadratic
+formula, over any field, going to GF(p^2) when asked.
 Rational roots over Q come from `roots_qq`.
 """
 
@@ -108,33 +110,59 @@ def powmod(base, e: int, f, F):
     return result
 
 
-def _frobenius_gcd(f, q: int, F: GF) -> list:
-    """gcd(f, x^q - x): the product of the distinct factors of f whose
-    degree divides k, for q = p^k."""
-    xq = powmod([F.zero, F.one], q, f, F)
+def _squarefree_frobenius(f, F: GF) -> tuple:
+    """(the monic squarefree part g of f, x^p mod g, the product of g's
+    linear factors gcd(g, x^p - x)): the one powmod of a root problem."""
+    f = monic(squarefree_part(f, F), F)
+    xp = powmod([F.zero, F.one], F.p, f, F)
+    return f, xp, _gcd_with_x(xp, f, F)
+
+
+def _gcd_with_x(xq, f, F: GF) -> list:
+    """gcd(f, x^q - x) from x^q mod f."""
     return gcd(add(xq, [F.zero, F.neg(F.one)], F), f, F)
 
 
-def _squarefree_and_linear(f, F: GF):
-    """(monic squarefree part of f, the product of its linear factors)."""
-    f = monic(squarefree_part(f, F), F)
-    return f, _frobenius_gcd(f, F.p, F)
+def _compose_mod(a, b, f, F) -> list:
+    """a(b) mod f, by Horner: deg a products mod f."""
+    out: list = []
+    for c in reversed(a):
+        out = add(divmod_(mul(out, b, F), f, F)[1], [c], F)
+    return out
+
+
+def _linear_roots(lin, F: GF, rng: Rng) -> list:
+    return sorted(F.neg(g[0]) for g in _equal_degree_factors(lin, 1, F, rng))
+
+
+def _quadratic_factors(f, xp, lin, F: GF, rng: Rng) -> list:
+    """The irreducible quadratic factors of the squarefree f with x^p mod f
+    `xp` and linear part `lin`: on f' = f / lin, x^(p^2) = (x^p)^p is
+    x^p mod f' composed with itself (the coefficients lie in GF(p))."""
+    f = divmod_(f, lin, F)[0]
+    if deg(f) <= 0:
+        return []
+    xp = divmod_(xp, f, F)[1]
+    return _equal_degree_factors(_gcd_with_x(_compose_mod(xp, xp, f, F), f, F), 2, F, rng)
 
 
 def roots_gf(f, F: GF, rng: Rng) -> list:
     """All roots in GF(p) of a nonzero polynomial (with multiplicity dropped)."""
     assert isinstance(F, GF)
-    _, lin = _squarefree_and_linear(f, F)
-    return sorted(F.neg(g[0]) for g in _equal_degree_factors(lin, 1, F, rng))
+    return _linear_roots(_squarefree_frobenius(f, F)[2], F, rng)
 
 
 def irreducible_quadratics(f, F: GF, rng: Rng) -> list:
     """The distinct irreducible quadratic factors of f over GF(p), monic."""
-    f, lin = _squarefree_and_linear(f, F)
-    f = divmod_(f, lin, F)[0]
-    if deg(f) <= 0:
-        return []
-    return _equal_degree_factors(_frobenius_gcd(f, F.p * F.p, F), 2, F, rng)
+    return _quadratic_factors(*_squarefree_frobenius(f, F), F, rng)
+
+
+def roots_and_quadratics(f, F: GF, rng: Rng) -> tuple:
+    """(`roots_gf`, `irreducible_quadratics`) of f from one x^p mod f, the
+    splitting draws taken from rng's streams "roots" and "quads"."""
+    f, xp, lin = _squarefree_frobenius(f, F)
+    return (_linear_roots(lin, F, rng.split("roots")),
+            _quadratic_factors(f, xp, lin, F, rng.split("quads")))
 
 
 def _equal_degree_factors(f, k: int, F: GF, rng: Rng) -> list:

@@ -190,3 +190,22 @@ def test_a_contact_point_forced_by_a_node_of_c2_is_not_counted(monkeypatch, seed
     forced = [prof for pt, prof in zip(seen, seen[1:])
               if getattr(pt, "tag", None) == "ContactPoint" and isinstance(prof, tuple)]
     assert forced == [(0, 2, True)]
+
+
+def test_a_partial_vector_matches_no_row():
+    psi, _ = build("E7", 5, GF(P))
+    an = analyze_map(psi, seed=5, trials=0, with_certificate=False)
+    hv = hudson_vector(an)
+    assert [r.row for r in match_table(hv)] == [7]
+    hv.partial = True
+    assert match_table(hv) == []
+
+
+def test_theta_points_beyond_its_count_are_refused(monkeypatch):
+    psi, _ = build("E7", 5, GF(P))
+    an = analyze_map(psi, seed=5, trials=0, with_certificate=False)
+    assert an.theta_count and not an.theta_ideal.is_unit()
+    hudson.candidate_points(an, Rng(1))  # accepted at the true count
+    an.theta_count -= 1
+    with pytest.raises(hudson.DegenerateInput, match="candidate_points"):
+        hudson.candidate_points(an, Rng(1))

@@ -154,3 +154,22 @@ def test_nullspace_gfp_matches_the_field_eliminator(shape):
         assert linalg.nullspace_gfp(A, p) == want, p
         assert linalg.nullspace_gfp(shifted, p) == want, p
         assert np.array_equal(shifted, before), p  # the caller's array is left alone
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 2**32), st.sampled_from([GF(11), GF(10007), QQ]))
+def test_charpoly_is_det_of_t_minus_a(n, seed, F):
+    """charpoly(A) evaluated at t equals det(t - A), on sparse matrices too
+    (zero subdiagonal entries take the Hessenberg reduction's other paths)."""
+    rnd = random.Random(seed)
+    A = [[F.of(rnd.randrange(-5, 6)) if rnd.random() < 0.6 else F.zero for _ in range(n)]
+         for _ in range(n)]
+    cp = linalg.charpoly(F, A)
+    assert len(cp) == n + 1 and cp[-1] == F.one
+    for t in (F.of(0), F.of(2), F.of(-3), F.of(7)):
+        value = F.zero
+        for c in reversed(cp):
+            value = F.add(F.mul(value, t), c)
+        shifted = [[F.sub(t, x) if r == c else F.neg(x) for c, x in enumerate(row)]
+                   for r, row in enumerate(A)]
+        assert value == (linalg.det(F, shifted) if n else F.one)

@@ -44,3 +44,14 @@ def test_roots_and_irreducible_quadratics_of_a_mixed_product():
         == [[5, 3, 1], [99, 0, 1], [1, 1, 1]]
     assert univar.irreducible_quadratics(MIXED, F, Rng(8, "quads")) \
         == [[99, 0, 1], [5, 3, 1], [1, 1, 1]]
+
+
+def test_one_frobenius_gives_roots_and_quadratics():
+    """x^(p^2) mod f from x^p mod f composed with itself, and both root
+    problems from one x^p mod f, as the separate calls give them."""
+    f, xp, lin = univar._squarefree_frobenius(MIXED, F)
+    x = [F.zero, F.one]
+    assert univar._compose_mod(xp, xp, f, F) == univar.powmod(x, F.p * F.p, f, F)
+    roots, quads = univar.roots_and_quadratics(MIXED, F, Rng(7))
+    assert roots == univar.roots_gf(MIXED, F, Rng(7, "roots")) == [3, 7, 50]
+    assert sorted(quads) == sorted(univar.irreducible_quadratics(MIXED, F, Rng(7, "quads")))
