@@ -30,7 +30,7 @@ from .fields import GF, GF2
 from .groebner import Budget
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points,
                      extract_points, graded_piece_dim, multiplicity_at, piece_span,
-                     point_frame, quotient, sat_irrelevant, vectors_to_polys)
+                     point_frame, sat_irrelevant, saturate, vectors_to_polys)
 from .poly import GREVLEX, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -395,39 +395,36 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
 
 
 def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
-    """Best-effort component split of the F-curve: peel off lines findable
-    over the working field, report the leftover with its Hilbert data."""
+    """C2 split into its lines over the working field and the rest.
+
+    One line search (`candidate_lines`) finds the distinct lines
+    L_1, ..., L_k that C2 contains, and they are saturated out in turn:
+    K_0 = C2 and K_i = K_{i-1} : I_{L_i}^oo.  The saturation strips exactly
+    the components of K_{i-1} supported on L_i, and the degree of a curve
+    reads only its 1-dimensional part, so L_i has multiplicity
+    m_i = deg K_{i-1} - deg K_i and is listed m_i times as ("l", 1, 0).
+    The rest K_k follows as ("w", degree, p_a) when it is a curve, so the
+    degrees sum to deg C2."""
     if c2.degree == 0:
         return []
+    C = c2.ideal
     lines = []
-    work = c2.ideal
-    work_h = work.hilbert(budget)
-    for round_ in range(4):
-        if work_h.dimension != 1:
-            break
-        line = _find_line_component(work, rng.split(f"line-{round_}"), budget)
-        if line is None:
-            break
-        lines.append(line)
-        nxt = quotient(work, line, budget).as_saturated()
-        nh = nxt.hilbert(budget)
-        shrank = nh.dimension == 1 and nh.degree < work_h.degree
-        work, work_h = nxt, nh
-        if not shrank:
-            break
-    out = [("l", 1, 0) for _ in lines]
-    if work_h.dimension == 1:
-        out.append(("w", work_h.degree, work_h.p_a))
-    return out
-
-
-def _find_line_component(C: IdealHandle, rng: Rng, budget):
-    """A line contained in the curve C, or None (field-rational search)."""
-    for forms in candidate_lines(C, rng, "plane", budget):
+    for forms in candidate_lines(C, rng.split("lines"), "plane", budget):
         L = IdealHandle(forms, C.ring, saturated=True)
-        if all(L.contains(g, budget) for g in C.gens):
-            return L
-    return None
+        if all(L.contains(g, budget) for g in C.gens) and not any(L.equals(M) for M in lines):
+            lines.append(L)
+    out = []
+    work, degree = C, c2.degree
+    for L in lines:
+        work = saturate(work, L, budget)
+        h = work.hilbert(budget)
+        rest = h.degree if h.dimension == 1 else 0
+        out += [("l", 1, 0)] * (degree - rest)
+        degree = rest
+    if degree:
+        h = work.hilbert(budget)
+        out.append(("w", h.degree, h.p_a))
+    return out
 
 
 # ---------------------------------------------------------------- table VI

@@ -18,20 +18,20 @@ constructions used throughout:
   J reduces to 0 modulo I's grevlex basis: then I:J lies in Q because f is
   in J, and Q lies in I:J.  Otherwise the reference route
   `_quotient_by_parts`, the intersection of the single-generator
-  quotients.  Both return the reduced grevlex basis of I:J when J has at
-  least two nonzero generators, and the unit ideal when all of them lie
-  in I;
+  quotients; it stays because no f passes on inputs such as
+  (z0^2, z1^2) : (z0, z1).  Both return the reduced grevlex basis of I:J
+  when J has at least two nonzero generators, and the unit ideal when all
+  of them lie in I;
 * saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), with the
   cheaper divide-out-the-last-variable shortcut when g is a variable and I
   is homogeneous;
-* saturation I:J^oo  -- one Rabinowitsch saturation K = I:h^oo by a fixed
-  generic combination h of J's generators (degrees padded by a linear
-  form), accepted when a normal-form certificate shows g^N k in I for every
-  generator g of J and k of K; otherwise the reference route
-  `_saturate_by_parts`, the intersection of the single-generator
-  saturations (valid because saturation only sees the zero locus of J).
-  Where the shortcut applies, both routes return the reduced grevlex basis
-  of I:J^oo;
+* saturation I:J^oo  -- I:g^oo when J has one generator g; otherwise one
+  Rabinowitsch saturation K = I:h^oo by a generic combination h of J's
+  generators (degrees padded by a linear form, drawn from a fixed
+  stream), accepted when a normal-form certificate shows g^N k in I for
+  every generator g of J and k of K.  A refused draw is redrawn a bounded
+  number of times, then DegenerateInput is raised.  The result is the
+  reduced grevlex basis of I:J^oo, whatever the draw;
 * saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` reads the grevlex
   basis of I: finite length gives the unit ideal, and when no lead is
   divisible by z_last, z_last is a non-zerodivisor and I is saturated.
@@ -43,10 +43,6 @@ constructions used throughout:
   a smaller Hilbert polynomial.  A refused draw is redrawn a bounded
   number of times, then DegenerateInput is raised.  The result is the
   reduced grevlex basis of I^sat, whatever the draw.
-
-`saturate` takes the intersection of its distinct parts in one loop,
-`_intersect_distinct`, which skips unit parts, drops parts whose reduced
-basis was already seen and intersects the rest.
 
 Zero-dimensional schemes are read off one algebra, `IdealHandle.algebra`:
 the matrices M_j of multiplication by z_j / h on k[x]/I in a chart h = 1,
@@ -260,6 +256,13 @@ def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
     different polynomial.  When every generator of J lies in I, I : J is
     the unit ideal.  When both draws are refused, or a BudgetError is
     raised inside the shortcut, the reference route is taken.
+
+    Unlike `saturate`, the quotient keeps its reference route, because no
+    draw can pass the certificate on some inputs: (z0^2, z1^2) : (z0, z1)
+    = (z0^2, z0*z1, z1^2), but for every f = a*z0 + b*z1 the quotient
+    (z0^2, z1^2) : f also holds a*z0 - b*z1, whose product with f is
+    a^2*z0^2 - b^2*z1^2.  `acceptance`'s monomial oracle asks for such
+    quotients.
     """
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
@@ -281,8 +284,9 @@ def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> Id
     if not outside:
         return unit_ideal(I.ring)
     low = min(g.total_degree() for g in outside)
-    first = _generic_combination([g for g in outside if g.total_degree() == low])
-    every = _generic_combination(gens)
+    first = _generic_combination([g for g in outside if g.total_degree() == low],
+                                 Rng(0, "saturate-combination"))
+    every = _generic_combination(gens, Rng(0, "saturate-combination"))
     draws = [first] if every == first else [first, every]
     for f in draws:
         if not f:  # the drawn coefficients cancel (possible over a tiny field)
@@ -364,50 +368,45 @@ def _saturate_variable(I: IdealHandle, i: int, budget: Budget | None = None) -> 
     return part
 
 
+# the draws of `saturate` and `sat_irrelevant` before they give up
+_SAT_DRAWS = 4
+
+
 def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """(I : J^oo), with exactly the generators `_saturate_by_parts` returns.
+    """(I : J^oo), as its reduced grevlex basis when J has two or more
+    nonzero generators.
 
-    When J has at least two generators, none constant or a variable (a
-    variable's part in the reference is not a reduced basis), it is first
-    computed as K = I : h^oo for one combination
-    h = sum_i c_i l^(D - d_i) g_i of J's generators, padded to the top
-    degree D (l and the c_i from a fixed stream).  I : J^oo lies in K
-    because h lies in J.  K lies in I : J^oo when `_certified` shows that
-    every generator g of J has g^N k in I for every generator k of K.  Then
-    K, the reduced grevlex basis of I : J^oo, is returned; it is also what
-    the reference returns, since Rabinowitsch parts and intersections are
-    reduced grevlex bases.  An unproved K, or a BudgetError inside the
-    shortcut, takes the reference route.
+    A J with a constant generator, or with none, gives I, and a J with one
+    nonzero generator g gives `saturate_by_poly(I, g)`.  Otherwise the saturation
+    is K = I : h^oo for one combination h = sum_i c_i l^(D - d_i) g_i of
+    J's generators, padded to the top degree D (l and the c_i drawn from
+    the fixed stream "saturate-combination").  I : J^oo lies in K because
+    h lies in J.  K lies in I : J^oo when `_certified` shows that every
+    generator g of J has g^N k in I for every generator k of K.  Then K,
+    which `eliminate` returns as its reduced grevlex basis, is returned.  A
+    refused draw is followed by another from the same stream; after
+    `_SAT_DRAWS` draws are refused, DegenerateInput is raised.  A
+    BudgetError is not caught.
     """
-    _same_ring(I, J)
-    gens = [g for g in J.gens if g]
-    if len(gens) >= 2 and all(g.total_degree() > 0 and _single_variable(g) is None
-                              for g in gens):
-        try:
-            K = _rabinowitsch(I, _generic_combination(gens), budget)
-            if _certified(I, K, gens, budget):
-                return K
-        except BudgetError:
-            pass
-    return _saturate_by_parts(I, J, budget)
-
-
-def _saturate_by_parts(I: IdealHandle, J: IdealHandle, budget: Budget | None) -> IdealHandle:
-    """The reference route: (I : J^oo) as the intersection over generators
-    g of J of (I : g^oo)."""
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
     if not gens or any(g.total_degree() == 0 for g in gens):
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
-    acc = _intersect_distinct([saturate_by_poly(I, g, budget) for g in gens], budget)
-    return unit_ideal(I.ring) if acc is None else acc
-
-
-def _generic_combination(gens: list) -> Polynomial:
-    """sum_i c_i l^(D - d_i) g_i for D the top degree of `gens`, with the
-    linear form l and the c_i from the fixed stream "saturate-combination"."""
-    R = gens[0].ring
+    if len(gens) == 1:
+        return saturate_by_poly(I, gens[0], budget)
     rng = Rng(0, "saturate-combination")
+    for _ in range(_SAT_DRAWS):
+        K = _rabinowitsch(I, _generic_combination(gens, rng), budget)
+        if _certified(I, K, gens, budget):
+            return K
+    raise DegenerateInput("saturate: the normal-form certificate refused "
+                          f"{_SAT_DRAWS} draws of the combination")
+
+
+def _generic_combination(gens: list, rng: Rng) -> Polynomial:
+    """sum_i c_i l^(D - d_i) g_i for D the top degree of `gens`, with the
+    linear form l and the c_i the next draws from `rng`."""
+    R = gens[0].ring
     ell = R.linear_form(_small_coefficients(R.field, rng, R.nvars))
     coeffs = _small_coefficients(R.field, rng, len(gens))
     top = max(g.total_degree() for g in gens)
@@ -444,26 +443,6 @@ def _certified(I: IdealHandle, K: IdealHandle, gens: list, budget: Budget | None
                     return False
                 r = I.nf(g * r, budget)
     return True
-
-
-def _intersect_distinct(parts, budget: Budget | None) -> IdealHandle | None:
-    """Intersection of the non-unit ideals among `parts`, each distinct
-    reduced basis taken once; None when every part is the unit ideal."""
-    acc = None
-    seen = []
-    for S in parts:
-        if S.is_unit(budget):
-            continue
-        g = S.groebner(GREVLEX, budget)
-        if any(g == T for T in seen):
-            continue
-        seen.append(g)
-        acc = S if acc is None else intersect(acc, S, budget)
-    return acc
-
-
-# the draws of the moved variable before sat_irrelevant gives up
-_SAT_DRAWS = 4
 
 
 def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
@@ -567,20 +546,6 @@ def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHand
     out = [g.map_vars(R2, var_map) for g in I.groebner(ElimBlock(k), budget)
            if all(all(R.mexp(m, i) == 0 for i in range(k)) for m, _ in g.terms)]
     return IdealHandle(out, R2).with_basis(GREVLEX, out)
-
-
-def ideal_ops(I: IdealHandle, J: IdealHandle, op: str, budget: Budget | None = None) -> IdealHandle:
-    """Dispatcher: op in {sum, product, intersection, quotient, saturation}."""
-    table = {
-        "sum": ideal_sum,
-        "product": ideal_product,
-        "intersection": lambda a, b: intersect(a, b, budget),
-        "quotient": lambda a, b: quotient(a, b, budget),
-        "saturation": lambda a, b: saturate(a, b, budget),
-    }
-    if op not in table:
-        raise ValueError(f"unknown op {op!r}")
-    return table[op](I, J)
 
 
 # ---------------------------------------------------------- Hilbert data

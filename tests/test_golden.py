@@ -1,9 +1,11 @@
 """Golden reports: the exact `cremona-lab analyze` JSON text for a small
 pinned corpus, so that refactors of the pipeline must keep reports byte for
-byte.  The corpus covers the ruled witness with four line peels
-(ruled_3_4), a line peel off a twisted cubic (E19), both branches of the
-quadric-rank test (E8 and E7.5), the point of contact forced by a node of
-C2 that the Hudson vector leaves out (E4) and the two-prime path over Q."""
+byte.  The corpus covers two ruled witnesses whose C2 is all lines, some
+of them multiple (ruled_3_4 of degree 5 and ruled_3_2 of degree 7, each
+line listed as often as its multiplicity), a line split off a twisted
+cubic (E19), both branches of the quadric-rank test (E8 and E7.5), the
+point of contact forced by a node of C2 that the Hudson vector leaves out
+(E4) and the two-prime path over Q."""
 
 import hashlib
 import json
@@ -16,13 +18,14 @@ from cremona_lab.fields import GF, QQ
 P = 1000003
 
 GOLDEN_GF = {
-    "ruled_3_4": "0292d33471fa78a069e388223564c86b1d5f404e225c66c924c98673862a61b8",
+    "ruled_3_4": "ffa75a14c9aee962c54f3686fe37bd3a72c2fb3007cac7d2788d39304fc6a16a",
+    "ruled_3_2": "d57eb2a0d794c0dada490c3d05bcbda5846debb5afb47b2f620edbad812416eb",
     "E19": "2514fb99eea8a68e19a34010fea8aa2394516fd014cdcc8678458a9729df7aa8",
     "E8": "a04e18a689647d90fca0b16e36a6c25d14ff02efc1f5ce40631d26e7434abf33",
     "E7.5": "d7971e1bffb4e59555e6650a819c35f1864a7f194e9c70ff39929fb08e9b9790",
     "E4": "6514e570eaf604f52cac71f272bdf7daf396855db71e70c20400773a717cf833",
 }
-GOLDEN_RULED_INVOLUTION_SEED2 = "393a452e45b8b45fa3a6d26b6f51d6a0bd015339348fb93cd1e0e8ba87a261b6"
+GOLDEN_RULED_INVOLUTION_SEED2 = "9fd7631950cc154b8b3426568cace49c07c0d78c22636091a896c22b412a5ea0"
 
 
 def _digest(rep: dict) -> str:

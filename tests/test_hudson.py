@@ -117,6 +117,26 @@ def test_tangent_profiles_by_family():
         assert expect in profs, (label, profs)
 
 
+@pytest.mark.parametrize("seed", [1, 9001])
+@pytest.mark.parametrize("label", ["ruled_3_2", "ruled_3_3", "ruled_3_4", "ruled_3_5"])
+def test_fcurve_degrees_sum_to_the_degree_of_c2(monkeypatch, label, seed):
+    """Each line of C2 is listed as often as its multiplicity, so the
+    F-curve degrees add up to deg C2; one line search finds the lines."""
+    searches = []
+    real = hudson.candidate_lines
+
+    def counted(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hudson, "candidate_lines", counted)
+    psi, _ = build(label, seed, GF(1000003))
+    an = analyze_map(psi, seed=seed, trials=0, with_certificate=False)
+    hv = hudson_vector(an)
+    assert an.c2.degree and sum(d for _, d, _ in hv.fcurves) == an.c2.degree
+    assert len(searches) == 1
+
+
 def test_match_table_rows_by_family():
     expected = {"E2": [2], "E3": [3], "E4": [4], "E6": [6], "E7": [7], "E8": [8],
                 "E9": [9], "E12": [12], "E13": [13], "E14": [14], "E19": [19],

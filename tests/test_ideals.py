@@ -3,9 +3,9 @@ import pytest
 from cremona_lab import groebner, ideals
 from cremona_lab.fields import GF
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, eliminate,
-                                hilbert_from_basis, ideal_ops, intersect,
-                                line_forms, quotient, random_form, sat_irrelevant,
-                                saturate, unit_ideal)
+                                hilbert_from_basis, ideal_product, ideal_sum,
+                                intersect, line_forms, quotient, random_form,
+                                sat_irrelevant, saturate, unit_ideal)
 from cremona_lab.poly import ElimBlock, parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -19,11 +19,11 @@ def pp(s):
 
 def test_quotient_by_self_is_unit():
     I = IdealHandle([pp("z0*z2 - z1^2"), pp("z1*z3 - z2^2"), pp("z0*z3 - z1*z2")])
-    assert ideal_ops(I, I, "quotient").is_unit()
+    assert quotient(I, I).is_unit()
 
 
 def test_intersection_of_coprime_principal():
-    got = ideal_ops(IdealHandle([pp("z0")]), IdealHandle([pp("z1")]), "intersection")
+    got = intersect(IdealHandle([pp("z0")]), IdealHandle([pp("z1")]))
     assert got.groebner() == (pp("z0*z1"),)
 
 
@@ -31,15 +31,15 @@ def test_intersection_matches_product_on_coprime_lines():
     A = IdealHandle([pp("z0"), pp("z1")])
     B = IdealHandle([pp("z2"), pp("z3")])
     inter = intersect(A, B)
-    prod = ideal_ops(A, B, "product")
+    prod = ideal_product(A, B)
     assert inter.equals(IdealHandle(list(prod.gens), R))
 
 
 def test_sum_and_product():
     A = IdealHandle([pp("z0")])
     B = IdealHandle([pp("z1")])
-    assert ideal_ops(A, B, "sum").groebner() == (pp("z0"), pp("z1"))
-    assert ideal_ops(A, B, "product").groebner() == (pp("z0*z1"),)
+    assert ideal_sum(A, B).groebner() == (pp("z0"), pp("z1"))
+    assert ideal_product(A, B).groebner() == (pp("z0*z1"),)
 
 
 def test_saturation_of_jump_family_ideal():

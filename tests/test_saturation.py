@@ -1,9 +1,10 @@
 """sat_irrelevant, saturate and quotient against their reference routes
 (saturate by each variable or by each generator, or divide by each
-generator, and intersect the parts): sat_irrelevant gives the reference's
-reduced grevlex basis, saturate and quotient its exact generators.  Each
+generator, and intersect the parts): sat_irrelevant and saturate give the
+reference's reduced grevlex basis, quotient its exact generators.  Each
 costs the pinned number of Groebner bases, and the caller's budget reaches
-every Groebner call of an analysis."""
+every Groebner call of an analysis.  The saturation references live here;
+`_quotient_by_parts` is also quotient's own fallback in the package."""
 
 import gc
 
@@ -14,9 +15,8 @@ from cremona_lab.cremona import analyze_map, map_of_degree, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, _certified, _certified_quotient,
-                                _quotient_by_parts, _saturate_by_parts, ideal_product,
-                                intersect, quotient, sat_irrelevant, saturate,
-                                saturate_by_poly)
+                                _quotient_by_parts, ideal_product, intersect, quotient,
+                                sat_irrelevant, saturate, saturate_by_poly, unit_ideal)
 from cremona_lab.poly import _ring_cache, parse_poly, ring
 from cremona_lab.rng import Rng, random_prime
 
@@ -67,6 +67,32 @@ def _inputs(F):
     }
 
 
+def _intersect_distinct(parts, budget):
+    """Intersection of the non-unit ideals among `parts`, each distinct
+    reduced basis taken once; None when every part is the unit ideal."""
+    acc = None
+    seen = []
+    for S in parts:
+        if S.is_unit(budget):
+            continue
+        g = S.groebner(groebner.GREVLEX, budget)
+        if any(g == T for T in seen):
+            continue
+        seen.append(g)
+        acc = S if acc is None else intersect(acc, S, budget)
+    return acc
+
+
+def _saturate_by_parts(I, J, budget):
+    """The reference: (I : J^oo) as the intersection over generators g of J
+    of (I : g^oo)."""
+    gens = [g for g in J.gens if g]
+    if not gens or any(g.total_degree() == 0 for g in gens):
+        return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
+    acc = _intersect_distinct([saturate_by_poly(I, g, budget) for g in gens], budget)
+    return unit_ideal(I.ring) if acc is None else acc
+
+
 def _sat_irrelevant_by_parts(I, budget):
     """The reference: saturate by each variable and intersect the distinct
     parts."""
@@ -75,7 +101,7 @@ def _sat_irrelevant_by_parts(I, budget):
     parts = [ideals._saturate_variable(I, i, budget) for i in range(R.nvars)]
     if all(S.groebner(groebner.GREVLEX, budget) == gb0 for S in parts):
         return IdealHandle(list(gb0), R, saturated=True)
-    acc = ideals._intersect_distinct(parts, budget)
+    acc = _intersect_distinct(parts, budget)
     if acc is None:
         return IdealHandle([R.one], R, saturated=True)
     return acc.as_saturated()
@@ -241,10 +267,11 @@ def _cached_basis_is_exact(I):
 
 
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
-    """One full-level scan per stratum (Hudson, fiber oracle and certificate
-    included) with every sat_irrelevant, saturate and quotient call checked
-    against its reference route.  An invariants scan saturates little by the
-    irrelevant ideal beyond the base ideal, so it would check too few."""
+    """Two full-level scans per stratum, members at seeds 1 + k and
+    9001 + k (Hudson, fiber oracle and certificate included), with every
+    sat_irrelevant, saturate and quotient call checked against its reference
+    route.  An invariants scan saturates little by the irrelevant ideal
+    beyond the base ideal, so it would check too few."""
     real = ideals.sat_irrelevant
     real_saturate = ideals.saturate
     real_quotient = ideals.quotient
@@ -261,7 +288,7 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     def compared_saturate(I, J, budget=None):
         got = real_saturate(I, J, budget)
         want = _saturate_by_parts(_fresh(I), J, budget)
-        assert got.gens == want.gens and got.saturated == want.saturated
+        assert got.gens == want.groebner() and got.saturated == want.saturated
         _cached_basis_is_exact(got)
         checked_saturate.append(I)
         return got
@@ -277,15 +304,15 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
 
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", compared)
-    for mod in (ideals, cremona):
+    for mod in (ideals, cremona, hudson):
         monkeypatch.setattr(mod, "saturate", compared_saturate)
-    for mod in (cremona, hudson):
-        monkeypatch.setattr(mod, "quotient", compared_quotient)
+    monkeypatch.setattr(cremona, "quotient", compared_quotient)
     rng = Rng(1, "scan-primes")
-    for k, fam in enumerate(families.FAMILY_LABELS):
-        rec = cli.scan_one(fam, 1 + k, random_prime(rng.split(f"p{k}")), level="full")
-        assert rec["ok"], rec
-    assert len(checked) > 100
+    for seed in (1, 9001):
+        for k, fam in enumerate(families.FAMILY_LABELS):
+            rec = cli.scan_one(fam, seed + k, random_prime(rng.split(f"p{k}")), level="full")
+            assert rec["ok"], rec
+    assert len(checked) > 100, len(checked)
     assert len(checked_saturate) >= 2 * len(families.FAMILY_LABELS)
     assert len(checked_quotient) >= len(families.FAMILY_LABELS)
 
@@ -303,10 +330,52 @@ def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
     assert not too_big.equals(I)
     assert not _certified(I, too_big, [g1, g2], None)
     assert _certified(I, saturate_by_poly(I, g2), [g1, g2], None)
-    # a combination that is only g1 is refused and the reference is returned
-    monkeypatch.setattr(ideals, "_generic_combination", lambda gens: gens[0])
+    # a first combination that is only g1 is refused; the next draw from
+    # the stream gives I
+    real = ideals._generic_combination
+    draws = []
+
+    def first_is_g1(gens, rng):
+        draws.append(real(gens, rng))
+        return gens[0] if len(draws) == 1 else draws[-1]
+
+    monkeypatch.setattr(ideals, "_generic_combination", first_is_g1)
     got = saturate(I, J)
-    assert got.gens == _saturate_by_parts(_fresh(I), J, None).gens and got.equals(I)
+    assert len(draws) == 2 and draws[0] != draws[1]
+    assert got.gens == _saturate_by_parts(_fresh(I), J, None).groebner() and got.equals(I)
+
+
+def test_every_refused_saturate_draw_raises_degenerate_input(monkeypatch):
+    """A certificate that refuses every draw: `_SAT_DRAWS` draws, then
+    DegenerateInput naming saturate."""
+    cubic, line = _cubic_and_line(GF(10007))
+    I = intersect(cubic, line)
+    calls = []
+
+    def refused(*args):
+        calls.append(args)
+        return False
+
+    monkeypatch.setattr(ideals, "_certified", refused)
+    with pytest.raises(DegenerateInput, match="^saturate: "):
+        saturate(I, line)
+    assert len(calls) == ideals._SAT_DRAWS
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf", "q"])
+def test_saturate_by_two_variables_matches_the_reference(F):
+    """J = (z0, z1), which the reference saturates variable by variable:
+    the combination route gives the reduced grevlex basis of the same
+    ideal, here the twisted cubic left after the line z0 = z1 = 0 and the
+    embedded structure of the product are stripped."""
+    R = ring(F, 4)
+    cubic = _ideal(R, TWISTED, moved=True)
+    J = _ideal(R, ("z0", "z1"))
+    I = ideal_product(intersect(cubic, J), J)
+    got = saturate(I, J)
+    want = _saturate_by_parts(_fresh(I), J, None)
+    assert got.gens == want.groebner() == cubic.groebner()
+    _cached_basis_is_exact(got)
 
 
 def _e8_line_preimage():
@@ -331,7 +400,7 @@ def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
     assert not got.is_unit()
     assert len(calls) == 1
     monkeypatch.undo()
-    assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).gens
+    assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).groebner()
 
 
 def test_the_certificate_rejects_a_quotient_by_one_generator(monkeypatch):
@@ -339,11 +408,29 @@ def test_the_certificate_rejects_a_quotient_by_one_generator(monkeypatch):
     I : J = (z0*z1), because z1*z2 is not in I."""
     R = ring(GF(10007), 4)
     I, J = _ideal(R, ("z0*z1",)), _ideal(R, ("z0", "z2"))
-    monkeypatch.setattr(ideals, "_generic_combination", lambda gens: gens[0])
+    monkeypatch.setattr(ideals, "_generic_combination", lambda gens, rng: gens[0])
     assert ideals.quotient_by_poly(I, J.gens[0]).equals(_ideal(R, ("z1",)))
     assert _certified_quotient(I, list(J.gens), None) is None
     got = quotient(I, J)
     assert got.gens == _quotient_by_parts(I, J, None).gens == I.gens
+
+
+def test_no_draw_passes_the_quotient_certificate_on_two_squares():
+    """I = (z0^2, z1^2), J = (z0, z1): I : J = (z0^2, z0*z1, z1^2), but
+    I : f holds a*z0 - b*z1 for every f = a*z0 + b*z1, since their product
+    is a^2*z0^2 - b^2*z1^2.  So the certificate refuses every draw, and
+    quotient answers through `_quotient_by_parts`, which it keeps for such
+    inputs."""
+    R = ring(GF(10007), 4)
+    I, J = _ideal(R, ("z0^2", "z1^2")), _ideal(R, ("z0", "z1"))
+    want = _ideal(R, ("z0^2", "z0*z1", "z1^2"))
+    for a, b in ((1, 0), (0, 1), (3, 7), (5, 1)):
+        too_big = ideals.quotient_by_poly(I, parse_poly(f"{a}*z0 + {b}*z1", R))
+        other = parse_poly(f"{a}*z0 - {b}*z1", R)
+        assert too_big.contains(other) and not want.contains(other)
+    assert _certified_quotient(I, list(J.gens), None) is None
+    got = quotient(I, J)
+    assert got.gens == _quotient_by_parts(I, J, None).gens == want.groebner()
 
 
 def test_a_quotient_by_an_ideal_inside_i_is_the_unit_ideal(monkeypatch):
@@ -381,17 +468,22 @@ def _cubic_and_line(F):
 
 def test_saturate_over_q_takes_one_combination(monkeypatch):
     """A twisted cubic plus a line over Q: saturating by the line's ideal
-    leaves the cubic, through the combination and without the reference."""
+    leaves the cubic, from the first draw of the combination."""
     cubic, line = _cubic_and_line(QQ)
     I = intersect(cubic, line)
 
-    def refused(*args):
-        raise AssertionError("the reference route was taken")
+    certificates = []
+    real = ideals._certified
 
-    monkeypatch.setattr(ideals, "_saturate_by_parts", refused)
+    def counted(*args):
+        certificates.append(real(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(ideals, "_certified", counted)
     got = saturate(I, line)
     monkeypatch.undo()
-    assert got.gens == _saturate_by_parts(_fresh(I), line, None).gens
+    assert certificates == [True]
+    assert got.gens == _saturate_by_parts(_fresh(I), line, None).groebner()
     assert got.equals(cubic)
     _cached_basis_is_exact(got)
 
