@@ -12,7 +12,7 @@ from .fields import GF, GF2, QQ
 from .poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, Polynomial, parse_poly, print_poly, ring
 from .groebner import Budget, BudgetError, groebner_basis, normal_form
 from .ideals import (HilbertData, IdealHandle, eliminate, graded_piece_dim,
-                     ideal_product, intersect, isolated_points, local_length, multiplicity_at,
+                     intersect, isolated_points, local_length, multiplicity_at,
                      quotient, random_form, sat_irrelevant, saturate)
 from .cremona import (MapAnalysis, RationalMap, analyze_map, base_locus,
                       bidegree, birationality_certificate, genus_of_map,

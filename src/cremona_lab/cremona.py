@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from . import linalg
 from .fields import GF
 from .groebner import Budget, BudgetError
-from .ideals import (DegenerateInput, IdealHandle, candidate_lines, ideal_sum,
-                     isolated_points, piece_span, quotient, sat_irrelevant, saturate,
-                     saturate_by_poly)
+from .ideals import (DegenerateInput, IdealHandle, candidate_lines, isolated_points,
+                     piece_span, sat_irrelevant, saturate, saturate_by_poly)
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
 # spot-checks that the tracer rewraps this from-imported binding
 from .ideals import extract_points  # noqa: F401
@@ -199,12 +198,12 @@ def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None 
     h = J.hilbert(budget)
     deg1 = h.degree if h.dimension == 1 else 0
     if h.dimension <= 0:
-        _, count = isolated_points(J, None, rng.split("theta"), budget)
+        _, count = isolated_points(J, None, budget)
         return J, 0, count
     if c2 is None:
         _, _, c2rec = line_preimage_split(psi, rng.split("split"), budget)
         c2 = c2rec.ideal
-    _, count = isolated_points(J, c2, rng.split("theta"), budget)
+    _, count = isolated_points(J, c2, budget)
     return J, deg1, count
 
 
@@ -215,9 +214,21 @@ def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None
     """Preimage of a generic line and its liaison split.
 
     Returns (Gamma, C1, C2) where Gamma is the complete intersection of two
-    generic members, C1 = sat(Gamma, base) is the strict transform of the
-    line and C2 = (Gamma : C1) the residual supported on the base locus.
-    Redraws the line, up to five times, if the two curves share a component.
+    generic members, C1 = Gamma : I_psi^oo is the strict transform of the
+    line and C2 = Gamma : C1 the residual supported on the base locus
+    (Peskine-Szpiro linkage).  Redraws the line, up to five times, if its
+    preimage is not a curve of degree (deg psi)^2 or lies in the base locus.
+
+    C2 is computed as the saturation Gamma : C1^oo, which equals Gamma : C1.
+    Gamma is a complete intersection, so it is unmixed: it is the
+    intersection of primary components q_i whose primes p_i are all minimal.
+    C1 is the intersection of the q_i with p_i not containing I_psi.  For
+    those, C1 lies in q_i, so q_i : C1 = (1).  For the others (p_i contains
+    I_psi) C1 does not lie in p_i, or some q_j with p_j not containing I_psi
+    would lie in p_i, and p_j = p_i as both are minimal; so q_i : C1 =
+    q_i : C1^oo = q_i.  Hence Gamma : C1 = Gamma : C1^oo is the intersection
+    of the components of Gamma inside the base locus, and C1 and C2 share no
+    component.  The degree and genus identities of linkage are checked.
     """
     R = psi.ring
     F = R.field
@@ -241,13 +252,7 @@ def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None
             last_err = "line preimage entirely inside the base locus"
             continue
         C1i = C1i.as_saturated()
-        C2i = quotient(Gamma, C1i, budget).as_saturated()
-        # shared component <=> C1 + C2 still 1-dimensional (read off the
-        # unsaturated sum: an ideal and its saturation share Hilbert data)
-        hb = ideal_sum(C1i, C2i).hilbert(budget)
-        if hb.dimension >= 1:
-            last_err = "C1 and C2 share a component"
-            continue
+        C2i = saturate(Gamma, C1i, budget).as_saturated()
         c1 = CurveRecord.from_ideal(C1i, budget)
         c2 = CurveRecord.from_ideal(C2i, budget)
         if c1.degree + c2.degree != psi.degree ** 2:
@@ -582,7 +587,7 @@ def analyze_map(psi: RationalMap, seed=0, trials: int = 5, with_certificate: boo
     an.base_dim = hJ.dimension
     an.deg1part = hJ.degree if hJ.dimension == 1 else 0
     an.theta_ideal, an.theta_count = isolated_points(
-        J, an.c2.ideal if an.c2.degree else None, rng.split("theta"), budget)
+        J, an.c2.ideal if an.c2.degree else None, budget)
     if psi.degree == 3:
         an.genus = genus_of_map(psi, rng.split("genus"), budget)
         an.ruled, an.ruled_witness = is_ruled(psi, rng.split("ruled"), budget)

@@ -279,7 +279,7 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
         if spec.hilbert(budget).dimension != 0:
             raise DegenerateInput("special locus is not finite (ruled map?)")
         pts, ext = extract_points(spec, rng.split("spec"), budget)
-        total = count_points(spec, rng.split("spec-count"), budget)
+        total = count_points(spec, budget)
         unresolved = max(0, total - len(pts) - len(ext))
     if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
         got, got_ext = extract_points(analysis.theta_ideal, rng.split("theta"), budget)

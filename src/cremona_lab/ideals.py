@@ -12,19 +12,11 @@ constructions used throughout:
 
 * intersection   -- t * I + (1-t) * J in a scratch ring, eliminate t;
 * quotient I:g   -- (I meet (g)) / g;
-* quotient I:J   -- one quotient Q = I:f by a fixed combination f of J's
-  generators (first of its lowest-degree generators not in I, then of all
-  of them), accepted when every product q*g of a generator q of Q and g of
-  J reduces to 0 modulo I's grevlex basis: then I:J lies in Q because f is
-  in J, and Q lies in I:J.  Otherwise the reference route
-  `_quotient_by_parts`, the intersection of the single-generator
-  quotients; it stays because no f passes on inputs such as
-  (z0^2, z1^2) : (z0, z1).  Both return the reduced grevlex basis of I:J
-  when J has at least two nonzero generators, and the unit ideal when all
-  of them lie in I;
-* saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), with the
-  cheaper divide-out-the-last-variable shortcut when g is a variable and I
-  is homogeneous;
+* quotient I:J   -- the intersection of the quotients I:g by J's
+  generators, exact with no draw; one quotient by a combination of them
+  would not do, as (z0^2, z1^2) : (z0, z1) shows.  The analysis does not
+  call it;
+* saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t);
 * saturation I:J^oo  -- I:g^oo when J has one generator g; otherwise one
   Rabinowitsch saturation K = I:h^oo by a generic combination h of J's
   generators (degrees padded by a linear form, drawn from a fixed
@@ -88,7 +80,7 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, Field
-from .groebner import DEFAULT_BUDGET, Budget, BudgetError, Reducer, exact_divide, groebner_basis
+from .groebner import DEFAULT_BUDGET, Budget, Reducer, exact_divide, groebner_basis
 from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -190,16 +182,6 @@ def unit_ideal(R: Ring) -> IdealHandle:
 # ------------------------------------------------------------- basic ops
 
 
-def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    _same_ring(I, J)
-    return IdealHandle(list(I.gens) + list(J.gens), I.ring)
-
-
-def ideal_product(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    _same_ring(I, J)
-    return IdealHandle([a * b for a in I.gens for b in J.gens], I.ring)
-
-
 def _same_ring(I, J):
     if I.ring != J.ring:
         raise ValueError("ring/field mismatch")
@@ -242,85 +224,29 @@ def quotient_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None
 
 
 def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
-    """(I : J), with exactly the generators `_quotient_by_parts` returns.
-
-    When J has at least two nonzero generators and one of them is not in I,
-    it is first computed as Q = I : f for one f in J, by one
-    `quotient_by_poly`.  I : J lies in Q because f lies in J.  Q lies in
-    I : J when every product q * g of a generator q of Q and a generator g
-    of J reduces to 0 modulo I's grevlex basis.  Then Q's reduced grevlex
-    basis is returned; it is also what the reference returns, since its
-    chain of parts ends in `intersect`.  The draws, in turn: a fixed
-    combination (`_generic_combination`) of J's lowest-degree generators
-    that are not in I, then of all of J's generators when that is a
-    different polynomial.  When every generator of J lies in I, I : J is
-    the unit ideal.  When both draws are refused, or a BudgetError is
-    raised inside the shortcut, the reference route is taken.
-
-    Unlike `saturate`, the quotient keeps its reference route, because no
-    draw can pass the certificate on some inputs: (z0^2, z1^2) : (z0, z1)
-    = (z0^2, z0*z1, z1^2), but for every f = a*z0 + b*z1 the quotient
-    (z0^2, z1^2) : f also holds a*z0 - b*z1, whose product with f is
-    a^2*z0^2 - b^2*z1^2.  `acceptance`'s monomial oracle asks for such
-    quotients.
+    """(I : J), exact with no draw: the intersection over the generators g
+    of J of I : g (`quotient_by_poly`), and the unit ideal when J = 0.  No
+    single I : f with f in J would do: (z0^2, z1^2) : (z0, z1) =
+    (z0^2, z0*z1, z1^2), but for every f = a*z0 + b*z1 the quotient
+    (z0^2, z1^2) : f also holds a*z0 - b*z1 (their product is
+    a^2*z0^2 - b^2*z1^2).  The analysis does not call it: the liaison
+    residual is a saturation (`cremona.line_preimage_split`).
     """
     _same_ring(I, J)
-    gens = [g for g in J.gens if g]
-    if len(gens) >= 2:
-        try:
-            Q = _certified_quotient(I, gens, budget)
-            if Q is not None:
-                return Q
-        except BudgetError:
-            pass
-    return _quotient_by_parts(I, J, budget)
-
-
-def _certified_quotient(I: IdealHandle, gens: list, budget: Budget | None) -> IdealHandle | None:
-    """I : f for the first draw f whose quotient passes the certificate, as
-    its reduced grevlex basis; the unit ideal when no generator is outside
-    I; None when every draw is refused."""
-    outside = [g for g in gens if I.nf(g, budget)]
-    if not outside:
-        return unit_ideal(I.ring)
-    low = min(g.total_degree() for g in outside)
-    first = _generic_combination([g for g in outside if g.total_degree() == low],
-                                 Rng(0, "saturate-combination"))
-    every = _generic_combination(gens, Rng(0, "saturate-combination"))
-    draws = [first] if every == first else [first, every]
-    for f in draws:
-        if not f:  # the drawn coefficients cancel (possible over a tiny field)
-            continue
-        Q = quotient_by_poly(I, f, budget)
-        if all(not I.nf(q * g, budget) for q in Q.gens for g in gens):
-            gb = Q.groebner(GREVLEX, budget)
-            return IdealHandle(gb, I.ring).with_basis(GREVLEX, gb)
-    return None
-
-
-def _quotient_by_parts(I: IdealHandle, J: IdealHandle, budget: Budget | None) -> IdealHandle:
-    """The reference route: (I : J) as the intersection over generators g
-    of J of (I : g)."""
-    _same_ring(I, J)
-    gens = [g for g in J.gens if g]
-    if not gens:
-        return unit_ideal(I.ring)
     acc = None
-    for g in gens:
+    for g in J.gens:
         q = quotient_by_poly(I, g, budget)
         acc = q if acc is None else intersect(acc, q, budget)
-    return acc
+    return unit_ideal(I.ring) if acc is None else acc
 
 
 def saturate_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None) -> IdealHandle:
-    """(I : g^oo) by the Rabinowitsch trick."""
+    """(I : g^oo): I for a constant g, otherwise the Rabinowitsch
+    elimination, which comes with its reduced grevlex basis."""
     if not g:
         raise ZeroDivisionError("saturation by zero")
     if g.total_degree() == 0:
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
-    vi = _single_variable(g)
-    if vi is not None:
-        return _saturate_variable(I, vi, budget)
     return _rabinowitsch(I, g, budget)
 
 
@@ -333,39 +259,6 @@ def _rabinowitsch(I: IdealHandle, g: Polynomial, budget: Budget | None) -> Ideal
     gens = [f.map_vars(S, lift) for f in I.gens]
     gens.append(t * g.map_vars(S, lift) - S.one)
     return eliminate(IdealHandle(gens, S), 1, budget)
-
-
-def _single_variable(g: Polynomial):
-    if len(g.terms) != 1:
-        return None
-    m = g.terms[0][0]
-    R = g.ring
-    if R.mdeg(m) != 1:
-        return None
-    for i in range(R.nvars):
-        if R.mexp(m, i) == 1:
-            return i
-    return None
-
-
-def _saturate_variable(I: IdealHandle, i: int, budget: Budget | None = None) -> IdealHandle:
-    """(I : z_i^oo) for homogeneous I: grevlex basis with z_i cheapest, then
-    divide each element by its z_i power."""
-    R = I.ring
-    n = R.nvars
-    if any(not g.is_homogeneous() for g in I.gens):
-        raise ValueError("variable saturation requires homogeneous input")
-    perm = list(range(n))
-    perm[i], perm[n - 1] = perm[n - 1], perm[i]
-    # z_{n-1} is already cheapest: the permutation is the identity
-    moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
-    out, divided = _divide_last_power(moved.groebner(GREVLEX, budget), R)
-    part = IdealHandle([g.map_vars(R, perm) for g in out], R)
-    known = I._gb.get(GREVLEX)
-    if not divided and known is not None:
-        # no lead divisible by z_i: z_i is a non-zerodivisor mod I, the part is I
-        part.with_basis(GREVLEX, known)
-    return part
 
 
 # the draws of `saturate` and `sat_irrelevant` before they give up
@@ -1028,14 +921,14 @@ def _root_multiplicity(f: list, a, F: Field) -> int:
     return k
 
 
-def count_points(I: IdealHandle, rng: Rng, budget: Budget | None = None) -> int:
+def count_points(I: IdealHandle, budget: Budget | None = None) -> int:
     """Number of distinct points of a 0-dim scheme over the closure: the
     rank of the trace form (f, g) -> Tr(M_fg) of its algebra.  Over the
     closure that form is sum_q len(q) ev_q (x) ev_q, with the evaluations at
     the points independent, so its rank counts the points whose length is
     nonzero in the field: all of them, as lengths are at most the degree,
     which is below the characteristic (`_build_algebra`).  Exact, with no
-    draw, so rng is not read."""
+    draw."""
     Isat = I if I.saturated else sat_irrelevant(I, budget)
     if Isat.is_unit(budget):
         return 0
@@ -1148,7 +1041,7 @@ def _normalize_point(p, F) -> tuple:
     return tuple(F.mul(c, inv) for c in p)
 
 
-def isolated_points(J: IdealHandle, curve_part: IdealHandle | None, rng: Rng,
+def isolated_points(J: IdealHandle, curve_part: IdealHandle | None,
                     budget: Budget | None = None):
     """0-dimensional part of the base scheme: (theta_ideal, distinct count)."""
     R = J.ring
@@ -1164,7 +1057,7 @@ def isolated_points(J: IdealHandle, curve_part: IdealHandle | None, rng: Rng,
     if theta.hilbert(budget).dimension != 0:
         raise DegenerateInput("residual of the curve part is not 0-dimensional")
     theta = theta.as_saturated()
-    return theta, count_points(theta, rng, budget)
+    return theta, count_points(theta, budget)
 
 
 # ------------------------------------------------------------ line search

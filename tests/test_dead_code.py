@@ -11,7 +11,8 @@ module-level function that only the tests name must be exported from
 
 A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
 `Reducer`, `normal_form`) inside `ideals` and `groebner`, so that every
-other module reads those facts through `IdealHandle`.
+other module reads those facts through `IdealHandle`, and a third keeps
+`quotient` and `intersect` out of the analysis modules.
 """
 
 import ast
@@ -137,3 +138,15 @@ def test_raw_basis_readers_stay_in_ideals_and_groebner():
             if name in RAW_READERS:
                 found.append(f"{path.stem}:{node.lineno}: {name}")
     assert found == [], "read Hilbert data and normal forms through IdealHandle"
+
+
+def test_the_analysis_imports_no_quotient_or_intersection():
+    """The liaison residual is a saturation, so the analysis modules need
+    neither `quotient` nor `intersect`."""
+    found = []
+    for stem in ("cremona", "hudson"):
+        tree = ast.parse((PKG / f"{stem}.py").read_text(encoding="utf-8"))
+        found += [f"{stem}:{node.lineno}: {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name in ("quotient", "intersect")]
+    assert found == []

@@ -1,21 +1,19 @@
-"""sat_irrelevant, saturate and quotient against their reference routes
-(saturate by each variable or by each generator, or divide by each
-generator, and intersect the parts): sat_irrelevant and saturate give the
-reference's reduced grevlex basis, quotient its exact generators.  Each
-costs the pinned number of Groebner bases, and the caller's budget reaches
-every Groebner call of an analysis.  The saturation references live here;
-`_quotient_by_parts` is also quotient's own fallback in the package."""
+"""sat_irrelevant and saturate against their reference routes (saturate
+by each variable or by each generator and intersect the parts): both give
+the reference's reduced grevlex basis.  Each costs the pinned number of
+Groebner bases, and the caller's budget reaches every Groebner call of an
+analysis.  The references live here.  The liaison residual Gamma : C1 is a
+saturation, and equals the exact quotient on every stratum."""
 
 import gc
 
 import pytest
 
 from cremona_lab import cli, cremona, families, groebner, hudson, ideals
-from cremona_lab.cremona import analyze_map, map_of_degree, new_map
+from cremona_lab.cremona import analyze_map, line_preimage_split, map_of_degree, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
-from cremona_lab.ideals import (DegenerateInput, IdealHandle, _certified, _certified_quotient,
-                                _quotient_by_parts, ideal_product, intersect, quotient,
+from cremona_lab.ideals import (DegenerateInput, IdealHandle, _certified, intersect, quotient,
                                 sat_irrelevant, saturate, saturate_by_poly, unit_ideal)
 from cremona_lab.poly import _ring_cache, parse_poly, ring
 from cremona_lab.rng import Rng, random_prime
@@ -34,11 +32,15 @@ def _ideal(R, texts, moved=False):
     return IdealHandle(gens, R)
 
 
+def _product(I, J):
+    return IdealHandle([a * b for a in I.gens for b in J.gens], I.ring)
+
+
 def _irrelevant(R, power=1):
     m = IdealHandle(R.vars(), R)
     out = m
     for _ in range(power - 1):
-        out = ideal_product(out, m)
+        out = _product(out, m)
     return out
 
 
@@ -54,7 +56,7 @@ def _inputs(F):
         "finite length": _ideal(R, ("z0^2", "z1^2 + z0*z3", "z2^2", "z3^3")),
         "unit": IdealHandle([R.one], R),
         "saturated curve": curve,
-        "curve times (z0..z3)": ideal_product(_ideal(R, TWISTED, moved=True), _irrelevant(R)),
+        "curve times (z0..z3)": _product(_ideal(R, TWISTED, moved=True), _irrelevant(R)),
         "curve meet (z0..z3)^3": _fresh(intersect(_ideal(R, TWISTED, moved=True),
                                                   _irrelevant(R, 3))),
         # zero sets inside coordinate hyperplanes: here the reference returns
@@ -83,13 +85,47 @@ def _intersect_distinct(parts, budget):
     return acc
 
 
+def _single_variable(g):
+    """i when g is a multiple of the variable z_i, else None."""
+    if len(g.terms) != 1:
+        return None
+    m = g.terms[0][0]
+    R = g.ring
+    if R.mdeg(m) != 1:
+        return None
+    return next(i for i in range(R.nvars) if R.mexp(m, i) == 1)
+
+
+def _saturate_variable(I, i, budget=None):
+    """(I : z_i^oo) for homogeneous I: grevlex basis with z_i cheapest, then
+    divide each element by its z_i power."""
+    R = I.ring
+    n = R.nvars
+    assert all(g.is_homogeneous() for g in I.gens)
+    perm = list(range(n))
+    perm[i], perm[n - 1] = perm[n - 1], perm[i]
+    # z_{n-1} is already cheapest: the permutation is the identity
+    moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
+    out, divided = ideals._divide_last_power(moved.groebner(groebner.GREVLEX, budget), R)
+    part = IdealHandle([g.map_vars(R, perm) for g in out], R)
+    known = I._gb.get(groebner.GREVLEX)
+    if not divided and known is not None:
+        # no lead divisible by z_i: z_i is a non-zerodivisor mod I, the part is I
+        part.with_basis(groebner.GREVLEX, known)
+    return part
+
+
 def _saturate_by_parts(I, J, budget):
     """The reference: (I : J^oo) as the intersection over generators g of J
-    of (I : g^oo)."""
+    of (I : g^oo), a variable g divided out of a grevlex basis."""
     gens = [g for g in J.gens if g]
     if not gens or any(g.total_degree() == 0 for g in gens):
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
-    acc = _intersect_distinct([saturate_by_poly(I, g, budget) for g in gens], budget)
+    parts = []
+    for g in gens:
+        i = _single_variable(g)
+        parts.append(saturate_by_poly(I, g, budget) if i is None else _saturate_variable(I, i, budget))
+    acc = _intersect_distinct(parts, budget)
     return unit_ideal(I.ring) if acc is None else acc
 
 
@@ -98,7 +134,7 @@ def _sat_irrelevant_by_parts(I, budget):
     parts."""
     R = I.ring
     gb0 = I.groebner(groebner.GREVLEX, budget)
-    parts = [ideals._saturate_variable(I, i, budget) for i in range(R.nvars)]
+    parts = [_saturate_variable(I, i, budget) for i in range(R.nvars)]
     if all(S.groebner(groebner.GREVLEX, budget) == gb0 for S in parts):
         return IdealHandle(list(gb0), R, saturated=True)
     acc = _intersect_distinct(parts, budget)
@@ -213,7 +249,7 @@ def test_a_part_by_a_non_zerodivisor_reuses_the_basis_of_the_input():
     I = _inputs(GF(10007))["saturated curve"]
     gb0 = I.groebner()
     for i in range(4):
-        part = ideals._saturate_variable(I, i)
+        part = _saturate_variable(I, i)
         assert part._gb.get(groebner.GREVLEX) == gb0
         assert tuple(groebner.groebner_basis(list(part.gens))) == gb0
 
@@ -234,10 +270,9 @@ def test_analyze_map_saturates_the_base_ideal_once(monkeypatch):
 
 
 def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
-    """The shared-component check, the genus and ruledness read Hilbert data
-    off unsaturated ideals (an ideal and its saturation have the same
-    Hilbert polynomial), so the base ideal is the only ideal saturated by
-    the irrelevant ideal."""
+    """The genus and ruledness read Hilbert data off unsaturated ideals (an
+    ideal and its saturation have the same Hilbert polynomial), so the base
+    ideal is the only ideal saturated by the irrelevant ideal."""
     template, _ = families.build("E8", 1, GF(1000003))
     psi = map_of_degree(template.components, 3, label=template.label)
     seen = []
@@ -269,15 +304,13 @@ def _cached_basis_is_exact(I):
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     """Two full-level scans per stratum, members at seeds 1 + k and
     9001 + k (Hudson, fiber oracle and certificate included), with every
-    sat_irrelevant, saturate and quotient call checked against its reference
-    route.  An invariants scan saturates little by the irrelevant ideal
-    beyond the base ideal, so it would check too few."""
+    sat_irrelevant and saturate call checked against its reference route.
+    An invariants scan saturates little by the irrelevant ideal beyond the
+    base ideal, so it would check too few."""
     real = ideals.sat_irrelevant
     real_saturate = ideals.saturate
-    real_quotient = ideals.quotient
     checked = []
     checked_saturate = []
-    checked_quotient = []
 
     def compared(I, budget=None):
         got = real(I, budget)
@@ -293,28 +326,17 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         checked_saturate.append(I)
         return got
 
-    def compared_quotient(I, J, budget=None):
-        got = real_quotient(I, J, budget)
-        want = _quotient_by_parts(I, J, budget)
-        assert got.gens == want.gens
-        gb = got._gb.get(groebner.GREVLEX)
-        assert gb is None or gb == want.groebner()
-        checked_quotient.append(I)
-        return got
-
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", compared)
     for mod in (ideals, cremona, hudson):
         monkeypatch.setattr(mod, "saturate", compared_saturate)
-    monkeypatch.setattr(cremona, "quotient", compared_quotient)
     rng = Rng(1, "scan-primes")
     for seed in (1, 9001):
         for k, fam in enumerate(families.FAMILY_LABELS):
             rec = cli.scan_one(fam, seed + k, random_prime(rng.split(f"p{k}")), level="full")
             assert rec["ok"], rec
     assert len(checked) > 100, len(checked)
-    assert len(checked_saturate) >= 2 * len(families.FAMILY_LABELS)
-    assert len(checked_quotient) >= len(families.FAMILY_LABELS)
+    assert len(checked_saturate) >= 3 * len(families.FAMILY_LABELS)
 
 
 def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
@@ -371,7 +393,7 @@ def test_saturate_by_two_variables_matches_the_reference(F):
     R = ring(F, 4)
     cubic = _ideal(R, TWISTED, moved=True)
     J = _ideal(R, ("z0", "z1"))
-    I = ideal_product(intersect(cubic, J), J)
+    I = _product(intersect(cubic, J), J)
     got = saturate(I, J)
     want = _saturate_by_parts(_fresh(I), J, None)
     assert got.gens == want.groebner() == cubic.groebner()
@@ -403,24 +425,20 @@ def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
     assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).groebner()
 
 
-def test_the_certificate_rejects_a_quotient_by_one_generator(monkeypatch):
+def test_a_quotient_by_one_generator_of_j_can_be_larger():
     """I = (z0*z1), J = (z0, z2): I : z0 = (z1) is strictly larger than
     I : J = (z0*z1), because z1*z2 is not in I."""
     R = ring(GF(10007), 4)
     I, J = _ideal(R, ("z0*z1",)), _ideal(R, ("z0", "z2"))
-    monkeypatch.setattr(ideals, "_generic_combination", lambda gens, rng: gens[0])
     assert ideals.quotient_by_poly(I, J.gens[0]).equals(_ideal(R, ("z1",)))
-    assert _certified_quotient(I, list(J.gens), None) is None
-    got = quotient(I, J)
-    assert got.gens == _quotient_by_parts(I, J, None).gens == I.gens
+    assert quotient(I, J).equals(I)
 
 
-def test_no_draw_passes_the_quotient_certificate_on_two_squares():
+def test_no_single_quotient_gives_two_squares_by_their_variables():
     """I = (z0^2, z1^2), J = (z0, z1): I : J = (z0^2, z0*z1, z1^2), but
     I : f holds a*z0 - b*z1 for every f = a*z0 + b*z1, since their product
-    is a^2*z0^2 - b^2*z1^2.  So the certificate refuses every draw, and
-    quotient answers through `_quotient_by_parts`, which it keeps for such
-    inputs."""
+    is a^2*z0^2 - b^2*z1^2.  quotient intersects the quotients by z0 and
+    z1."""
     R = ring(GF(10007), 4)
     I, J = _ideal(R, ("z0^2", "z1^2")), _ideal(R, ("z0", "z1"))
     want = _ideal(R, ("z0^2", "z0*z1", "z1^2"))
@@ -428,37 +446,38 @@ def test_no_draw_passes_the_quotient_certificate_on_two_squares():
         too_big = ideals.quotient_by_poly(I, parse_poly(f"{a}*z0 + {b}*z1", R))
         other = parse_poly(f"{a}*z0 - {b}*z1", R)
         assert too_big.contains(other) and not want.contains(other)
-    assert _certified_quotient(I, list(J.gens), None) is None
-    got = quotient(I, J)
-    assert got.gens == _quotient_by_parts(I, J, None).gens == want.groebner()
+    assert quotient(I, J).groebner() == want.groebner()
 
 
-def test_a_quotient_by_an_ideal_inside_i_is_the_unit_ideal(monkeypatch):
-    """Every generator of J lies in I: the unit ideal, with no elimination."""
+def test_a_quotient_by_an_ideal_inside_i_is_the_unit_ideal():
     R = ring(GF(10007), 4)
     I, J = _ideal(R, ("z0*z1", "z2")), _ideal(R, ("z0*z1*z3", "z2*z3"))
-    I.groebner()
-    calls = _count_bases(monkeypatch)
-    got = quotient(I, J)
-    assert got.gens == (R.one,) and not calls
-    monkeypatch.undo()
-    assert got.gens == _quotient_by_parts(I, J, None).gens
+    assert quotient(I, J).is_unit()
+    assert quotient(I, _ideal(R, ("0",))).is_unit()
 
 
-def test_the_split_quotient_costs_two_bases(monkeypatch):
-    """quotient(Gamma, C1) on an E8 map: one elimination for Gamma : f and
-    one grevlex basis of the result (the reference costs 2k - 1
-    eliminations for a C1 with k generators)."""
-    psi, Gamma = _e8_line_preimage()
-    C1 = saturate(Gamma, psi.ideal()).as_saturated()
+def test_the_liaison_residual_saturation_is_the_quotient_on_every_stratum():
+    """C2 = Gamma : C1^oo (one saturation) has the reduced basis of the
+    exact quotient Gamma : C1 on every stratum at seeds 1 + k and 9001 + k:
+    Gamma is unmixed and C1 keeps exactly its components off the base
+    locus (proof in `line_preimage_split`)."""
+    rng = Rng(1, "scan-primes")
+    for seed in (1, 9001):
+        for k, fam in enumerate(families.FAMILY_LABELS):
+            psi, _ = families.build(fam, seed + k, GF(random_prime(rng.split(f"p{k}"))))
+            Gamma, c1, c2 = line_preimage_split(psi, Rng(seed + k, "split"))
+            assert c2.ideal.groebner() == quotient(Gamma, c1.ideal).groebner(), (fam, seed)
+
+
+def test_the_split_costs_three_bases(monkeypatch):
+    """line_preimage_split on an E8 map: Gamma's grevlex basis and one
+    Rabinowitsch elimination each for C1 and C2.  Their bases come
+    attached, so the Hilbert data and the identities cost nothing more."""
+    psi, _ = families.build("E8", 1, GF(1000003))
     calls = _count_bases(monkeypatch)
-    got = quotient(Gamma, C1)
-    assert len(calls) == 2
-    assert not got.is_unit()
-    assert len(calls) == 2
-    monkeypatch.undo()
-    want = _quotient_by_parts(Gamma, C1, None)
-    assert len(C1.gens) >= 2 and got.gens == want.gens
+    _, c1, c2 = line_preimage_split(psi, Rng(1, "split"))
+    assert len(calls) == 3
+    assert (c1.degree, c2.degree) == (4, 5)
 
 
 def _cubic_and_line(F):
@@ -558,7 +577,7 @@ def _two_step_certificate_value(T, an):
     deg C2 > 0, then by Theta when Theta is not the unit ideal."""
     rest = T
     if an.c2.degree:
-        rest = saturate(rest, ideals.ideal_sum(an.c1.ideal, an.c2.ideal))
+        rest = saturate(rest, IdealHandle(an.c1.ideal.gens + an.c2.ideal.gens, T.ring))
     if an.theta_ideal is not None and not an.theta_ideal.is_unit():
         rest = saturate(rest, an.theta_ideal)
     h = rest.hilbert()
