@@ -10,14 +10,13 @@ table.
 
 from .fields import GF, GF2, QQ
 from .poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, Polynomial, parse_poly, print_poly, ring
-from .groebner import Budget, BudgetError, groebner_basis, normal_form
+from .groebner import Budget, BudgetError, groebner_basis, limits, normal_form
 from .ideals import (HilbertData, IdealHandle, eliminate, graded_piece_dim,
                      intersect, isolated_points, local_length, multiplicity_at,
                      quotient, random_form, sat_irrelevant, saturate)
-from .cremona import (MapAnalysis, RationalMap, analyze_map, base_locus,
-                      bidegree, birationality_certificate, genus_of_map,
-                      inverse, is_birational, is_ruled, line_preimage_split,
-                      map_of_degree, new_map)
+from .cremona import (MapAnalysis, RationalMap, analyze_map, birationality_certificate,
+                      genus_of_map, inverse, is_birational, is_ruled,
+                      line_preimage_split, new_map)
 from .hudson import (HudsonVector, PointType, classify_component,
                      classify_point, curve_singular_points, hudson_vector,
                      load_table, match_table, tangent_profile)

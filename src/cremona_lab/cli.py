@@ -20,10 +20,9 @@ import json
 import sys
 import time
 
-from .cremona import (InverseUnavailable, MapError, RationalMap, analyze_map,
-                      inverse, map_of_degree)
+from .cremona import InverseUnavailable, MapError, RationalMap, analyze_map, inverse
 from .fields import GF, QQ, FieldError, field_descriptor, field_from_descriptor
-from .groebner import Budget, BudgetError
+from .groebner import Budget, BudgetError, current_limits, limits
 from .hudson import classify_component, hudson_vector, load_table, match_table
 from .ideals import DegenerateInput
 from .poly import print_poly, ring
@@ -81,7 +80,7 @@ def document_to_map(doc: dict) -> RationalMap:
         raise MapError(f"malformed document: {e}") from e
     prov = doc.get("provenance")
     label = prov.get("label") if isinstance(prov, dict) else None
-    return map_of_degree(comps, doc.get("degree", 3), label=label)
+    return RationalMap(comps, doc.get("degree", 3), label=label)
 
 
 def spec_to_json(spec: families.FamilySpec) -> dict:
@@ -102,7 +101,15 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
                     with_certificate: bool = True, with_hudson: bool = True,
                     budget: Budget | None = None, primes=None, with_inverse: bool = False) -> dict:
     """Full report over GF(p); Q maps are reduced modulo two independent
-    primes that must agree on every invariant."""
+    primes that must agree on every invariant.  Every Groebner computation
+    of the analysis is held to `budget` (`groebner.limits`); None keeps the
+    current limits."""
+    with limits(budget or current_limits()):
+        return _report(psi, seed, trials, with_certificate, with_hudson, primes, with_inverse)
+
+
+def _report(psi: RationalMap, seed, trials, with_certificate, with_hudson, primes,
+            with_inverse) -> dict:
     F = psi.ring.field
     if F == QQ:
         rng = Rng(seed, "qq-reduction")
@@ -115,9 +122,8 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
                 ps = [random_prime(rng.split(f"p{round_}-{i}")) for i in (0, 1)]
             try:
                 # a pinned prime comes twice; each distinct prime is analysed once
-                by_prime = {p: analysis_report(psi.reduce_mod(p), seed, trials,
-                                               with_certificate, with_hudson, budget,
-                                               with_inverse=with_inverse)
+                by_prime = {p: analysis_report(psi.reduce_mod(p), seed, trials, with_certificate,
+                                               with_hudson, with_inverse=with_inverse)
                             for p in dict.fromkeys(ps)}
                 reps = [by_prime[p] for p in ps]
             except FieldError:
@@ -139,8 +145,7 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
         rep["birational"] = "inconclusive"
         return rep
 
-    an = analyze_map(psi, seed=seed, trials=trials, with_certificate=with_certificate,
-                     budget=budget)
+    an = analyze_map(psi, seed=seed, trials=trials, with_certificate=with_certificate)
     rep = {
         "schema": SCHEMA_REPORT,
         "field": field_descriptor(F),
@@ -161,7 +166,7 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
         "notes": list(an.notes),
     }
     if with_hudson:
-        hv = hudson_vector(an, Rng(seed, "hudson"), budget)
+        hv = hudson_vector(an, Rng(seed, "hudson"))
         rep["hudson_counts"] = list(hv.count_tuple())
         rep["hudson_partial"] = hv.partial
         rep["quadric_rank"] = hv.quadric_rank
@@ -173,7 +178,7 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
             rep["missing_row_note"] = "no classical table row matches (documented gaps: E3.5, E7.5)"
         if an.birational == "yes":
             try:
-                rep["family"] = classify_component(an, hv, Rng(seed, "component"), budget)
+                rep["family"] = classify_component(an, hv, Rng(seed, "component"))
             except Exception as e:  # classification keeps full evidence in the message
                 rep["family"] = None
                 rep["classification_error"] = str(e)

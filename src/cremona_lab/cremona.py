@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .fields import GF
-from .groebner import Budget, BudgetError
+from .groebner import BudgetError
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, isolated_points,
                      piece_span, sat_irrelevant, saturate, saturate_by_poly)
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
@@ -62,10 +62,10 @@ class RationalMap:
     def ideal(self) -> IdealHandle:
         return IdealHandle([f for f in self.components if f], self.ring)
 
-    def base_ideal(self, budget: Budget | None = None) -> IdealHandle:
+    def base_ideal(self) -> IdealHandle:
         """The saturated base ideal sat(f0, ..., f3), computed once per map."""
         if self._base is None:
-            self._base = sat_irrelevant(self.ideal(), budget)
+            self._base = sat_irrelevant(self.ideal())
         return self._base
 
     def apply(self, point):
@@ -129,12 +129,6 @@ def new_map(f0, f1, f2, f3, label=None, seed=None) -> RationalMap:
     return psi
 
 
-def map_of_degree(components, degree, label=None) -> RationalMap:
-    """Generic-degree variant (no common-factor check); used for map
-    documents, the pinned special examples and tests."""
-    return RationalMap(components, degree, label=label)
-
-
 def base_dimension(psi: RationalMap) -> int:
     return psi.base_ideal().hilbert().dimension
 
@@ -151,8 +145,8 @@ class CurveRecord:
     p_a: int
 
     @classmethod
-    def from_ideal(cls, I: IdealHandle, budget: Budget | None = None) -> "CurveRecord":
-        h = I.hilbert(budget)
+    def from_ideal(cls, I: IdealHandle) -> "CurveRecord":
+        h = I.hilbert()
         if h.dimension == -1:
             return cls(I, 0, 1)  # empty curve: HP = 0, p_a = 1 - HP(0)
         if h.dimension != 1:
@@ -187,30 +181,10 @@ class MapAnalysis:
         return (self.psi.degree, self.c1.degree)
 
 
-# ------------------------------------------------------------- base locus
-
-
-def base_locus(psi: RationalMap, rng: Rng | None = None, c2: IdealHandle | None = None,
-               budget: Budget | None = None):
-    """(saturated base ideal, degree of its 1-dim part, count of isolated points)."""
-    rng = rng or Rng(psi.seed or 0, "base")
-    J = psi.base_ideal(budget)
-    h = J.hilbert(budget)
-    deg1 = h.degree if h.dimension == 1 else 0
-    if h.dimension <= 0:
-        _, count = isolated_points(J, None, budget)
-        return J, 0, count
-    if c2 is None:
-        _, _, c2rec = line_preimage_split(psi, rng.split("split"), budget)
-        c2 = c2rec.ideal
-    _, count = isolated_points(J, c2, budget)
-    return J, deg1, count
-
-
 # ------------------------------------------------------- liaison splitting
 
 
-def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None):
+def line_preimage_split(psi: RationalMap, rng: Rng):
     """Preimage of a generic line and its liaison split.
 
     Returns (Gamma, C1, C2) where Gamma is the complete intersection of two
@@ -243,18 +217,18 @@ def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None
         if not g1 or not g2:
             continue
         Gamma = IdealHandle([g1, g2], R, saturated=True)
-        h = Gamma.hilbert(budget)
+        h = Gamma.hilbert()
         if h.dimension != 1 or h.degree != psi.degree ** 2:
             last_err = f"degenerate line preimage (dim {h.dimension}, deg {h.degree})"
             continue
-        C1i = saturate(Gamma, Ipsi, budget)
-        if C1i.is_unit(budget):
+        C1i = saturate(Gamma, Ipsi)
+        if C1i.is_unit():
             last_err = "line preimage entirely inside the base locus"
             continue
         C1i = C1i.as_saturated()
-        C2i = saturate(Gamma, C1i, budget).as_saturated()
-        c1 = CurveRecord.from_ideal(C1i, budget)
-        c2 = CurveRecord.from_ideal(C2i, budget)
+        C2i = saturate(Gamma, C1i).as_saturated()
+        c1 = CurveRecord.from_ideal(C1i)
+        c2 = CurveRecord.from_ideal(C2i)
         if c1.degree + c2.degree != psi.degree ** 2:
             raise DegenerateInput(
                 f"liaison degree identity failed: {c1.degree} + {c2.degree} != {psi.degree ** 2}")
@@ -268,19 +242,10 @@ def line_preimage_split(psi: RationalMap, rng: Rng, budget: Budget | None = None
     raise DegenerateInput(last_err or "no valid generic line found")
 
 
-def bidegree(psi: RationalMap, rng: Rng | None = None, budget: Budget | None = None):
-    """(deg psi, deg C1); the identity deg C1 + deg C2 = (deg psi)^2 is
-    asserted inside the split."""
-    rng = rng or Rng(psi.seed or 0, "bidegree")
-    _, c1, _ = line_preimage_split(psi, rng, budget=budget)
-    return (psi.degree, c1.degree)
-
-
 # ------------------------------------------------------------ birationality
 
 
-def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
-                  budget: Budget | None = None):
+def is_birational(psi: RationalMap, rng: Rng, trials: int = 5):
     """Fiber-sampling oracle over GF(p).
 
     Returns (verdict, fiber_degree) with verdict in {yes, no, inconclusive}:
@@ -299,10 +264,10 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
     for t in range(trials):
         sub = rng.split(f"fiber-{t}")
         try:
-            d, dim = _fiber_degree(psi, sub, budget)
+            d, dim = _fiber_degree(psi, sub)
             if dim > 0 or d != 1:
                 # one retry guards against an unlucky sample or bad prime
-                d2, dim2 = _fiber_degree(psi, rng.split(f"fiber-retry-{t}"), budget)
+                d2, dim2 = _fiber_degree(psi, rng.split(f"fiber-retry-{t}"))
                 if dim2 > 0 or d2 != 1:
                     return "no", (d2 if dim2 == 0 else None)
         except BudgetError:
@@ -310,7 +275,7 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5,
     return "yes", 1
 
 
-def _fiber_degree(psi: RationalMap, rng: Rng, budget):
+def _fiber_degree(psi: RationalMap, rng: Rng):
     """(degree, dimension) of the fiber of psi through a random point x:
     Fib = (y_j psi_i - y_i psi_j) for y = psi(x), without its components
     in the base locus, i.e. Fib : (psi)^oo.
@@ -345,14 +310,13 @@ def _fiber_degree(psi: RationalMap, rng: Rng, budget):
             if g:
                 gens.append(g)
     i = next(i for i, v in enumerate(y) if v != F.zero)
-    h = saturate_by_poly(IdealHandle(gens, R), psi.components[i], budget).hilbert(budget)
+    h = saturate_by_poly(IdealHandle(gens, R), psi.components[i]).hilbert()
     if h.dimension <= 0:
         return (h.degree if h.dimension == 0 else 0), 0
     return h.degree, h.dimension
 
 
-def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rng,
-                              budget: Budget | None = None) -> int:
+def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rng) -> int:
     """Number of preimage points of a generic target point that avoid the
     base locus: 3*deg C1 minus the local intersection lengths of a generic
     member with C1 at C1 meet C2 and at the isolated base points.  Equals 1
@@ -377,15 +341,15 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
     for attempt in range(5):
         sub = rng.split(f"cert-{attempt}")
         S = psi.random_member(sub)
-        if gamma is not None and gamma.contains(S, budget):
+        if gamma is not None and gamma.contains(S):
             continue  # S must be nonzero modulo the pencil cutting C1 u C2
         T = IdealHandle(list(c1.ideal.gens) + [S], R)
-        hT = T.hilbert(budget)
+        hT = T.hilbert()
         if hT.dimension != 0:
             continue
         if hT.degree != psi.degree * c1.degree:
             continue
-        hr = saturate(T, psi.ideal(), budget).hilbert(budget)
+        hr = saturate(T, psi.ideal()).hilbert()
         return hr.degree if hr.dimension == 0 else 0
     raise DegenerateInput("no suitable member for the certificate")
 
@@ -393,7 +357,7 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
 # ------------------------------------------------------------------ genus
 
 
-def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> int:
+def genus_of_map(psi: RationalMap, rng: Rng) -> int:
     """Geometric genus (0 or 1) of a generic plane section of a generic
     member: 1 iff the plane cubic is smooth.  Majority verdict over 3
     clean draws.  The plane is z3 = 0 after a random coordinate change M;
@@ -412,7 +376,7 @@ def genus_of_map(psi: RationalMap, rng: Rng, budget: Budget | None = None) -> in
         cubic = S.substitute_linear(plane, check_invertible=False).map_vars(R3, (0, 1, 2, 0))
         if not cubic or not cubic.is_homogeneous() or cubic.total_degree() != 3:
             continue
-        h = IdealHandle(cubic.partials(), R3).hilbert(budget)
+        h = IdealHandle(cubic.partials(), R3).hilbert()
         if h.dimension == -1:
             votes.append(1)
         elif h.dimension == 0 and h.degree == 1:
@@ -437,7 +401,7 @@ def common_singular_locus(psi: RationalMap) -> IdealHandle:
     return IdealHandle(gens, psi.ring)
 
 
-def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
+def is_ruled(psi: RationalMap, rng: Rng):
     """(ruled?, witness double line as a pair of linear forms or None).
 
     Ruled means the members share a whole line of singular points delta and
@@ -448,12 +412,12 @@ def is_ruled(psi: RationalMap, rng: Rng, budget: Budget | None = None):
     """
     R = psi.ring
     Sigma = common_singular_locus(psi)
-    if Sigma.hilbert(budget).dimension < 1:
+    if Sigma.hilbert().dimension < 1:
         return False, None
-    Sigma = sat_irrelevant(Sigma, budget)
-    for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane", budget):
+    Sigma = sat_irrelevant(Sigma)
+    for l1, l2 in candidate_lines(Sigma, rng, "ruled-plane"):
         sq = IdealHandle([l1 * l1, l1 * l2, l2 * l2], R)
-        if all(sq.contains(f, budget) for f in psi.components):
+        if all(sq.contains(f) for f in psi.components):
             return True, (l1, l2)
     return False, None
 
@@ -575,30 +539,30 @@ def _parallel(F, a, b) -> bool:
 # ------------------------------------------------------------ orchestration
 
 
-def analyze_map(psi: RationalMap, seed=0, trials: int = 5, with_certificate: bool = True,
-                budget: Budget | None = None) -> MapAnalysis:
+def analyze_map(psi: RationalMap, seed=0, trials: int = 5,
+                with_certificate: bool = True) -> MapAnalysis:
     """Full invariant analysis over the map's own (prime) field."""
     rng = Rng(seed, f"analyze:{psi.label or ''}")
     an = MapAnalysis(psi=psi, seed=seed)
-    an.gamma, an.c1, an.c2 = line_preimage_split(psi, rng.split("split"), budget=budget)
-    J = psi.base_ideal(budget)
+    an.gamma, an.c1, an.c2 = line_preimage_split(psi, rng.split("split"))
+    J = psi.base_ideal()
     an.base_ideal = J
-    hJ = J.hilbert(budget)
+    hJ = J.hilbert()
     an.base_dim = hJ.dimension
     an.deg1part = hJ.degree if hJ.dimension == 1 else 0
     an.theta_ideal, an.theta_count = isolated_points(
-        J, an.c2.ideal if an.c2.degree else None, budget)
+        J, an.c2.ideal if an.c2.degree else None)
     if psi.degree == 3:
-        an.genus = genus_of_map(psi, rng.split("genus"), budget)
-        an.ruled, an.ruled_witness = is_ruled(psi, rng.split("ruled"), budget)
+        an.genus = genus_of_map(psi, rng.split("genus"))
+        an.ruled, an.ruled_witness = is_ruled(psi, rng.split("ruled"))
         if an.ruled != (an.genus == 0):
             raise DegenerateInput(
                 f"ruledness ({an.ruled}) and genus ({an.genus}) checks disagree")
     if trials:
-        an.birational, an.fiber_degree = is_birational(psi, rng.split("bir"), trials, budget)
+        an.birational, an.fiber_degree = is_birational(psi, rng.split("bir"), trials)
     if with_certificate:
         try:
-            an.certificate = birationality_certificate(psi, an, rng.split("cert"), budget)
+            an.certificate = birationality_certificate(psi, an, rng.split("cert"))
         except (DegenerateInput, BudgetError) as e:
             an.notes.append(f"certificate unavailable: {e}")
     return an

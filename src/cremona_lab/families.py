@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, univar
-from .cremona import MapError, RationalMap, map_of_degree, new_map
+from .cremona import MapError, RationalMap, new_map
 from .fields import GF, QQ, Field
 from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, intersect, line_forms,
                      piece_span, sat_irrelevant, vectors_to_polys)
@@ -726,17 +726,17 @@ def special_examples(field: Field = QQ) -> dict:
     R = ring(field, 4)
     pp = lambda s: parse_poly(s, R)
     out = {}
-    out["ruled-involution"] = map_of_degree(
+    out["ruled-involution"] = RationalMap(
         [pp("z0*z1^2"), pp("z0^2*z1"), pp("z0^2*z2"), pp("z1^2*z3")], 3,
         label="ruled-involution")
-    out["dJ-ruled"] = map_of_degree(
+    out["dJ-ruled"] = RationalMap(
         [pp("z0^3"), pp("z0^2*z1"), pp("z0^2*z2"), pp("z1^2*z3")], 3, label="dJ-ruled")
-    out["cube"] = map_of_degree(
+    out["cube"] = RationalMap(
         [pp("z0^3"), pp("z1^3"), pp("z2^3"), pp("z3^3")], 3, label="cube")
-    out["segre-squares"] = map_of_degree(
+    out["segre-squares"] = RationalMap(
         [pp("z0^2*z2"), pp("z0^2*z3"), pp("z1^2*z2"), pp("z1^2*z3")], 3,
         label="segre-squares")
-    out["dJ-smooth-S"] = map_of_degree(
+    out["dJ-smooth-S"] = RationalMap(
         [pp("z0*z1^2 + z0^2*z3"), pp("z1^3 + z0*z1*z3"), pp("z1^2*z2 + z0*z2*z3"),
          pp("z0^3 + z1^3 + z2^3 + z3^3")], 3, label="dJ-smooth-S")
     return out

@@ -1,5 +1,5 @@
 """Buchberger's algorithm with the Gebauer-Moeller pair update and resource
-budgets.
+limits.
 
 A new basis element is paired only with the elements whose lead no later
 lead divides, and its new pairs are thinned by the product criterion and
@@ -10,14 +10,21 @@ The engine works on term lists [(key, monomial, coeff), ...] sorted
 descending by the active order key; prime-field coefficients get a dedicated
 arithmetic path (plain ints mod p).  Order keys are affine in the exponent
 vector, so multiplying a list by a monomial adds one key difference to each
-stored key and no key is recomputed.  Budgets turn runaway computations into
-explicit errors: classification code must be able to tell "expensive" from
-"wrong".
+stored key and no key is recomputed.
+
+Limits turn runaway computations into explicit errors: classification code
+must be able to tell "expensive" from "wrong".  They are a scoped setting
+read here alone: `with limits(Budget(max_pairs, max_degree)):` bounds every
+Groebner computation started in the body, each on its own (the limits do
+not add up across calls), and restores the previous limits on exit.
+Outside any such scope the limits are `Budget()`.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .fields import GF
 from .poly import GREVLEX, MonomialOrder, Polynomial, Ring
@@ -42,7 +49,24 @@ class Budget:
         self.max_degree = 30 if max_degree is None else max_degree
 
 
-DEFAULT_BUDGET = Budget()
+_LIMITS: ContextVar[Budget] = ContextVar("groebner_limits", default=Budget())
+
+
+def current_limits() -> Budget:
+    """The limits every Groebner computation started now is held to."""
+    return _LIMITS.get()
+
+
+@contextmanager
+def limits(budget: Budget):
+    """Hold every Groebner computation in the body to `budget`.  The
+    previous limits come back on exit, also when the body raises (a
+    BudgetError, say)."""
+    token = _LIMITS.set(budget)
+    try:
+        yield
+    finally:
+        _LIMITS.reset(token)
 
 
 def _merge_sub_gf(work, start, g, dk, shift, factor, p):
@@ -107,12 +131,11 @@ def _merge_sub_gen(work, start, g, dk, shift, factor, F):
 
 
 class _Engine:
-    """One Groebner computation (fixed ring, order, budget)."""
+    """One Groebner computation (fixed ring and order)."""
 
-    def __init__(self, ring: Ring, order: MonomialOrder, budget: Budget):
+    def __init__(self, ring: Ring, order: MonomialOrder):
         self.ring = ring
         self.order = order
-        self.budget = budget
         self.keyf = ring._grevlex_key if order == GREVLEX else order.key_func(ring)
         self.cache: dict = {}
         F = ring.field
@@ -185,13 +208,10 @@ class _Engine:
         return [(k, m, F.mul(c, inv)) for k, m, c in lst]
 
 
-def groebner_basis(
-    gens: list,
-    order: MonomialOrder = GREVLEX,
-    budget: Budget | None = None,
-) -> list:
+def groebner_basis(gens: list, order: MonomialOrder = GREVLEX) -> list:
     """Reduced Groebner basis, deterministic, leads descending.  Pairs are
-    selected by smallest lcm (degree, then order key)."""
+    selected by smallest lcm (degree, then order key).  Raises BudgetError
+    when it exceeds `current_limits()`."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -199,8 +219,8 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise ValueError("mixed rings in generator list")
-    budget = budget or DEFAULT_BUDGET
-    eng = _Engine(ring, order, budget)
+    budget = _LIMITS.get()
+    eng = _Engine(ring, order)
     mdeg = ring.mdeg
     mlcm = ring.mlcm
     mdiv = ring.mdivides
@@ -286,8 +306,7 @@ class Reducer:
     polynomials against the same basis pays the conversion once; each
     result equals `normal_form(f, basis, order)`."""
 
-    def __init__(self, basis: list, order: MonomialOrder = GREVLEX,
-                 budget: Budget | None = None):
+    def __init__(self, basis: list, order: MonomialOrder = GREVLEX):
         basis = list(basis)
         self._eng = None
         if not basis:
@@ -295,7 +314,7 @@ class Reducer:
         ring = basis[0].ring
         if any(g.ring != ring for g in basis):
             raise ValueError("order/ring mismatch")
-        self._eng = eng = _Engine(ring, order, budget or DEFAULT_BUDGET)
+        self._eng = eng = _Engine(ring, order)
         self._G = sorted((eng.make_monic(eng.to_list(g)) for g in basis if g),
                          key=lambda l: l[0][0])
 
@@ -308,12 +327,7 @@ class Reducer:
         return eng.from_list(eng.reduce_full(eng.to_list(f), self._G))
 
 
-def normal_form(
-    f: Polynomial,
-    basis: list,
-    order: MonomialOrder = GREVLEX,
-    budget: Budget | None = None,
-) -> Polynomial:
+def normal_form(f: Polynomial, basis: list, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f modulo a Groebner basis (no term divisible by a lead).
 
     The remainder map is linear in f; `basis` must be a Groebner basis for
@@ -321,7 +335,7 @@ def normal_form(
     """
     if not basis or not f:
         return f
-    return Reducer(basis, order, budget)(f)
+    return Reducer(basis, order)(f)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
@@ -332,7 +346,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
         return f
     ring = f.ring
     F = ring.field
-    eng = _Engine(ring, GREVLEX, DEFAULT_BUDGET)
+    eng = _Engine(ring, GREVLEX)
     gl = eng.to_list(g)
     work = eng.to_list(f)
     quot: dict = {}
@@ -351,7 +365,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial | None:
 def spoly_reduces_to_zero(basis: list, i: int, j: int, order=GREVLEX) -> bool:
     """Check one S-pair of a claimed Groebner basis."""
     ring = basis[0].ring
-    eng = _Engine(ring, order, DEFAULT_BUDGET)
+    eng = _Engine(ring, order)
     G = [eng.make_monic(eng.to_list(g)) for g in basis]
     lcm_m = ring.mlcm(G[i][0][1], G[j][0][1])
     s = eng.spoly(G[i], G[j], lcm_m)

@@ -27,7 +27,6 @@ from importlib import resources
 from . import linalg, univar
 from .cremona import CurveRecord, MapAnalysis, RationalMap
 from .fields import GF, GF2
-from .groebner import Budget
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points,
                      extract_points, graded_piece_dim, multiplicity_at, piece_span,
                      point_frame, sat_irrelevant, saturate, vectors_to_polys)
@@ -250,16 +249,15 @@ def _jacobian_minors(gens) -> list:
     return minors
 
 
-def special_locus(psi: RationalMap, base_ideal: IdealHandle,
-                  budget: Budget | None = None) -> IdealHandle:
+def special_locus(psi: RationalMap, base_ideal: IdealHandle) -> IdealHandle:
     """Base points where the system can carry a Hudson structure: the rank
     of the 4x4 Jacobian is <= 1 there (rank 0 for double points / binodes /
     double points of contact, rank 1 for contact and osculation points)."""
     minors = _jacobian_minors(psi.components)
-    return sat_irrelevant(IdealHandle(list(base_ideal.gens) + minors, psi.ring), budget)
+    return sat_irrelevant(IdealHandle(list(base_ideal.gens) + minors, psi.ring))
 
 
-def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = None):
+def candidate_points(analysis: MapAnalysis, rng: Rng):
     """Candidate special points: the rank <= 1 locus of the system plus the
     isolated base points (and the singular points of C2, which the rank
     locus already contains for all-singular structures).
@@ -271,18 +269,18 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     `theta_count`.
     """
     psi = analysis.psi
-    spec = special_locus(psi, analysis.base_ideal, budget)
+    spec = special_locus(psi, analysis.base_ideal)
     pts: list = []
     ext: list = []
     unresolved = 0
-    if not spec.is_unit(budget):
-        if spec.hilbert(budget).dimension != 0:
+    if not spec.is_unit():
+        if spec.hilbert().dimension != 0:
             raise DegenerateInput("special locus is not finite (ruled map?)")
-        pts, ext = extract_points(spec, rng.split("spec"), budget)
-        total = count_points(spec, budget)
+        pts, ext = extract_points(spec, rng.split("spec"))
+        total = count_points(spec)
         unresolved = max(0, total - len(pts) - len(ext))
-    if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit(budget):
-        got, got_ext = extract_points(analysis.theta_ideal, rng.split("theta"), budget)
+    if analysis.theta_ideal is not None and not analysis.theta_ideal.is_unit():
+        got, got_ext = extract_points(analysis.theta_ideal, rng.split("theta"))
         if len(got) + len(got_ext) > analysis.theta_count:
             raise DegenerateInput(f"candidate_points: {len(got) + len(got_ext)} points "
                                   f"extracted from Theta, {analysis.theta_count} counted")
@@ -295,14 +293,13 @@ def candidate_points(analysis: MapAnalysis, rng: Rng, budget: Budget | None = No
     return pts, ext, unresolved
 
 
-def tangent_profile(c1: CurveRecord, c2: CurveRecord, p, rng: Rng,
-                    budget: Budget | None = None):
+def tangent_profile(c1: CurveRecord, c2: CurveRecord, p, rng: Rng):
     """(tangent-cone degree on C1, on C2, p in C2?)."""
     F = c1.ideal.ring.field
     on1 = all(g.evaluate(list(p)) == F.zero for g in c1.ideal.gens)
     on2 = c2.degree > 0 and all(g.evaluate(list(p)) == F.zero for g in c2.ideal.gens)
-    d1 = multiplicity_at(c1.ideal, p, rng.split("c1"), budget) if on1 else 0
-    d2 = multiplicity_at(c2.ideal, p, rng.split("c2"), budget) if on2 else 0
+    d1 = multiplicity_at(c1.ideal, p, rng.split("c1")) if on1 else 0
+    d2 = multiplicity_at(c2.ideal, p, rng.split("c2")) if on2 else 0
     return d1, d2, on2
 
 
@@ -327,8 +324,7 @@ class HudsonVector:
                 c.get("ContactPoint", 0), c.get("ordinary", 0))
 
 
-def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
-                  budget: Budget | None = None) -> HudsonVector:
+def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None) -> HudsonVector:
     """Counts, profiles and F-curves of the system at its special points.
 
     A point of contact whose tangent profile is (0, >= 2, on C2) is not
@@ -351,10 +347,10 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
     if analysis.ruled:
         # the singular locus is a whole line; Hudson's point columns apply
         # to the non-ruled strata, so only the ordinary count is reported
-        fcurves = _split_fcurves(analysis.c2, rng.split("fc"), budget)
+        fcurves = _split_fcurves(analysis.c2, rng.split("fc"))
         return HudsonVector(analysis.bidegree, {"ordinary": analysis.theta_count},
                             fcurves, [], ruled=True)
-    pts, ext, unresolved = candidate_points(analysis, rng.split("cand"), budget)
+    pts, ext, unresolved = candidate_points(analysis, rng.split("cand"))
     counts: dict = {}
     specials = []
     profiles = []
@@ -364,12 +360,12 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
         pt = classify_point(psi, p, rng.split(f"class-{p}"))
         if pt.tag == "Ordinary":
             continue
-        prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"), budget)
+        prof = tangent_profile(analysis.c1, analysis.c2, p, rng.split(f"prof-{p}"))
         if pt.tag == "ContactPoint" and prof[0] == 0 and prof[1] >= 2 and prof[2]:
             continue  # a tangency forced by C2, see above
         specials.append((p, pt))
         counts[pt.tag] = counts.get(pt.tag, 0) + 1
-        if theta is not None and not theta.is_unit(budget):
+        if theta is not None and not theta.is_unit():
             if all(g.evaluate(list(p)) == F.zero for g in theta.gens):
                 absorbed += 1
         profiles.append((p, pt.tag, prof[0], prof[1], prof[2]))
@@ -384,7 +380,7 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
         specials.append((p, pt))
         counts[pt.tag] = counts.get(pt.tag, 0) + 1
     counts["ordinary"] = max(0, analysis.theta_count - absorbed)
-    fcurves = _split_fcurves(analysis.c2, rng.split("fc"), budget)
+    fcurves = _split_fcurves(analysis.c2, rng.split("fc"))
     qrank = None
     if analysis.c2.degree:
         q = _unique_quadric_of(analysis.c2)
@@ -394,7 +390,7 @@ def hudson_vector(analysis: MapAnalysis, rng: Rng | None = None,
                         partial=partial, specials=specials, quadric_rank=qrank)
 
 
-def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
+def _split_fcurves(c2: CurveRecord, rng: Rng) -> list:
     """C2 split into its lines over the working field and the rest.
 
     One line search (`candidate_lines`) finds the distinct lines
@@ -409,20 +405,20 @@ def _split_fcurves(c2: CurveRecord, rng: Rng, budget) -> list:
         return []
     C = c2.ideal
     lines = []
-    for forms in candidate_lines(C, rng.split("lines"), "plane", budget):
+    for forms in candidate_lines(C, rng.split("lines"), "plane"):
         L = IdealHandle(forms, C.ring, saturated=True)
-        if all(L.contains(g, budget) for g in C.gens) and not any(L.equals(M) for M in lines):
+        if all(L.contains(g) for g in C.gens) and not any(L.equals(M) for M in lines):
             lines.append(L)
     out = []
     work, degree = C, c2.degree
     for L in lines:
-        work = saturate(work, L, budget)
-        h = work.hilbert(budget)
+        work = saturate(work, L)
+        h = work.hilbert()
         rest = h.degree if h.dimension == 1 else 0
         out += [("l", 1, 0)] * (degree - rest)
         degree = rest
     if degree:
-        h = work.hilbert(budget)
+        h = work.hilbert()
         out.append(("w", h.degree, h.p_a))
     return out
 
@@ -530,7 +526,7 @@ class ClassificationError(RuntimeError):
 
 
 def classify_component(analysis: MapAnalysis, hv: HudsonVector | None = None,
-                       rng: Rng | None = None, budget: Budget | None = None) -> str:
+                       rng: Rng | None = None) -> str:
     """Component / stratum label of a birational cubic map of P^3."""
     rng = rng or Rng(analysis.seed, "component")
     if analysis.birational not in (None, "yes"):
@@ -544,7 +540,7 @@ def classify_component(analysis: MapAnalysis, hv: HudsonVector | None = None,
         raise ClassificationError(f"no non-ruled stratum for bidegree (3,{d})")
     p2 = analysis.c2.p_a
     if hv is None:
-        hv = hudson_vector(analysis, rng.split("hv"), budget)
+        hv = hudson_vector(analysis, rng.split("hv"))
     sing_tags = [(p, t) for (p, t) in hv.specials if t.is_all_singular()]
     contact_tags = [(p, t) for (p, t) in hv.specials
                     if t.tag in ("ContactPoint", "OsculationPoint")]
@@ -590,7 +586,7 @@ def classify_component(analysis: MapAnalysis, hv: HudsonVector | None = None,
             return "E24"
         if len(sing_tags) == 1:
             p = sing_tags[0][0]
-            mult = multiplicity_at(analysis.c1.ideal, p, rng.split("mult"), budget)
+            mult = multiplicity_at(analysis.c1.ideal, p, rng.split("mult"))
             if mult == 3:
                 return "E13"
             raise ClassificationError(
@@ -625,24 +621,24 @@ def _rank4(q: Polynomial) -> int:
 # ------------------------------------------------------- curve singularities
 
 
-def curve_singular_points(C: CurveRecord, rng: Rng, budget: Budget | None = None):
+def curve_singular_points(C: CurveRecord, rng: Rng):
     """Singular points of a curve over the working field, with their
     multiplicities: [(point, mult)].  Returns None when the singular locus
     is not finite (non-reduced curves, e.g. the double line of a ruled map).
     """
     I = C.ideal
     R = I.ring
-    gens = list(I.groebner(GREVLEX, budget))
-    S = sat_irrelevant(IdealHandle(gens + _jacobian_minors(gens), R), budget)
-    if S.is_unit(budget):
+    gens = list(I.groebner(GREVLEX))
+    S = sat_irrelevant(IdealHandle(gens + _jacobian_minors(gens), R))
+    if S.is_unit():
         return []
-    if S.hilbert(budget).dimension != 0:
+    if S.hilbert().dimension != 0:
         return None
-    pts, _ = extract_points(S, rng.split("pts"), budget)
+    pts, _ = extract_points(S, rng.split("pts"))
     out = []
     for p in pts:
         try:
-            m = multiplicity_at(I, p, rng.split(f"m-{p}"), budget)
+            m = multiplicity_at(I, p, rng.split(f"m-{p}"))
         except DegenerateInput:
             continue
         if m >= 2:

@@ -80,7 +80,7 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, Field
-from .groebner import DEFAULT_BUDGET, Budget, Reducer, exact_divide, groebner_basis
+from .groebner import Reducer, current_limits, exact_divide, groebner_basis
 from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -117,10 +117,10 @@ class IdealHandle:
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
 
-    def groebner(self, order: MonomialOrder = GREVLEX, budget: Budget | None = None) -> tuple:
+    def groebner(self, order: MonomialOrder = GREVLEX) -> tuple:
         got = self._gb.get(order)
         if got is None:
-            got = tuple(groebner_basis(list(self.gens), order, budget))
+            got = tuple(groebner_basis(list(self.gens), order))
             self._gb[order] = got
         return got
 
@@ -135,17 +135,17 @@ class IdealHandle:
         out._hilbert, out._reducer = self._hilbert, self._reducer
         return out
 
-    def nf(self, f: Polynomial, budget: Budget | None = None) -> Polynomial:
+    def nf(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the grevlex basis, by one cached Reducer."""
         if self._reducer is None:
-            self._reducer = Reducer(self.groebner(GREVLEX, budget), GREVLEX, budget)
+            self._reducer = Reducer(self.groebner(GREVLEX), GREVLEX)
         return self._reducer(f)
 
-    def contains(self, f: Polynomial, budget: Budget | None = None) -> bool:
-        return not self.nf(f, budget)
+    def contains(self, f: Polynomial) -> bool:
+        return not self.nf(f)
 
-    def is_unit(self, budget: Budget | None = None) -> bool:
-        gb = self.groebner(GREVLEX, budget)
+    def is_unit(self) -> bool:
+        gb = self.groebner(GREVLEX)
         return len(gb) == 1 and gb[0].total_degree() == 0
 
     def is_zero(self) -> bool:
@@ -154,20 +154,20 @@ class IdealHandle:
     def equals(self, other: "IdealHandle") -> bool:
         return self.groebner() == other.groebner()
 
-    def hilbert(self, budget: Budget | None = None) -> "HilbertData":
+    def hilbert(self) -> "HilbertData":
         """Hilbert data of this ideal's own grevlex basis, cached.  Never
         saturates: I and I : (z_0, ..., z_{n-1})^oo have the same dimension,
         degree and p_a (only the numerator, i.e. the Hilbert function in low
         degrees, can differ)."""
         if self._hilbert is None:
-            self._hilbert = hilbert_from_basis(self.groebner(GREVLEX, budget), self.ring)
+            self._hilbert = hilbert_from_basis(self.groebner(GREVLEX), self.ring)
         return self._hilbert
 
-    def algebra(self, budget: Budget | None = None) -> "_Algebra":
+    def algebra(self) -> "_Algebra":
         """The multiplication matrices of k[x]/I for a 0-dimensional I,
         built once off the grevlex basis (`_build_algebra`)."""
         if self._algebra is None:
-            self._algebra = _build_algebra(self, budget)
+            self._algebra = _build_algebra(self)
         return self._algebra
 
     def substituted(self, M) -> "IdealHandle":
@@ -192,7 +192,7 @@ def _scratch_ring(R: Ring) -> Ring:
     return ring(R.field, R.nvars + 1, names)
 
 
-def intersect(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I meet J via the auxiliary-variable construction."""
     _same_ring(I, J)
     R = I.ring
@@ -206,14 +206,14 @@ def intersect(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> I
     lift = [i + 1 for i in range(R.nvars)]
     gens = [t * g.map_vars(S, lift) for g in I.gens]
     gens += [one_minus_t * g.map_vars(S, lift) for g in J.gens]
-    return eliminate(IdealHandle(gens, S), 1, budget)
+    return eliminate(IdealHandle(gens, S), 1)
 
 
-def quotient_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None) -> IdealHandle:
+def quotient_by_poly(I: IdealHandle, g: Polynomial) -> IdealHandle:
     """(I : g) = (I meet (g)) / g."""
     if not g:
         raise ZeroDivisionError("quotient by zero")
-    meet = intersect(I, IdealHandle([g], I.ring), budget)
+    meet = intersect(I, IdealHandle([g], I.ring))
     out = []
     for h in meet.gens:
         q = exact_divide(h, g)
@@ -223,7 +223,7 @@ def quotient_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None
     return IdealHandle(out, I.ring)
 
 
-def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+def quotient(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """(I : J), exact with no draw: the intersection over the generators g
     of J of I : g (`quotient_by_poly`), and the unit ideal when J = 0.  No
     single I : f with f in J would do: (z0^2, z1^2) : (z0, z1) =
@@ -235,22 +235,22 @@ def quotient(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
     _same_ring(I, J)
     acc = None
     for g in J.gens:
-        q = quotient_by_poly(I, g, budget)
-        acc = q if acc is None else intersect(acc, q, budget)
+        q = quotient_by_poly(I, g)
+        acc = q if acc is None else intersect(acc, q)
     return unit_ideal(I.ring) if acc is None else acc
 
 
-def saturate_by_poly(I: IdealHandle, g: Polynomial, budget: Budget | None = None) -> IdealHandle:
+def saturate_by_poly(I: IdealHandle, g: Polynomial) -> IdealHandle:
     """(I : g^oo): I for a constant g, otherwise the Rabinowitsch
     elimination, which comes with its reduced grevlex basis."""
     if not g:
         raise ZeroDivisionError("saturation by zero")
     if g.total_degree() == 0:
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
-    return _rabinowitsch(I, g, budget)
+    return _rabinowitsch(I, g)
 
 
-def _rabinowitsch(I: IdealHandle, g: Polynomial, budget: Budget | None) -> IdealHandle:
+def _rabinowitsch(I: IdealHandle, g: Polynomial) -> IdealHandle:
     """(I : g^oo) = (I + (t*g - 1)) meet k[z], for any polynomial g."""
     R = I.ring
     S = _scratch_ring(R)
@@ -258,14 +258,14 @@ def _rabinowitsch(I: IdealHandle, g: Polynomial, budget: Budget | None) -> Ideal
     lift = [i + 1 for i in range(R.nvars)]
     gens = [f.map_vars(S, lift) for f in I.gens]
     gens.append(t * g.map_vars(S, lift) - S.one)
-    return eliminate(IdealHandle(gens, S), 1, budget)
+    return eliminate(IdealHandle(gens, S), 1)
 
 
 # the draws of `saturate` and `sat_irrelevant` before they give up
 _SAT_DRAWS = 4
 
 
-def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """(I : J^oo), as its reduced grevlex basis when J has two or more
     nonzero generators.
 
@@ -286,11 +286,11 @@ def saturate(I: IdealHandle, J: IdealHandle, budget: Budget | None = None) -> Id
     if not gens or any(g.total_degree() == 0 for g in gens):
         return IdealHandle(list(I.gens), I.ring, saturated=I.saturated)
     if len(gens) == 1:
-        return saturate_by_poly(I, gens[0], budget)
+        return saturate_by_poly(I, gens[0])
     rng = Rng(0, "saturate-combination")
     for _ in range(_SAT_DRAWS):
-        K = _rabinowitsch(I, _generic_combination(gens, rng), budget)
-        if _certified(I, K, gens, budget):
+        K = _rabinowitsch(I, _generic_combination(gens, rng))
+        if _certified(I, K, gens):
             return K
     raise DegenerateInput("saturate: the normal-form certificate refused "
                           f"{_SAT_DRAWS} draws of the combination")
@@ -318,15 +318,15 @@ def _small_coefficients(F: Field, rng: Rng, k: int) -> list:
     return [F.of(rng.randrange(F.char) if F.char else rng.randint(1, 16)) for _ in range(k)]
 
 
-def _certified(I: IdealHandle, K: IdealHandle, gens: list, budget: Budget | None) -> bool:
+def _certified(I: IdealHandle, K: IdealHandle, gens: list) -> bool:
     """True when every generator k of K has g^N k in I for every g in
     `gens`: then J^M k lies in I for M = len(gens) * (N - 1) + 1, so K lies
     in I : J^oo.  r <- NF(g * r) modulo I's grevlex basis, from r = NF(k),
     reaches 0 after N steps.  False when some g^N k would exceed the degree
-    budget first."""
-    max_degree = (budget or DEFAULT_BUDGET).max_degree
+    limit of `groebner.current_limits()` first."""
+    max_degree = current_limits().max_degree
     for k in K.gens:
-        start = I.nf(k, budget)
+        start = I.nf(k)
         for g in gens:
             r = start
             degree = k.total_degree()
@@ -334,11 +334,11 @@ def _certified(I: IdealHandle, K: IdealHandle, gens: list, budget: Budget | None
                 degree += g.total_degree()
                 if degree > max_degree:
                     return False
-                r = I.nf(g * r, budget)
+                r = I.nf(g * r)
     return True
 
 
-def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
+def sat_irrelevant(I: IdealHandle) -> IdealHandle:
     """Saturation with respect to (z_0, ..., z_{n-1}), as its reduced grevlex
     basis, flagged as saturated.
 
@@ -363,8 +363,8 @@ def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
         return IdealHandle([], R, saturated=True)
     if any(not g.is_homogeneous() for g in I.gens):
         raise ValueError("variable saturation requires homogeneous input")
-    gb0 = I.groebner(GREVLEX, budget)
-    h0 = I.hilbert(budget)
+    gb0 = I.groebner(GREVLEX)
+    h0 = I.hilbert()
     if h0.dimension == -1:
         return IdealHandle([R.one], R, saturated=True)
     n = R.nvars
@@ -379,14 +379,12 @@ def sat_irrelevant(I: IdealHandle, budget: Budget | None = None) -> IdealHandle:
         move.append(coeffs + [F.one])
         back.append([F.neg(c) for c in coeffs] + [F.one])
         K, divided = _divide_last_power(
-            groebner_basis([g.substitute_linear(move, check_invertible=False) for g in gb0],
-                           GREVLEX, budget), R)
+            groebner_basis([g.substitute_linear(move, check_invertible=False) for g in gb0]), R)
         if not divided:  # K is the moved I: I is saturated
             return _saturated_basis(gb0, R)
         hK = hilbert_from_basis(K, R)
         if _same_hilbert_polynomial(hK, h0):
-            gb = groebner_basis([g.substitute_linear(back, check_invertible=False) for g in K],
-                                GREVLEX, budget)
+            gb = groebner_basis([g.substitute_linear(back, check_invertible=False) for g in K])
             return _saturated_basis(gb, R)
     raise DegenerateInput("sat_irrelevant: the Hilbert polynomial certificate refused "
                           f"{_SAT_DRAWS} draws of the moved variable")
@@ -424,7 +422,7 @@ def _divide_last_power(gb, R: Ring) -> tuple:
     return out, divided
 
 
-def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHandle:
+def eliminate(I: IdealHandle, k: int) -> IdealHandle:
     """I meet field[z_k, ..., z_{n-1}], in the ring of those n - k variables:
     the part of I's reduced ElimBlock(k) basis free of the first k
     variables.  ElimBlock(k) restricted to those monomials is grevlex, so
@@ -436,7 +434,7 @@ def eliminate(I: IdealHandle, k: int, budget: Budget | None = None) -> IdealHand
         raise ValueError("elimination count out of range")
     R2 = ring(R.field, n - k, R.names[k:])
     var_map = [0] * k + list(range(n - k))
-    out = [g.map_vars(R2, var_map) for g in I.groebner(ElimBlock(k), budget)
+    out = [g.map_vars(R2, var_map) for g in I.groebner(ElimBlock(k))
            if all(all(R.mexp(m, i) == 0 for i in range(k)) for m, _ in g.terms)]
     return IdealHandle(out, R2).with_basis(GREVLEX, out)
 
@@ -641,7 +639,7 @@ def point_frame(R: Ring, p) -> list:
     return M
 
 
-def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
+def local_length(I: IdealHandle, p) -> int:
     """Length of the component at the point p of the 0-dimensional scheme
     defined by I, read off I's algebra (`IdealHandle.algebra`): for a draw
     l, the multiplicity of the root lam = l(p)/h(p) of chi_l, accepted when
@@ -657,16 +655,16 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     complete algebra h vanishes at no point of the scheme, so h(p) = 0
     gives length 0."""
     R = I.ring
-    h = I.hilbert(budget)
+    h = I.hilbert()
     if h.dimension > 0:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
         return 0
     F = R.field
-    alg = I.algebra(budget)
+    alg = I.algebra()
     if not alg.complete and p[-1] == F.zero:
         e_last = (F.zero,) * (R.nvars - 1) + (F.one,)
-        return local_length(I.substituted(point_frame(R, p)), e_last, budget)
+        return local_length(I.substituted(point_frame(R, p)), e_last)
     hp = linalg.dot(F, alg.h, p)
     if hp == F.zero:
         return 0
@@ -682,7 +680,7 @@ def local_length(I: IdealHandle, p, budget: Budget | None = None) -> int:
     raise DegenerateInput(f"local_length: {_DRAWS} draws of l did not separate the point")
 
 
-def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -> int:
+def multiplicity_at(C: IdealHandle, p, rng: Rng) -> int:
     """Multiplicity of the curve C at p: local length of a generic plane
     section; two independent planes among the first five must agree."""
     R = C.ring
@@ -703,7 +701,7 @@ def multiplicity_at(C: IdealHandle, p, rng: Rng, budget: Budget | None = None) -
                 coeffs = cand
         section = IdealHandle(list(C.gens) + [R.linear_form(coeffs)], R)
         try:
-            val = local_length(section, p, budget)
+            val = local_length(section, p)
         except DegenerateInput:
             continue
         values.append(val)
@@ -789,7 +787,7 @@ def _combine(F: Field, coeffs: list, mats: list) -> list:
     return out
 
 
-def _build_algebra(I: IdealHandle, budget: Budget | None) -> _Algebra:
+def _build_algebra(I: IdealHandle) -> _Algebra:
     """The algebra of a 0-dimensional I, read off its grevlex basis with no
     further Groebner basis.
 
@@ -806,20 +804,20 @@ def _build_algebra(I: IdealHandle, budget: Budget | None) -> _Algebra:
     R = I.ring
     F = R.field
     n = R.nvars
-    hd = I.hilbert(budget)
+    hd = I.hilbert()
     if hd.dimension != 0:
         raise DegenerateInput("zero-dimensional algebra: the scheme is not 0-dimensional")
     if F.char and hd.degree >= F.char:
         raise DegenerateInput(f"zero-dimensional algebra: degree {hd.degree} is not below "
                               f"the characteristic {F.char}")
     A = ring(F, n - 1, R.names[:-1])
-    chart = [_dehomogenize_last(g, A) for g in I.groebner(GREVLEX, budget)]
+    chart = [_dehomogenize_last(g, A) for g in I.groebner(GREVLEX)]
     normal = _normal_set([g.lead()[0] for g in chart], A)
     complete = len(normal) == hd.degree
     if not complete and I.saturated:
-        return _graded_algebra(I, hd, budget)
+        return _graded_algebra(I, hd)
     index = {m: i for i, m in enumerate(normal)}
-    reduce = Reducer(chart, GREVLEX, budget)
+    reduce = Reducer(chart, GREVLEX)
     D = len(normal)
     mats = []
     for j in range(n - 1):
@@ -864,7 +862,7 @@ def _normal_set(leads: list, A: Ring) -> list:
     return out
 
 
-def _graded_algebra(I: IdealHandle, hd: HilbertData, budget: Budget | None) -> _Algebra:
+def _graded_algebra(I: IdealHandle, hd: HilbertData) -> _Algebra:
     """The algebra of a saturated 0-dimensional I in the chart h = 1 of a
     generic linear form h.  For d with HF(d) = deg, the maps
     X_j : (S/I)_d -> (S/I)_{d+1}, multiplication by z_j, are read off normal
@@ -876,7 +874,7 @@ def _graded_algebra(I: IdealHandle, hd: HilbertData, budget: Budget | None) -> _
     R = I.ring
     F = R.field
     n = R.nvars
-    leads = [g.lead()[0] for g in I.groebner(GREVLEX, budget)]
+    leads = [g.lead()[0] for g in I.groebner(GREVLEX)]
     d = 0
     while hd.hf(d) != hd.degree:
         d += 1
@@ -893,7 +891,7 @@ def _graded_algebra(I: IdealHandle, hd: HilbertData, budget: Budget | None) -> _
         rows = []
         for b in low:
             row = [F.zero] * len(low)
-            for m, c in I.nf(Polynomial(R, ((b + step, F.one),)), budget).terms:
+            for m, c in I.nf(Polynomial(R, ((b + step, F.one),))).terms:
                 row[index[m]] = c
             rows.append(row)
         X.append(rows)
@@ -921,7 +919,7 @@ def _root_multiplicity(f: list, a, F: Field) -> int:
     return k
 
 
-def count_points(I: IdealHandle, budget: Budget | None = None) -> int:
+def count_points(I: IdealHandle) -> int:
     """Number of distinct points of a 0-dim scheme over the closure: the
     rank of the trace form (f, g) -> Tr(M_fg) of its algebra.  Over the
     closure that form is sum_q len(q) ev_q (x) ev_q, with the evaluations at
@@ -929,10 +927,10 @@ def count_points(I: IdealHandle, budget: Budget | None = None) -> int:
     nonzero in the field: all of them, as lengths are at most the degree,
     which is below the characteristic (`_build_algebra`).  Exact, with no
     draw."""
-    Isat = I if I.saturated else sat_irrelevant(I, budget)
-    if Isat.is_unit(budget):
+    Isat = I if I.saturated else sat_irrelevant(I)
+    if Isat.is_unit():
         return 0
-    alg = Isat.algebra(budget)
+    alg = Isat.algebra()
     F = alg.field
     mats = alg.basis_matrices()
     tau = [_trace(F, Mb) for Mb in mats]
@@ -940,7 +938,7 @@ def count_points(I: IdealHandle, budget: Budget | None = None) -> int:
     return linalg.rank(F, [[linalg.dot(F, Mb[i], tau) for Mb in mats] for i in range(len(mats))])
 
 
-def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None):
+def extract_points(I: IdealHandle, rng: Rng):
     """Points of a 0-dimensional scheme: (rational points, GF(p^2) points),
     normalized projective tuples, each list sorted.  Points whose field of
     definition is larger are not returned; `count_points` counts them.
@@ -949,12 +947,12 @@ def extract_points(I: IdealHandle, rng: Rng, budget: Budget | None = None):
     are returned; a draw whose l does not separate the points, or that gives
     a point off the scheme, is refused, and after `_DRAWS` refused draws
     DegenerateInput is raised."""
-    Isat = I if I.saturated else sat_irrelevant(I, budget)
-    if Isat.is_unit(budget):
+    Isat = I if I.saturated else sat_irrelevant(I)
+    if Isat.is_unit():
         return [], []
-    if Isat.hilbert(budget).dimension != 0:
+    if Isat.hilbert().dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
-    alg = Isat.algebra(budget)
+    alg = Isat.algebra()
     for k in range(_DRAWS):
         got = _points_of_draw(alg, k, Isat, rng.split(f"roots-{k}"))
         if got is not None:
@@ -1041,23 +1039,22 @@ def _normalize_point(p, F) -> tuple:
     return tuple(F.mul(c, inv) for c in p)
 
 
-def isolated_points(J: IdealHandle, curve_part: IdealHandle | None,
-                    budget: Budget | None = None):
+def isolated_points(J: IdealHandle, curve_part: IdealHandle | None):
     """0-dimensional part of the base scheme: (theta_ideal, distinct count)."""
     R = J.ring
-    Jsat = J if J.saturated else sat_irrelevant(J, budget)
-    if Jsat.is_unit(budget):
+    Jsat = J if J.saturated else sat_irrelevant(J)
+    if Jsat.is_unit():
         return unit_ideal(R), 0
-    if curve_part is None or curve_part.is_unit(budget) or not curve_part.gens:
+    if curve_part is None or curve_part.is_unit() or not curve_part.gens:
         theta = Jsat
     else:
-        theta = saturate(Jsat, curve_part, budget)
-    if theta.is_unit(budget):
+        theta = saturate(Jsat, curve_part)
+    if theta.is_unit():
         return theta, 0
-    if theta.hilbert(budget).dimension != 0:
+    if theta.hilbert().dimension != 0:
         raise DegenerateInput("residual of the curve part is not 0-dimensional")
     theta = theta.as_saturated()
-    return theta, count_points(theta, budget)
+    return theta, count_points(theta)
 
 
 # ------------------------------------------------------------ line search
@@ -1072,7 +1069,7 @@ def line_forms(R: Ring, a, b) -> list | None:
     return [R.linear_form(v) for v in null]
 
 
-def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget | None):
+def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str):
     """Lines that may lie on the 1-dimensional scheme V(C): cut C with two
     generic planes (drawn from the streams `{plane_label}-0` and `-1`),
     extract the field-rational points of each section and yield the linear
@@ -1085,10 +1082,10 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str, budget: Budget |
     for k in range(2):
         sub = rng.split(f"{plane_label}-{k}")
         plane = R.linear_form([F.rand(sub) for _ in range(R.nvars)])
-        cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R), budget)
-        if cut.hilbert(budget).dimension != 0:
+        cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R))
+        if cut.hilbert().dimension != 0:
             return
-        pts, _ = extract_points(cut, sub.split("pts"), budget)
+        pts, _ = extract_points(cut, sub.split("pts"))
         samples.append(pts)
     for a in samples[0]:
         for b in samples[1]:

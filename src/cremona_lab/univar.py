@@ -16,8 +16,11 @@ Rational roots over Q come from `roots_qq`.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd as igcd, lcm
+
 from .fields import GF, GF2, Field
-from .rng import Rng
+from .rng import Rng, is_prime
 
 
 def trim(f: list, F: Field) -> list:
@@ -203,47 +206,44 @@ def quadratic_roots(f, F: Field, F2: GF2 | None = None):
 
 
 def roots_qq(f, F) -> list:
-    """Rational roots via the integer root bound (small inputs only)."""
-    from fractions import Fraction
-    from math import gcd as igcd
-
+    """The distinct rational roots of f over Q, sorted.  With denominators
+    cleared and the content and the factor x^k taken out (0 is a root when
+    k > 0), f is an integer polynomial a_n x^n + ... + a_0 with a_0 != 0,
+    whose roots u/v in lowest terms have |u| <= |a_0| and 0 < v <= |a_n|.
+    Each is the rational reconstruction of one of f's roots modulo the first
+    prime q > 2 |a_0| |a_n| (`roots_gf`, stream "roots-qq"); the
+    reconstructions that are exact roots are kept.  The cost grows with the
+    digits of the coefficients.  Above 3.3e24 `is_prime` is a strong
+    probable-prime test on twelve bases."""
     f = trim(f[:], F)
     if deg(f) <= 0:
         return []
-    den = 1
-    for c in f:
-        den = den * c.denominator // igcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in f))
     zf = [int(c * den) for c in f]
-    g = 0
-    for c in zf:
-        g = igcd(g, c)
-    zf = [c // g for c in zf]
-    roots = set()
-    k = 0
-    while zf[k] == 0:
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-        zf = zf[k:]
-    a0, an = abs(zf[0]), abs(zf[-1])
-
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
-
-    for num in divisors(a0):
-        for dn in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, dn)
-                v = Fraction(0)
-                for c in reversed(f):
-                    v = v * cand + c
-                if v == 0:
-                    roots.add(cand)
+    k = next(i for i, c in enumerate(zf) if c)
+    content = igcd(*zf)
+    zf = [c // content for c in zf[k:]]
+    roots = [Fraction(0)] if k else []
+    if len(zf) > 1:
+        a0, an = abs(zf[0]), abs(zf[-1])
+        q = max(2 * a0 * an, len(zf)) + 1
+        while not is_prime(q):
+            q += 1
+        for r in roots_gf([c % q for c in zf], GF(q), Rng(0, "roots-qq")):
+            cand = _rational_reconstruction(r, q, a0)
+            if sum(c * cand ** i for i, c in enumerate(zf)) == 0:
+                roots.append(cand)
     return sorted(roots)
+
+
+def _rational_reconstruction(a: int, q: int, bound: int) -> Fraction:
+    """u/v = a mod q with |u| <= bound, from the extended Euclidean algorithm
+    on (q, a) stopped at the first remainder <= bound (Wang): the only such
+    fraction with 0 < v <= (q - 1) / (2 bound) when one exists."""
+    r0, r1, t0, t1 = q, a, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1 = r1, r0 - k * r1
+        t0, t1 = t1, t0 - k * t1
+    return Fraction(r1, t1)
+

@@ -6,9 +6,10 @@ import os
 import pytest
 
 from cremona_lab import cli
-from cremona_lab.cremona import MapError
+from cremona_lab.cremona import MapError, RationalMap
 from cremona_lab.families import special_examples
 from cremona_lab.fields import QQ
+from cremona_lab.groebner import current_limits
 
 
 def run(args):
@@ -276,9 +277,8 @@ def test_bad_prime_reduction_retries(tmp_path, capsys):
     R = ring(QQ, 4)
     f0 = parse_poly("1/1009", R).scale(1) * parse_poly("z0*z1^2", R)
     psi = cli.map_to_document(
-        __import__("cremona_lab.cremona", fromlist=["map_of_degree"]).map_of_degree(
-            [f0, parse_poly("z0^2*z1", R), parse_poly("z0^2*z2", R),
-             parse_poly("z1^2*z3", R)], 3))
+        RationalMap([f0, parse_poly("z0^2*z1", R), parse_poly("z0^2*z2", R),
+                     parse_poly("z1^2*z3", R)], 3))
     f = tmp_path / "m.json"
     f.write_text(json.dumps(psi))
     out = tmp_path / "r.json"
@@ -306,3 +306,6 @@ def test_analyze_budget_exit_4(tmp_path, capsys):
                 "--field", "gf:1000003", "--out", str(mapfile)]) == 0
     assert run(["analyze", str(mapfile), "--max-pairs", "1"]) == 4
     capsys.readouterr()
+    # the budget held the analysis alone: the default limits are back
+    b = current_limits()
+    assert (b.max_pairs, b.max_degree) == (200_000, 30)

@@ -5,10 +5,9 @@ import hashlib
 import pytest
 
 from cremona_lab import cremona, linalg
-from cremona_lab.cremona import (InverseUnavailable, MapError, analyze_map,
-                                 base_locus, bidegree, birationality_certificate,
+from cremona_lab.cremona import (InverseUnavailable, MapError, RationalMap, analyze_map,
                                  genus_of_map, inverse, is_birational, is_ruled,
-                                 line_preimage_split, map_of_degree, new_map)
+                                 line_preimage_split, new_map)
 from cremona_lab.families import determinantal, special_examples
 from cremona_lab.fields import GF, QQ
 from cremona_lab.ideals import IdealHandle
@@ -44,7 +43,7 @@ def test_identity_map_needs_the_generic_degree_variant():
     comps = [R.var(i) for i in range(4)]
     with pytest.raises(MapError):
         new_map(*comps)
-    psi = map_of_degree(comps, 1)
+    psi = RationalMap(comps, 1)
     assert psi.degree == 1
 
 
@@ -59,9 +58,8 @@ def test_analysis_of_involution():
 
 
 def test_base_locus_of_determinantal():
-    psi = determinantal(5, GF(P))
-    J, deg1, theta = base_locus(psi, Rng(2))
-    assert deg1 == 6 and theta == 0
+    an = analyze_map(determinantal(5, GF(P)), seed=2, trials=0, with_certificate=False)
+    assert (an.base_dim, an.deg1part, an.theta_count) == (1, 6, 0)
 
 
 def test_split_retries_are_deterministic():
@@ -73,7 +71,8 @@ def test_split_retries_are_deterministic():
 
 
 def test_bidegree_cross_check():
-    assert bidegree(determinantal(5, GF(P)), Rng(4)) == (3, 3)
+    an = analyze_map(determinantal(5, GF(P)), seed=4, trials=0, with_certificate=False)
+    assert an.bidegree == (3, 3)
 
 
 def test_cube_map_fiber_and_certificate():
@@ -195,8 +194,8 @@ def test_inverse_verifies_five_points_when_a_draw_hits_the_base_locus(monkeypatc
     # 6/p^2 of P^3(GF(p)); over GF(11) one of the five verification draws at
     # Rng(0) lands there and is drawn again
     R11 = ring(GF(11), 4)
-    psi = map_of_degree([parse_poly(s, R11)
-                         for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
+    psi = RationalMap([parse_poly(s, R11)
+                       for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
     checked = []
     exact = cremona._parallel
     monkeypatch.setattr(cremona, "_parallel",
@@ -213,8 +212,8 @@ def test_inverse_redraws_a_verification_point_on_a_contracted_surface(monkeypatc
     # lies on such a plane, so psi(x) is a base point of the inverse and x is
     # drawn again
     R11 = ring(GF(11), 4)
-    psi = map_of_degree([parse_poly(s, R11)
-                         for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
+    psi = RationalMap([parse_poly(s, R11)
+                       for s in ("z1*z2*z3", "z0*z2*z3", "z0*z1*z3", "z0*z1*z2")], 3)
     images = []
     real_apply = cremona.RationalMap.apply
 
@@ -243,7 +242,7 @@ def test_inverse_gives_up_when_no_point_avoids_the_base_locus():
     comps = [parse_poly(f"z{i}^2*z{j} + z{i}*z{j}^2", R2)
              for i, j in ((0, 1), (1, 2), (2, 3), (3, 0))]
     with pytest.raises(InverseUnavailable, match="could not sample"):
-        inverse(map_of_degree(comps, 3), 3, Rng(16))
+        inverse(RationalMap(comps, 3), 3, Rng(16))
 
 
 def test_genus_and_ruledness_disagreement_is_caught():

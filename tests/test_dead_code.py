@@ -11,7 +11,9 @@ module-level function that only the tests name must be exported from
 
 A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
 `Reducer`, `normal_form`) inside `ideals` and `groebner`, so that every
-other module reads those facts through `IdealHandle`, and a third keeps
+other module reads those facts through `IdealHandle`.  A third finds no
+`budget` parameter outside `groebner` but `cli.analysis_report` (the
+Groebner limits are a scoped setting, `groebner.limits`), and a fourth keeps
 `quotient` and `intersect` out of the analysis modules.
 """
 
@@ -138,6 +140,27 @@ def test_raw_basis_readers_stay_in_ideals_and_groebner():
             if name in RAW_READERS:
                 found.append(f"{path.stem}:{node.lineno}: {name}")
     assert found == [], "read Hilbert data and normal forms through IdealHandle"
+
+
+# the one function outside `groebner` that takes the Groebner limits: it
+# runs its analysis inside `groebner.limits(budget)`
+BUDGET_TAKERS = {"cli.analysis_report"}
+
+
+def test_only_groebner_takes_a_budget():
+    """The Groebner limits are a scoped setting that `groebner` reads, so
+    no function elsewhere has a `budget` parameter to pass on."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.stem == "groebner":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == "budget" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                    found.append(f"{path.stem}.{node.name}")
+    assert sorted(found) == sorted(BUDGET_TAKERS)
 
 
 def test_the_analysis_imports_no_quotient_or_intersection():

@@ -1,6 +1,6 @@
 """Cross-cutting examples: inverse degrees, F-curve splits, scan histograms."""
 
-from cremona_lab.cremona import analyze_map, inverse, map_of_degree
+from cremona_lab.cremona import RationalMap, analyze_map, inverse
 from cremona_lab.families import build, cuboquartic
 from cremona_lab.fields import GF
 from cremona_lab.hudson import hudson_vector
@@ -12,7 +12,7 @@ SMALL_P = 524287  # < 2^20: dense linear algebra backend available
 
 def test_identity_map_inverse_is_identity():
     R = ring(GF(SMALL_P), 4)
-    psi = map_of_degree(R.vars(), 1)
+    psi = RationalMap(R.vars(), 1)
     g = inverse(psi, 1, Rng(1))
     assert [f.monic() for f in g.components] == R.vars()
 

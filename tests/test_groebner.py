@@ -2,8 +2,8 @@ import pytest
 
 from cremona_lab import groebner
 from cremona_lab.fields import GF, QQ
-from cremona_lab.groebner import (Budget, BudgetError, Reducer, exact_divide, groebner_basis,
-                                  normal_form, spoly_reduces_to_zero)
+from cremona_lab.groebner import (Budget, BudgetError, Reducer, current_limits, exact_divide,
+                                  groebner_basis, limits, normal_form, spoly_reduces_to_zero)
 from cremona_lab.poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -70,18 +70,35 @@ def test_deterministic_output():
 def test_budget_errors():
     rng = Rng(4)
     gens = [R.random_poly(3, rng.split(str(i))) for i in range(4)]
-    with pytest.raises(BudgetError):
-        groebner_basis(gens, budget=Budget(max_pairs=1))
-    with pytest.raises(BudgetError):
-        groebner_basis(gens, budget=Budget(max_degree=2))
+    with pytest.raises(BudgetError), limits(Budget(max_pairs=1)):
+        groebner_basis(gens)
+    with pytest.raises(BudgetError), limits(Budget(max_degree=2)):
+        groebner_basis(gens)
 
 
 def test_budget_defaults_ignore_the_environment(monkeypatch):
     # the limits come from the arguments (--max-pairs/--max-degree) alone
     monkeypatch.setenv("CREMONA_LAB_MAX_PAIRS", "7")
     monkeypatch.setenv("CREMONA_LAB_MAX_DEGREE", "3")
-    b = Budget()
-    assert (b.max_pairs, b.max_degree) == (200_000, 30)
+    for b in (Budget(), current_limits()):
+        assert (b.max_pairs, b.max_degree) == (200_000, 30)
+
+
+def test_limits_are_scoped_and_restored():
+    default = current_limits()
+    outer, inner = Budget(max_pairs=10), Budget(max_degree=4)
+    with limits(outer):
+        assert current_limits() is outer
+        with limits(inner):
+            assert current_limits() is inner
+        assert current_limits() is outer
+    assert current_limits() is default
+    # a BudgetError inside the scope still restores the previous limits
+    gens = [R.random_poly(3, Rng(4).split(str(i))) for i in range(4)]
+    with pytest.raises(BudgetError):
+        with limits(Budget(max_pairs=1)):
+            groebner_basis(gens)
+    assert current_limits() is default
 
 
 def test_pair_count_and_the_exact_pair_budget(monkeypatch):
@@ -97,9 +114,12 @@ def test_pair_count_and_the_exact_pair_budget(monkeypatch):
     gb = groebner_basis(gens)
     assert len(reduced) == 75
     assert len(gb) == 29
-    assert groebner_basis(gens, budget=Budget(max_pairs=75)) == gb
-    with pytest.raises(BudgetError):
-        groebner_basis(gens, budget=Budget(max_pairs=74))
+    with limits(Budget(max_pairs=75)):
+        # the limits hold each computation on its own: they do not add up
+        assert groebner_basis(gens) == gb
+        assert groebner_basis(gens) == gb
+    with pytest.raises(BudgetError), limits(Budget(max_pairs=74)):
+        groebner_basis(gens)
 
 
 def test_exact_divide():

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from cremona_lab import cli, hudson, linalg
-from cremona_lab.cremona import analyze_map, map_of_degree
+from cremona_lab.cremona import RationalMap, analyze_map
 from cremona_lab.families import build, dejonquieres, determinantal
 from cremona_lab.fields import GF, GF2
 from cremona_lab.hudson import (TABLE6_SHA256, classify_component, classify_point,
@@ -77,16 +77,14 @@ def test_classify_equivariance():
 
 
 def test_contact_and_osculation_tags():
-    from cremona_lab.cremona import map_of_degree
-
     rng = Rng(4)
     # contact: all members in I_p^2 + (S) with S = z3^2 z0 smooth at p,
     # and a member whose quadratic part is independent (Q2 >= 2)
-    lam = map_of_degree([pp("z3^2*z0"), pp("z3*z0^2"), pp("z3*z0*z1"), pp("z1^3")], 3)
+    lam = RationalMap([pp("z3^2*z0"), pp("z3*z0^2"), pp("z3*z0*z1"), pp("z1^3")], 3)
     pt = classify_point(lam, E3PT, rng.split("t"))
     assert pt.tag == "ContactPoint"
     # osculation: all members in I_p^3 + (S)
-    lam2 = map_of_degree([pp("z3^2*z0"), pp("z0^3"), pp("z0^2*z1"), pp("z0*z1^2")], 3)
+    lam2 = RationalMap([pp("z3^2*z0"), pp("z0^3"), pp("z0^2*z1"), pp("z0*z1^2")], 3)
     pt2 = classify_point(lam2, E3PT, rng.split("u"))
     assert pt2.tag == "OsculationPoint"
 

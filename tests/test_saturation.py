@@ -1,16 +1,17 @@
 """sat_irrelevant and saturate against their reference routes (saturate
 by each variable or by each generator and intersect the parts): both give
 the reference's reduced grevlex basis.  Each costs the pinned number of
-Groebner bases, and the caller's budget reaches every Groebner call of an
-analysis.  The references live here.  The liaison residual Gamma : C1 is a
+Groebner bases, and the budget given to an analysis holds every Groebner
+call in it.  The references live here.  The liaison residual Gamma : C1 is a
 saturation, and equals the exact quotient on every stratum."""
 
 import gc
+import sys
 
 import pytest
 
 from cremona_lab import cli, cremona, families, groebner, hudson, ideals
-from cremona_lab.cremona import analyze_map, line_preimage_split, map_of_degree, new_map
+from cremona_lab.cremona import RationalMap, analyze_map, line_preimage_split, new_map
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import Budget
 from cremona_lab.ideals import (DegenerateInput, IdealHandle, _certified, intersect, quotient,
@@ -69,19 +70,19 @@ def _inputs(F):
     }
 
 
-def _intersect_distinct(parts, budget):
+def _intersect_distinct(parts):
     """Intersection of the non-unit ideals among `parts`, each distinct
     reduced basis taken once; None when every part is the unit ideal."""
     acc = None
     seen = []
     for S in parts:
-        if S.is_unit(budget):
+        if S.is_unit():
             continue
-        g = S.groebner(groebner.GREVLEX, budget)
+        g = S.groebner(groebner.GREVLEX)
         if any(g == T for T in seen):
             continue
         seen.append(g)
-        acc = S if acc is None else intersect(acc, S, budget)
+        acc = S if acc is None else intersect(acc, S)
     return acc
 
 
@@ -96,7 +97,7 @@ def _single_variable(g):
     return next(i for i in range(R.nvars) if R.mexp(m, i) == 1)
 
 
-def _saturate_variable(I, i, budget=None):
+def _saturate_variable(I, i):
     """(I : z_i^oo) for homogeneous I: grevlex basis with z_i cheapest, then
     divide each element by its z_i power."""
     R = I.ring
@@ -106,7 +107,7 @@ def _saturate_variable(I, i, budget=None):
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
     # z_{n-1} is already cheapest: the permutation is the identity
     moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
-    out, divided = ideals._divide_last_power(moved.groebner(groebner.GREVLEX, budget), R)
+    out, divided = ideals._divide_last_power(moved.groebner(groebner.GREVLEX), R)
     part = IdealHandle([g.map_vars(R, perm) for g in out], R)
     known = I._gb.get(groebner.GREVLEX)
     if not divided and known is not None:
@@ -115,7 +116,7 @@ def _saturate_variable(I, i, budget=None):
     return part
 
 
-def _saturate_by_parts(I, J, budget):
+def _saturate_by_parts(I, J):
     """The reference: (I : J^oo) as the intersection over generators g of J
     of (I : g^oo), a variable g divided out of a grevlex basis."""
     gens = [g for g in J.gens if g]
@@ -124,20 +125,20 @@ def _saturate_by_parts(I, J, budget):
     parts = []
     for g in gens:
         i = _single_variable(g)
-        parts.append(saturate_by_poly(I, g, budget) if i is None else _saturate_variable(I, i, budget))
-    acc = _intersect_distinct(parts, budget)
+        parts.append(saturate_by_poly(I, g) if i is None else _saturate_variable(I, i))
+    acc = _intersect_distinct(parts)
     return unit_ideal(I.ring) if acc is None else acc
 
 
-def _sat_irrelevant_by_parts(I, budget):
+def _sat_irrelevant_by_parts(I):
     """The reference: saturate by each variable and intersect the distinct
     parts."""
     R = I.ring
-    gb0 = I.groebner(groebner.GREVLEX, budget)
-    parts = [_saturate_variable(I, i, budget) for i in range(R.nvars)]
-    if all(S.groebner(groebner.GREVLEX, budget) == gb0 for S in parts):
+    gb0 = I.groebner(groebner.GREVLEX)
+    parts = [_saturate_variable(I, i) for i in range(R.nvars)]
+    if all(S.groebner(groebner.GREVLEX) == gb0 for S in parts):
         return IdealHandle(list(gb0), R, saturated=True)
-    acc = _intersect_distinct(parts, budget)
+    acc = _intersect_distinct(parts)
     if acc is None:
         return IdealHandle([R.one], R, saturated=True)
     return acc.as_saturated()
@@ -157,7 +158,7 @@ def _same(got, want):
 def test_sat_irrelevant_returns_the_reference_generators(F, name):
     """The reference's saturation, as a reduced grevlex basis."""
     I = _inputs(F)[name]
-    want = _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring), None)
+    want = _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring))
     _same(sat_irrelevant(I), want)
 
 
@@ -177,9 +178,9 @@ def _count_bases(monkeypatch):
     calls = []
     real = ideals.groebner_basis
 
-    def counted(gens, order=groebner.GREVLEX, budget=None):
-        calls.append(budget)
-        return real(gens, order, budget)
+    def counted(gens, order=groebner.GREVLEX):
+        calls.append(order)
+        return real(gens, order)
 
     monkeypatch.setattr(ideals, "groebner_basis", counted)
     return calls
@@ -224,7 +225,7 @@ def test_a_refused_certificate_draws_again(monkeypatch):
     got = sat_irrelevant(I)
     assert len(draws) == 2
     monkeypatch.undo()
-    _same(got, _sat_irrelevant_by_parts(_fresh(I), None))
+    _same(got, _sat_irrelevant_by_parts(_fresh(I)))
 
 
 def test_every_draw_refused_raises_degenerate_input(monkeypatch):
@@ -242,7 +243,7 @@ def test_saturated_points_off_the_coordinate_hyperplanes_cost_one_basis(monkeypa
     calls = _count_bases(monkeypatch)
     got = sat_irrelevant(I)
     assert len(calls) == 1
-    _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), R), None))
+    _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), R)))
 
 
 def test_a_part_by_a_non_zerodivisor_reuses_the_basis_of_the_input():
@@ -259,9 +260,9 @@ def test_analyze_map_saturates_the_base_ideal_once(monkeypatch):
     seen = []
     real = cremona.sat_irrelevant
 
-    def watched(I, budget=None):
+    def watched(I):
         seen.append(I.gens)
-        return real(I, budget)
+        return real(I)
 
     monkeypatch.setattr(cremona, "sat_irrelevant", watched)
     psi = new_map(*template.components, label=template.label, seed=1)
@@ -274,13 +275,13 @@ def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
     ideal and its saturation have the same Hilbert polynomial), so the base
     ideal is the only ideal saturated by the irrelevant ideal."""
     template, _ = families.build("E8", 1, GF(1000003))
-    psi = map_of_degree(template.components, 3, label=template.label)
+    psi = RationalMap(template.components, 3, label=template.label)
     seen = []
     real = ideals.sat_irrelevant
 
-    def watched(I, budget=None):
+    def watched(I):
         seen.append(I.gens)
-        return real(I, budget)
+        return real(I)
 
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", watched)
@@ -288,11 +289,40 @@ def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
     assert seen == [psi.ideal().gens]
 
 
+def _limits_seen(monkeypatch) -> dict:
+    """The Groebner limits in force at each call of `groebner_basis` and of
+    `ideals._certified`, wrapped in every module that binds them."""
+    seen = {}
+    for home, name in ((groebner, "groebner_basis"), (ideals, "_certified")):
+        real = getattr(home, name)
+        seen[name] = []
+
+        def watched(*args, real=real, log=seen[name]):
+            log.append(groebner.current_limits())
+            return real(*args)
+
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("cremona_lab") \
+                    and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, watched)
+    return seen
+
+
 def test_analysis_report_passes_the_budget_to_every_groebner_call(monkeypatch):
-    psi, _ = families.build("E2", 1, GF(1000003))
-    calls = _count_bases(monkeypatch)
-    cli.analysis_report(psi, 1, with_hudson=False, budget=Budget(100000, 25))
-    assert calls and calls.count(None) == 0
+    """With Hudson, the certificate and the inverse on, every Groebner basis
+    and every saturation certificate of `analysis_report` is held to its
+    budget, and the default limits are back once it returns."""
+    default = groebner.current_limits()
+    budget = Budget(100000, 25)
+    for name in ("E2", "E23", "ruled_3_4"):
+        psi, _ = families.build(name, 1, GF(1000003))
+        seen = _limits_seen(monkeypatch)
+        rep = cli.analysis_report(psi, 1, with_hudson=True, with_inverse=True, budget=budget)
+        monkeypatch.undo()
+        assert rep["birational"] == "yes" and rep["certificate"] == 1 and rep["inverse"]
+        for calls in seen.values():
+            assert calls and all(b is budget for b in calls), name
+        assert groebner.current_limits() is default
 
 
 def _cached_basis_is_exact(I):
@@ -312,15 +342,15 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     checked = []
     checked_saturate = []
 
-    def compared(I, budget=None):
-        got = real(I, budget)
-        _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring), budget))
+    def compared(I):
+        got = real(I)
+        _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring)))
         checked.append(I)
         return got
 
-    def compared_saturate(I, J, budget=None):
-        got = real_saturate(I, J, budget)
-        want = _saturate_by_parts(_fresh(I), J, budget)
+    def compared_saturate(I, J):
+        got = real_saturate(I, J)
+        want = _saturate_by_parts(_fresh(I), J)
         assert got.gens == want.groebner() and got.saturated == want.saturated
         _cached_basis_is_exact(got)
         checked_saturate.append(I)
@@ -339,6 +369,18 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     assert len(checked_saturate) >= 3 * len(families.FAMILY_LABELS)
 
 
+def test_the_certificate_degree_cap_is_the_current_limit():
+    """z0 * (z0, ..., z3) : (z0, ..., z3)^oo = (z0), certified at degree 2:
+    refused under a degree limit of 1."""
+    R = ring(GF(10007), 4)
+    I = _ideal(R, ("z0^2", "z0*z1", "z0*z2", "z0*z3"))
+    K = _ideal(R, ("z0",))
+    gens = list(R.vars())
+    assert _certified(I, K, gens)  # also caches I's reducer, so no basis is taken below
+    with groebner.limits(Budget(max_degree=1)):
+        assert not _certified(I, K, gens)
+
+
 def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
     """I = I_P meet I_Q with P = (1:2:3:5), Q = (1:1:1:1); g1 vanishes at P
     only, g2 at neither, so I : g1^oo = I_Q is strictly larger than
@@ -350,8 +392,8 @@ def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
     g1, g2 = J.gens
     too_big = saturate_by_poly(I, g1)
     assert not too_big.equals(I)
-    assert not _certified(I, too_big, [g1, g2], None)
-    assert _certified(I, saturate_by_poly(I, g2), [g1, g2], None)
+    assert not _certified(I, too_big, [g1, g2])
+    assert _certified(I, saturate_by_poly(I, g2), [g1, g2])
     # a first combination that is only g1 is refused; the next draw from
     # the stream gives I
     real = ideals._generic_combination
@@ -364,7 +406,7 @@ def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
     monkeypatch.setattr(ideals, "_generic_combination", first_is_g1)
     got = saturate(I, J)
     assert len(draws) == 2 and draws[0] != draws[1]
-    assert got.gens == _saturate_by_parts(_fresh(I), J, None).groebner() and got.equals(I)
+    assert got.gens == _saturate_by_parts(_fresh(I), J).groebner() and got.equals(I)
 
 
 def test_every_refused_saturate_draw_raises_degenerate_input(monkeypatch):
@@ -395,7 +437,7 @@ def test_saturate_by_two_variables_matches_the_reference(F):
     J = _ideal(R, ("z0", "z1"))
     I = _product(intersect(cubic, J), J)
     got = saturate(I, J)
-    want = _saturate_by_parts(_fresh(I), J, None)
+    want = _saturate_by_parts(_fresh(I), J)
     assert got.gens == want.groebner() == cubic.groebner()
     _cached_basis_is_exact(got)
 
@@ -422,7 +464,7 @@ def test_saturate_by_the_base_ideal_costs_one_basis(monkeypatch):
     assert not got.is_unit()
     assert len(calls) == 1
     monkeypatch.undo()
-    assert got.gens == _saturate_by_parts(Gamma, psi.ideal(), None).groebner()
+    assert got.gens == _saturate_by_parts(Gamma, psi.ideal()).groebner()
 
 
 def test_a_quotient_by_one_generator_of_j_can_be_larger():
@@ -502,7 +544,7 @@ def test_saturate_over_q_takes_one_combination(monkeypatch):
     got = saturate(I, line)
     monkeypatch.undo()
     assert certificates == [True]
-    assert got.gens == _saturate_by_parts(_fresh(I), line, None).groebner()
+    assert got.gens == _saturate_by_parts(_fresh(I), line).groebner()
     assert got.equals(cubic)
     _cached_basis_is_exact(got)
 
@@ -553,9 +595,9 @@ def test_the_fiber_oracle_saturates_by_one_component(monkeypatch, name):
     fibers, results = [], []
     real_sat, real_fiber = cremona.saturate_by_poly, cremona._fiber_degree
 
-    def recorded_sat(I, g, budget=None):
+    def recorded_sat(I, g):
         fibers.append((I, g))
-        return real_sat(I, g, budget)
+        return real_sat(I, g)
 
     def recorded_fiber(*args):
         results.append(real_fiber(*args))
@@ -595,9 +637,9 @@ def test_the_certificate_takes_one_saturation(monkeypatch, name, theta, c2):
     calls = []
     real = cremona.saturate
 
-    def counted(I, J, budget=None):
+    def counted(I, J):
         calls.append((I, J))
-        return real(I, J, budget)
+        return real(I, J)
 
     monkeypatch.setattr(cremona, "saturate", counted)
     got = cremona.birationality_certificate(psi, an, Rng(1, "cert"))

@@ -1,6 +1,7 @@
 """Root finding over GF(p), GF(p^2) and Q: the pinned values are those of
 the quadratic formula and splitting draws the package has always used."""
 
+import time
 from fractions import Fraction
 
 from cremona_lab import univar
@@ -31,6 +32,30 @@ def test_quadratic_roots_over_q():
     assert univar.quadratic_roots([Fraction(6), Fraction(-5), Fraction(1)], QQ) \
         == (QQ, [Fraction(3), Fraction(2)])
     assert univar.quadratic_roots([Fraction(-2), Fraction(0), Fraction(1)], QQ) is None
+
+
+
+def test_rational_roots_of_a_polynomial_with_twenty_digit_coefficients():
+    # x (a x - b)(c x + d)(x - 1)^2 (x^2 + x + 1) / 3: coefficients of about
+    # 20 digits, whose divisors trial division could not list in time
+    a, b, c, d = 9_876_543_211, 1_234_567_891, 7_777_777_781, 3_333_333_337
+    f = [Fraction(1, 3)]
+    for g in ([-b, a], [d, c], [-1, 1], [-1, 1], [1, 1, 1], [0, 1]):
+        f = univar.mul(f, [Fraction(x) for x in g], QQ)
+    assert max(len(str(x.numerator)) for x in f) in (20, 21)
+    t0 = time.perf_counter()
+    got = univar.roots_qq(f, QQ)
+    assert time.perf_counter() - t0 < 0.5
+    assert got == [Fraction(-d, c), Fraction(0), Fraction(b, a), Fraction(1)]
+
+
+def test_rational_roots_edge_cases():
+    assert univar.roots_qq([Fraction(5)], QQ) == []
+    assert univar.roots_qq([Fraction(0), Fraction(0), Fraction(2)], QQ) == [Fraction(0)]
+    # x^2 - 2 has no rational root; 4x^2 - 1 has two
+    assert univar.roots_qq([Fraction(-2), Fraction(0), Fraction(1)], QQ) == []
+    assert univar.roots_qq([Fraction(-1), Fraction(0), Fraction(4)], QQ) \
+        == [Fraction(-1, 2), Fraction(1, 2)]
 
 
 # (x - 3)(x - 50)(x - 7)^2 (x^2 - 2)(x^2 + x + 1)(x^2 + 3x + 5) over GF(101)
