@@ -101,9 +101,11 @@ def analysis_report(psi: RationalMap, seed, trials: int = 5,
                     with_certificate: bool = True, with_hudson: bool = True,
                     budget: Budget | None = None, primes=None, with_inverse: bool = False) -> dict:
     """Full report over GF(p); Q maps are reduced modulo two independent
-    primes that must agree on every invariant.  Every Groebner computation
-    of the analysis is held to `budget` (`groebner.limits`); None keeps the
-    current limits."""
+    primes that must agree on every invariant.  A pinned prime
+    (`primes=[P, P]`, as `analyze --prime P` passes) is analysed once, so
+    nothing is compared; a denominator collision with it falls back to two
+    fresh primes.  Every Groebner computation of the analysis is held to
+    `budget` (`groebner.limits`); None keeps the current limits."""
     with limits(budget or current_limits()):
         return _report(psi, seed, trials, with_certificate, with_hudson, primes, with_inverse)
 
@@ -518,7 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("mapfile", help="JSON map document ('-' for stdin)")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--trials", type=int, default=5)
-    a.add_argument("--prime", type=_prime_type, help="pin the reduction prime (Q maps)")
+    a.add_argument("--prime", type=_prime_type,
+                   help="pin the reduction prime (Q maps): the map is analysed once, at "
+                        "that prime, with no two-prime agreement")
     a.add_argument("--no-certificate", action="store_true")
     a.add_argument("--no-hudson", action="store_true")
     a.add_argument("--inverse", action="store_true", help="attempt inverse extraction")

@@ -18,7 +18,7 @@ from . import linalg
 from .fields import GF
 from .groebner import BudgetError
 from .ideals import (DegenerateInput, IdealHandle, candidate_lines, isolated_points,
-                     piece_span, sat_irrelevant, saturate, saturate_by_poly)
+                     piece_span, sat_irrelevant, saturate, saturate_by_poly, split_unmixed)
 # not used here since the line search moved to ideals; perfbench/test_tracer.py
 # spot-checks that the tracer rewraps this from-imported binding
 from .ideals import extract_points  # noqa: F401
@@ -193,16 +193,13 @@ def line_preimage_split(psi: RationalMap, rng: Rng):
     (Peskine-Szpiro linkage).  Redraws the line, up to five times, if its
     preimage is not a curve of degree (deg psi)^2 or lies in the base locus.
 
-    C2 is computed as the saturation Gamma : C1^oo, which equals Gamma : C1.
-    Gamma is a complete intersection, so it is unmixed: it is the
-    intersection of primary components q_i whose primes p_i are all minimal.
-    C1 is the intersection of the q_i with p_i not containing I_psi.  For
-    those, C1 lies in q_i, so q_i : C1 = (1).  For the others (p_i contains
-    I_psi) C1 does not lie in p_i, or some q_j with p_j not containing I_psi
-    would lie in p_i, and p_j = p_i as both are minimal; so q_i : C1 =
-    q_i : C1^oo = q_i.  Hence Gamma : C1 = Gamma : C1^oo is the intersection
-    of the components of Gamma inside the base locus, and C1 and C2 share no
-    component.  The degree and genus identities of linkage are checked.
+    Gamma is a complete intersection, so it is unmixed, and
+    `split_unmixed(Gamma, I_psi)` gives both curves from one Rabinowitsch
+    elimination each.  Its acceptance test is linkage itself: the degree
+    identity deg C1 + deg C2 = deg Gamma and a power of every psi_i in C2
+    make the pair exact, C2 = Gamma : C1^oo = Gamma : C1, with no component
+    shared (proof there).  The genus identity of linkage is checked on top,
+    as an independent cross-check.
     """
     R = psi.ring
     F = R.field
@@ -221,17 +218,12 @@ def line_preimage_split(psi: RationalMap, rng: Rng):
         if h.dimension != 1 or h.degree != psi.degree ** 2:
             last_err = f"degenerate line preimage (dim {h.dimension}, deg {h.degree})"
             continue
-        C1i = saturate(Gamma, Ipsi)
+        C1i, C2i = split_unmixed(Gamma, Ipsi)
         if C1i.is_unit():
             last_err = "line preimage entirely inside the base locus"
             continue
-        C1i = C1i.as_saturated()
-        C2i = saturate(Gamma, C1i).as_saturated()
-        c1 = CurveRecord.from_ideal(C1i)
-        c2 = CurveRecord.from_ideal(C2i)
-        if c1.degree + c2.degree != psi.degree ** 2:
-            raise DegenerateInput(
-                f"liaison degree identity failed: {c1.degree} + {c2.degree} != {psi.degree ** 2}")
+        c1 = CurveRecord.from_ideal(C1i.as_saturated())
+        c2 = CurveRecord.from_ideal(C2i.as_saturated())
         # linkage in a (d, d) complete intersection: the genus difference is
         # (d - 2) times the degree difference (factor 1 for cubic maps)
         if c2.p_a - c1.p_a != (psi.degree - 2) * (c2.degree - c1.degree):

@@ -24,6 +24,11 @@ constructions used throughout:
   every generator g of J and k of K.  A refused draw is redrawn a bounded
   number of times, then DegenerateInput is raised.  The result is the
   reduced grevlex basis of I:J^oo, whatever the draw;
+* the split of an unmixed I -- `split_unmixed` gives I:J^oo and the
+  residual I:(I:J^oo)^oo from one Rabinowitsch saturation each, by generic
+  combinations of J's generators and of the first part's, accepted by
+  linkage instead of the normal-form certificate: the two degrees add up
+  to deg I, and every generator of J has a power in the residual;
 * saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` reads the grevlex
   basis of I: finite length gives the unit ideal, and when no lead is
   divisible by z_last, z_last is a non-zerodivisor and I is saturated.
@@ -279,7 +284,9 @@ def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     which `eliminate` returns as its reduced grevlex basis, is returned.  A
     refused draw is followed by another from the same stream; after
     `_SAT_DRAWS` draws are refused, DegenerateInput is raised.  A
-    BudgetError is not caught.
+    BudgetError is not caught.  The liaison split does not come here: its
+    input is unmixed, and `split_unmixed` accepts its draws by linkage,
+    with no certificate.
     """
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
@@ -294,6 +301,72 @@ def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
             return K
     raise DegenerateInput("saturate: the normal-form certificate refused "
                           f"{_SAT_DRAWS} draws of the combination")
+
+
+def split_unmixed(I: IdealHandle, J: IdealHandle) -> tuple:
+    """(I : J^oo, I : (I : J^oo)^oo) for an unmixed I, each as its reduced
+    grevlex basis: the components of I not inside V(J), and those inside it.
+
+    I must be unmixed: I = q_1 meet ... meet q_r with every prime p_i of a
+    primary q_i minimal (a complete intersection is).  Then I : h^oo is the
+    meet of the q_i with h not in p_i, for any h.  A J with a constant
+    generator, or with none, gives (I, the unit ideal).  Otherwise one pair
+    is drawn: K1 = I : h1^oo and K2 = I : h2^oo, one Rabinowitsch
+    elimination each, for h1 a generic combination of J's generators and h2
+    one of K1's, each from its own fresh stream "saturate-combination" (so
+    with two or more generators the first draws are `saturate`'s).  The
+    pair is accepted when
+      (a) deg K1 + deg K2 = deg I, counting a part of lower dimension (the
+          unit ideal) as 0, and
+      (b) every generator g of J has a power in K2: r <- NF_K2(g * r), from
+          r = 1, reaches 0 within the degree limit of
+          `groebner.current_limits()` (`_powers_in`).
+    An accepted pair is exact:
+    - h1 lies in J, so K1 keeps only components with J not in p_i;
+    - h2 lies in K1, hence in the prime of every component of K1, so K2
+      keeps none of K1's components;
+    - deg I is the sum over the components of length(q_i) * deg p_i, so (a)
+      puts every component in K1 or in K2;
+    - (b) puts J in the prime of every component of K2.
+    So K1 is the meet of the q_i with J not in p_i, that is I : J^oo, and K2
+    the meet of the others.  K2 is also I : K1^oo = I : K1: q_i : K1 = (1)
+    for the q_i of K1, and for the others K1 does not lie in p_i (else some
+    prime p_j of K1 would lie in p_i, and p_j = p_i as both are minimal), so
+    q_i : K1 = q_i : K1^oo = q_i.  A generic pair passes both checks.  A
+    refused pair is followed by the next draw of each stream; after
+    `_SAT_DRAWS` refused pairs, DegenerateInput is raised.  A BudgetError
+    is not caught.
+    """
+    _same_ring(I, J)
+    gens = [g for g in J.gens if g]
+    if not gens or any(g.total_degree() == 0 for g in gens):
+        return IdealHandle(list(I.gens), I.ring, saturated=I.saturated), unit_ideal(I.ring)
+    whole = I.hilbert()
+    first, second = Rng(0, "saturate-combination"), Rng(0, "saturate-combination")
+    for _ in range(_SAT_DRAWS):
+        K1 = _rabinowitsch(I, _generic_combination(gens, first))
+        K2 = _rabinowitsch(I, _generic_combination(list(K1.gens), second))
+        degree = sum(h.degree for h in (K1.hilbert(), K2.hilbert())
+                     if h.dimension == whole.dimension)
+        if degree == whole.degree and _powers_in(K2, gens):
+            return K1, K2
+    raise DegenerateInput(f"split_unmixed: the linkage check refused {_SAT_DRAWS} draws "
+                          "of the pair")
+
+
+def _powers_in(K: IdealHandle, gens: list) -> bool:
+    """True when every g in `gens`, none constant, has a power in K: r <-
+    NF_K(g * r) from r = 1 reaches 0.  False when some power would exceed
+    the degree limit of `groebner.current_limits()` first."""
+    max_degree = current_limits().max_degree
+    for g in gens:
+        r, degree = K.ring.one, 0
+        while r:
+            degree += g.total_degree()
+            if degree > max_degree:
+                return False
+            r = K.nf(g * r)
+    return True
 
 
 def _generic_combination(gens: list, rng: Rng) -> Polynomial:
@@ -323,7 +396,10 @@ def _certified(I: IdealHandle, K: IdealHandle, gens: list) -> bool:
     `gens`: then J^M k lies in I for M = len(gens) * (N - 1) + 1, so K lies
     in I : J^oo.  r <- NF(g * r) modulo I's grevlex basis, from r = NF(k),
     reaches 0 after N steps.  False when some g^N k would exceed the degree
-    limit of `groebner.current_limits()` first."""
+    limit of `groebner.current_limits()` first.  Only `saturate` calls it,
+    which the analysis runs for Theta (`isolated_points`), the
+    birationality certificate and the F-curve lines; the liaison split is
+    checked by linkage instead (`split_unmixed`)."""
     max_degree = current_limits().max_degree
     for k in K.gens:
         start = I.nf(k)

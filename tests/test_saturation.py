@@ -290,10 +290,12 @@ def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
 
 
 def _limits_seen(monkeypatch) -> dict:
-    """The Groebner limits in force at each call of `groebner_basis` and of
-    `ideals._certified`, wrapped in every module that binds them."""
+    """The Groebner limits in force at each call of `groebner_basis`, of
+    `ideals._certified` and of `ideals._powers_in`, wrapped in every module
+    that binds them."""
     seen = {}
-    for home, name in ((groebner, "groebner_basis"), (ideals, "_certified")):
+    for home, name in ((groebner, "groebner_basis"), (ideals, "_certified"),
+                       (ideals, "_powers_in")):
         real = getattr(home, name)
         seen[name] = []
 
@@ -309,9 +311,10 @@ def _limits_seen(monkeypatch) -> dict:
 
 
 def test_analysis_report_passes_the_budget_to_every_groebner_call(monkeypatch):
-    """With Hudson, the certificate and the inverse on, every Groebner basis
-    and every saturation certificate of `analysis_report` is held to its
-    budget, and the default limits are back once it returns."""
+    """With Hudson, the certificate and the inverse on, every Groebner basis,
+    every saturation certificate and every linkage check of
+    `analysis_report` is held to its budget, and the default limits are back
+    once it returns."""
     default = groebner.current_limits()
     budget = Budget(100000, 25)
     for name in ("E2", "E23", "ruled_3_4"):
@@ -334,13 +337,16 @@ def _cached_basis_is_exact(I):
 def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     """Two full-level scans per stratum, members at seeds 1 + k and
     9001 + k (Hudson, fiber oracle and certificate included), with every
-    sat_irrelevant and saturate call checked against its reference route.
+    sat_irrelevant, saturate and split_unmixed call checked against its
+    reference route.
     An invariants scan saturates little by the irrelevant ideal beyond the
     base ideal, so it would check too few."""
     real = ideals.sat_irrelevant
     real_saturate = ideals.saturate
+    real_split = ideals.split_unmixed
     checked = []
     checked_saturate = []
+    checked_split = []
 
     def compared(I):
         got = real(I)
@@ -356,17 +362,29 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         checked_saturate.append(I)
         return got
 
+    def compared_split(I, J):
+        c1, c2 = real_split(I, J)
+        want1 = _saturate_by_parts(_fresh(I), J)
+        assert c1.gens == want1.groebner()
+        assert c2.gens == _saturate_by_parts(_fresh(I), want1).groebner()
+        _cached_basis_is_exact(c1)
+        _cached_basis_is_exact(c2)
+        checked_split.append(I)
+        return c1, c2
+
     for mod in (ideals, cremona, hudson, families):
         monkeypatch.setattr(mod, "sat_irrelevant", compared)
     for mod in (ideals, cremona, hudson):
         monkeypatch.setattr(mod, "saturate", compared_saturate)
+    monkeypatch.setattr(cremona, "split_unmixed", compared_split)
     rng = Rng(1, "scan-primes")
     for seed in (1, 9001):
         for k, fam in enumerate(families.FAMILY_LABELS):
             rec = cli.scan_one(fam, seed + k, random_prime(rng.split(f"p{k}")), level="full")
             assert rec["ok"], rec
     assert len(checked) > 100, len(checked)
-    assert len(checked_saturate) >= 3 * len(families.FAMILY_LABELS)
+    assert len(checked_saturate) >= 3 * len(families.FAMILY_LABELS), len(checked_saturate)
+    assert len(checked_split) >= 2 * len(families.FAMILY_LABELS), len(checked_split)
 
 
 def test_the_certificate_degree_cap_is_the_current_limit():
@@ -514,12 +532,100 @@ def test_the_liaison_residual_saturation_is_the_quotient_on_every_stratum():
 def test_the_split_costs_three_bases(monkeypatch):
     """line_preimage_split on an E8 map: Gamma's grevlex basis and one
     Rabinowitsch elimination each for C1 and C2.  Their bases come
-    attached, so the Hilbert data and the identities cost nothing more."""
+    attached, so the Hilbert data, the linkage check and the identities
+    cost nothing more, and no normal-form certificate is run."""
     psi, _ = families.build("E8", 1, GF(1000003))
     calls = _count_bases(monkeypatch)
+    certificates = []
+    real = ideals._certified
+
+    def counted(*args):
+        certificates.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "_certified", counted)
     _, c1, c2 = line_preimage_split(psi, Rng(1, "split"))
     assert len(calls) == 3
+    assert certificates == []
     assert (c1.degree, c2.degree) == (4, 5)
+
+
+def test_the_strict_transform_is_the_reference_saturation_on_every_stratum():
+    """C1 from the linkage-checked split has the reduced basis of the
+    per-generator reference Gamma : I_psi^oo on every stratum at seed 1."""
+    rng = Rng(1, "scan-primes")
+    for k, fam in enumerate(families.FAMILY_LABELS):
+        psi, _ = families.build(fam, 1 + k, GF(random_prime(rng.split(f"p{k}"))))
+        Gamma, c1, _ = line_preimage_split(psi, Rng(1 + k, "split"))
+        want = _saturate_by_parts(_fresh(Gamma), psi.ideal())
+        assert c1.ideal.groebner() == want.groebner(), fam
+
+
+def _cubic_and_two_lines():
+    """Gamma = twisted cubic u (z2 = z3 = 0) u (z0 = z1 = 0), unmixed of
+    degree 5; the ideal J of the second line, which is also the residual;
+    the expected first part, the cubic u the first line; and h = z0*z3,
+    which lies in J and vanishes on the first line but not on the cubic."""
+    R = ring(GF(10007), 4)
+    cubic, line1, line2 = (_ideal(R, TWISTED), _ideal(R, ("z2", "z3")), _ideal(R, ("z0", "z1")))
+    Gamma = _fresh(intersect(intersect(cubic, line1), line2))
+    return Gamma, line2, intersect(cubic, line1), parse_poly("z0*z3", R)
+
+
+def _forced_draws(monkeypatch, forced):
+    """Generic combinations in call order, h1 then h2 for each pair of
+    `split_unmixed`: the k-th is replaced by forced[k] when given (the
+    stream is drawn as before).  Returns the list of draws made."""
+    real = ideals._generic_combination
+    draws = []
+
+    def drawn(gens, rng):
+        draws.append(real(gens, rng))
+        return forced.get(len(draws) - 1, draws[-1])
+
+    monkeypatch.setattr(ideals, "_generic_combination", drawn)
+    return draws
+
+
+def _split_after_one_refusal(monkeypatch, Gamma, J, want1, forced):
+    draws = _forced_draws(monkeypatch, forced)
+    c1, c2 = ideals.split_unmixed(Gamma, J)
+    assert len(draws) == 4  # the refused pair and the accepted one
+    monkeypatch.undo()
+    assert c1.groebner() == want1.groebner() == _saturate_by_parts(_fresh(Gamma), J).groebner()
+    assert c2.groebner() == J.groebner()
+    _cached_basis_is_exact(c1)
+    _cached_basis_is_exact(c2)
+
+
+def test_the_power_check_refuses_a_draw_that_drops_a_component(monkeypatch):
+    """With h1 = z0*z3, C1 = Gamma : h1^oo is the cubic alone: the first
+    line is lost to C2 = Gamma : h2^oo.  The degrees still add up (3 + 2 =
+    5), but z0 has no power in C2, so the pair is refused and the next draw
+    gives the split."""
+    Gamma, J, want1, h = _cubic_and_two_lines()
+    lost1 = saturate_by_poly(Gamma, h)
+    lost2 = saturate(Gamma, lost1)
+    assert (lost1.hilbert().degree, lost2.hilbert().degree) == (3, 2)
+    assert not ideals._powers_in(lost2, list(J.gens))
+    _split_after_one_refusal(monkeypatch, Gamma, J, want1, {0: h})
+
+
+def test_the_degree_check_refuses_a_residual_that_drops_a_component(monkeypatch):
+    """With h2 a generator of Gamma (it lies in C1, as h2 must), C2 =
+    Gamma : h2^oo is the unit ideal: every generator of J has a power in
+    it, but 4 + 0 is not 5, so the pair is refused."""
+    Gamma, J, want1, _ = _cubic_and_two_lines()
+    assert saturate_by_poly(Gamma, Gamma.gens[0]).is_unit()
+    _split_after_one_refusal(monkeypatch, Gamma, J, want1, {1: Gamma.gens[0]})
+
+
+def test_every_refused_split_draw_raises_degenerate_input(monkeypatch):
+    Gamma, J, _, h = _cubic_and_two_lines()
+    draws = _forced_draws(monkeypatch, {2 * k: h for k in range(ideals._SAT_DRAWS)})
+    with pytest.raises(DegenerateInput, match="^split_unmixed: "):
+        ideals.split_unmixed(Gamma, J)
+    assert len(draws) == 2 * ideals._SAT_DRAWS
 
 
 def _cubic_and_line(F):
