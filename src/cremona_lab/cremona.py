@@ -133,6 +133,13 @@ def base_dimension(psi: RationalMap) -> int:
     return psi.base_ideal().hilbert().dimension
 
 
+def deg1part(J: IdealHandle) -> int:
+    """The degree of the curve part of the base scheme J: deg J when J is
+    1-dimensional, else 0."""
+    h = J.hilbert()
+    return h.degree if h.dimension == 1 else 0
+
+
 # ------------------------------------------------------------------ data
 
 
@@ -539,9 +546,8 @@ def analyze_map(psi: RationalMap, seed=0, trials: int = 5,
     an.gamma, an.c1, an.c2 = line_preimage_split(psi, rng.split("split"))
     J = psi.base_ideal()
     an.base_ideal = J
-    hJ = J.hilbert()
-    an.base_dim = hJ.dimension
-    an.deg1part = hJ.degree if hJ.dimension == 1 else 0
+    an.base_dim = J.hilbert().dimension
+    an.deg1part = deg1part(J)
     an.theta_ideal, an.theta_count = isolated_points(
         J, an.c2.ideal if an.c2.degree else None)
     if psi.degree == 3:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg, univar
-from .cremona import MapError, RationalMap, new_map
+from .cremona import MapError, RationalMap, deg1part, new_map
 from .fields import GF, QQ, Field
 from .ideals import (DegenerateInput, IdealHandle, _eval_monomials, intersect, line_forms,
                      piece_span, sat_irrelevant, vectors_to_polys)
@@ -890,12 +890,20 @@ def deform(path: str, samples, seed, field: Field):
 
 
 def build(label: str, seed, field: Field) -> tuple:
-    """(map, FamilySpec) for any family label."""
+    """(map, FamilySpec) for any family label.
+
+    The member's base scheme is checked against criterion 4's rule: the
+    degree of its curve part (`deg1part`, read off the base ideal `new_map`
+    saturated) is 9 - d for a map of bidegree (3, d), and below 9 - d for a
+    ruled one.  Over a small field a generic choice can fail and give a
+    member of another stratum; DegenerateInput is raised then, naming the
+    label, the seed and deg1part.
+    """
     if label not in FAMILY_LABELS:
         raise MapError(f"unknown family {label!r}")
-    if label.startswith("ruled_3_"):
-        d = int(label[-1])
-        psi = ruled(d, seed, field)
+    is_ruled = label.startswith("ruled_3_")
+    if is_ruled:
+        psi = ruled(int(label[-1]), seed, field)
     elif label == "E2":
         psi = determinantal(seed, field)
     elif label in ("E3", "E3.5", "E4"):
@@ -904,4 +912,10 @@ def build(label: str, seed, field: Field) -> tuple:
         psi = cuboquartic(label, seed, field)
     else:
         psi = cuboquintic(label, seed, field)
-    return psi, family_spec(label, seed=seed, field=field)
+    spec = family_spec(label, seed=seed, field=field)
+    degree, d = deg1part(psi.base_ideal()), spec.bidegree[1]
+    if not (degree < 9 - d if is_ruled else degree == 9 - d):
+        rule = f"below {9 - d}" if is_ruled else str(9 - d)
+        raise DegenerateInput(f"families.build: {label} at seed {seed} has deg1part "
+                              f"{degree}, the rule for its stratum is {rule}")
+    return psi, spec

@@ -279,14 +279,33 @@ def groebner_basis(gens: list, order: MonomialOrder = GREVLEX) -> list:
         if s:
             add_element(eng.make_monic(s))
 
-    # drop redundant leads, then tail-reduce to the unique reduced basis
-    order_idx = sorted(range(len(G)), key=lambda t: G[t][0][0])
+    return _reduced(eng, G)
+
+
+def reduce_basis(basis: list, order: MonomialOrder = GREVLEX) -> list:
+    """The reduced Groebner basis of `basis`, which must already be a
+    Groebner basis for `order`: the pass that ends `groebner_basis`, with no
+    S-pair formed."""
+    basis = [g for g in basis if g]
+    if not basis:
+        return []
+    ring = basis[0].ring
+    if any(g.ring != ring for g in basis):
+        raise ValueError("mixed rings in generator list")
+    eng = _Engine(ring, order)
+    return _reduced(eng, [eng.make_monic(eng.to_list(g)) for g in basis])
+
+
+def _reduced(eng: _Engine, G: list) -> list:
+    """The reduced basis of the monic term lists G of a Groebner basis:
+    drop redundant leads, then tail-reduce to the unique reduced basis."""
+    mdiv = eng.ring.mdivides
     keep: list = []
-    for t in order_idx:
-        lm = lead[t]
-        if any(mdiv(lead[u], lm) for u in keep):
+    for t in sorted(range(len(G)), key=lambda t: G[t][0][0]):
+        lm = G[t][0][1]
+        if any(mdiv(G[u][0][1], lm) for u in keep):
             continue
-        keep = [u for u in keep if not mdiv(lm, lead[u])]
+        keep = [u for u in keep if not mdiv(lm, G[u][0][1])]
         keep.append(t)
 
     # one ascending pass over the minimal basis (`keep` is ascending): a tail

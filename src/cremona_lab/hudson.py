@@ -249,12 +249,33 @@ def _jacobian_minors(gens) -> list:
     return minors
 
 
+def _with_jacobian_minors(I: IdealHandle, gens) -> IdealHandle:
+    """sat_irrelevant(I + the 2x2 Jacobian minors of `gens`), fed I's reduced
+    grevlex basis and, degree by degree, a basis of the span of the nonzero
+    normal forms of the minors modulo I (`piece_span`).  That is the same
+    ideal, since each minor minus its normal form lies in I, and so the same
+    reduced basis, with fewer generators than the raw minors."""
+    R = I.ring
+    residues: dict = {}
+    for m in _jacobian_minors(gens):
+        r = I.nf(m)
+        if r:
+            residues.setdefault(r.degree, []).append(r)
+    out = list(I.groebner(GREVLEX))
+    for d, rs in sorted(residues.items()):
+        span, mons = piece_span(IdealHandle(rs, R), d)
+        out += vectors_to_polys(span, mons, R)
+    return sat_irrelevant(IdealHandle(out, R))
+
+
 def special_locus(psi: RationalMap, base_ideal: IdealHandle) -> IdealHandle:
     """Base points where the system can carry a Hudson structure: the rank
     of the 4x4 Jacobian is <= 1 there (rank 0 for double points / binodes /
-    double points of contact, rank 1 for contact and osculation points)."""
-    minors = _jacobian_minors(psi.components)
-    return sat_irrelevant(IdealHandle(list(base_ideal.gens) + minors, psi.ring))
+    double points of contact, rank 1 for contact and osculation points).
+    It is sat_irrelevant(J + the 2x2 minors) for the base ideal J, built
+    from J's cached basis and the minors independent modulo J, quartics for
+    a cubic map (`_with_jacobian_minors`)."""
+    return _with_jacobian_minors(base_ideal, psi.components)
 
 
 def candidate_points(analysis: MapAnalysis, rng: Rng):
@@ -627,9 +648,7 @@ def curve_singular_points(C: CurveRecord, rng: Rng):
     is not finite (non-reduced curves, e.g. the double line of a ruled map).
     """
     I = C.ideal
-    R = I.ring
-    gens = list(I.groebner(GREVLEX))
-    S = sat_irrelevant(IdealHandle(gens + _jacobian_minors(gens), R))
+    S = _with_jacobian_minors(I, I.groebner(GREVLEX))
     if S.is_unit():
         return []
     if S.hilbert().dimension != 0:

@@ -32,14 +32,16 @@ constructions used throughout:
 * saturation by (z_0, ..., z_{n-1}) -- `sat_irrelevant` reads the grevlex
   basis of I: finite length gives the unit ideal, and when no lead is
   divisible by z_last, z_last is a non-zerodivisor and I is saturated.
-  Otherwise it moves z_last -> h = z_last + sum c_i z_i (the c_i from a
-  fixed stream), takes one grevlex basis and divides each element by its
-  z_last power (Bayer-Stillman), which gives K = I : h^oo, containing
-  I^sat.  K is accepted when its Hilbert polynomial equals I's: S/I^sat
-  has no finite-length submodule, so any K strictly larger than I^sat has
-  a smaller Hilbert polynomial.  A refused draw is redrawn a bounded
-  number of times, then DegenerateInput is raised.  The result is the
-  reduced grevlex basis of I^sat, whatever the draw.
+  Otherwise it divides each element of that basis by its z_last power
+  (Bayer-Stillman), which gives K = I : z_last^oo, containing I^sat.  K is
+  accepted when its Hilbert polynomial equals I's: S/I^sat has no
+  finite-length submodule, so any K strictly larger than I^sat has a
+  smaller Hilbert polynomial.  Only when some component of I^sat, embedded
+  or not, lies in z_last = 0 is this refused; then it moves
+  z_last -> z_last + sum c_i z_i (the c_i from a fixed stream), takes one
+  grevlex basis and divides and checks the same way.  A refused draw is
+  redrawn a bounded number of times, then DegenerateInput is raised.  The
+  result is the reduced grevlex basis of I^sat, whatever the route.
 
 Zero-dimensional schemes are read off one algebra, `IdealHandle.algebra`:
 the matrices M_j of multiplication by z_j / h on k[x]/I in a chart h = 1,
@@ -85,7 +87,7 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, Field
-from .groebner import Reducer, current_limits, exact_divide, groebner_basis
+from .groebner import Reducer, current_limits, exact_divide, groebner_basis, reduce_basis
 from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -421,18 +423,24 @@ def sat_irrelevant(I: IdealHandle) -> IdealHandle:
     A finite-length I gives the unit ideal, and I itself is returned when no
     lead of its grevlex basis is divisible by z_last (then z_last is a
     non-zerodivisor mod I, so I = I : z_last^oo, which contains I^sat).
-    Otherwise I is moved by z_last -> z_last + sum c_i z_i, the c_i drawn
-    from the fixed stream "sat-irrelevant-certificate", and each element of
-    one grevlex basis of the moved ideal is divided by its z_last power
-    (Bayer-Stillman).  That is a Groebner basis of the moved ideal's
-    saturation by z_last, which moved back is K = I : h^oo for a nonzero
-    linear form h, so K contains I^sat.  K is accepted when its Hilbert
-    polynomial equals that of I (and so of I^sat); then the reduced grevlex
-    basis of K moved back is returned.  The check is exact: S/I^sat has no
-    finite-length submodule, so a nonzero K/I^sat has a nonzero Hilbert
-    polynomial and K would have a smaller one.  A refused draw is followed
-    by another from the same stream; after `_SAT_DRAWS` draws are refused,
-    DegenerateInput is raised.  A BudgetError is not caught.
+    Otherwise each element of a grevlex basis is divided by its z_last power
+    (Bayer-Stillman), which gives a Groebner basis of K = I : h^oo with
+    h = z_last; K contains I^sat, as it does for any nonzero linear form h.
+    K is accepted when its Hilbert polynomial equals that of I (and so of
+    I^sat); then the reduced basis of K is returned.  The check is exact:
+    S/I^sat has no finite-length submodule, so a nonzero K/I^sat has a
+    nonzero Hilbert polynomial and K would have a smaller one.
+
+    The first try is I's own basis, with no move: it costs one division and
+    one Hilbert series, and it is refused exactly when some component of
+    I^sat, embedded or not, lies in z_last = 0.  Then I is moved by
+    z_last -> z_last + sum c_i z_i, the c_i drawn from the fixed stream
+    "sat-irrelevant-certificate", the division is made on one grevlex basis
+    of the moved ideal, and K moved back is I : h^oo for another nonzero
+    linear form h; an accepted K is returned as the reduced grevlex basis of
+    K moved back.  A refused draw is followed by another from the same
+    stream; after `_SAT_DRAWS` draws are refused, DegenerateInput is raised.
+    A BudgetError is not caught.
     """
     R = I.ring
     if not I.gens:
@@ -446,6 +454,9 @@ def sat_irrelevant(I: IdealHandle) -> IdealHandle:
     n = R.nvars
     if not any(R.mexp(g.lead()[0], n - 1) for g in gb0):
         return _saturated_basis(gb0, R)
+    K, _ = _divide_last_power(gb0, R)
+    if _same_hilbert_polynomial(hilbert_from_basis(K, R), h0):
+        return _saturated_basis(reduce_basis(K), R)
     F = R.field
     rng = Rng(0, "sat-irrelevant-certificate")
     for _ in range(_SAT_DRAWS):

@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from cremona_lab.cremona import MapError, analyze_map, line_preimage_split
+from cremona_lab.cremona import MapError, analyze_map, deg1part, line_preimage_split
 from cremona_lab.families import (EXPECTED, FAMILY_LABELS, PATHS, _conic_root, _sample,
                                   a1_example, a2_example, build, deform, det_to_dJ_map,
                                   pro_inter, ruled, special_examples)
@@ -86,6 +86,29 @@ def test_constructors_meet_their_specs_single_seed():
         else:
             assert not an.ruled and an.genus == 1
             assert an.deg1part == 9 - spec.bidegree[1]
+
+
+def test_every_member_over_a_small_field_obeys_the_base_scheme_rule_or_raises():
+    """Criterion 4's rule on deg1part, the degree of the base scheme's curve
+    part: 9 - d for bidegree (3, d), below 9 - d when ruled.  Over GF(31) a
+    generic choice fails for some members, and build says so."""
+    raised = []
+    for label in FAMILY_LABELS:
+        d = EXPECTED[label].bidegree[1]
+        for seed in (1, 2, 3):
+            try:
+                psi, _ = build(label, seed, GF(31))
+            except DegenerateInput as e:
+                raised.append(str(e))
+                continue
+            degree = deg1part(psi.base_ideal())
+            if label.startswith("ruled"):
+                assert degree < 9 - d, (label, seed)
+            else:
+                assert degree == 9 - d, (label, seed)
+    assert raised
+    assert all(e.startswith("families.build: ") and " at seed " in e and "deg1part" in e
+               for e in raised), raised
 
 
 def test_ruled_ordinary_points_count():

@@ -1,9 +1,11 @@
 import pytest
 
 from cremona_lab import groebner
-from cremona_lab.fields import GF, QQ
+from cremona_lab.fields import GF, GF2, QQ
 from cremona_lab.groebner import (Budget, BudgetError, Reducer, current_limits, exact_divide,
-                                  groebner_basis, limits, normal_form, spoly_reduces_to_zero)
+                                  groebner_basis, limits, normal_form, reduce_basis,
+                                  spoly_reduces_to_zero)
+from cremona_lab.ideals import _divide_last_power
 from cremona_lab.poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -193,3 +195,55 @@ def test_a_prepared_reducer_gives_the_normal_forms(F):
     assert Reducer([])(f) == f
     with pytest.raises(ValueError):
         nf(ring(GF(101), 4).var(0))
+
+
+def _no_spair(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an S-pair was formed")
+
+    monkeypatch.setattr(groebner._Engine, "spoly", refused)
+
+
+REDUCE_FIELDS = [GF(10007), QQ, GF2(10007)]
+REDUCE_IDS = ["gf", "q", "gf2"]
+# a small integer change of coordinates that moves the twisted cubic off
+# the coordinate hyperplanes
+MOVE = [[1, 2, 0, 1], [0, 1, 3, 1], [1, 0, 1, 2], [2, 1, 1, 1]]
+
+
+def _moved_twisted_cubic(S):
+    M = [[S.field.of(c) for c in row] for row in MOVE]
+    return [parse_poly(t, S).substitute_linear(M) for t in
+            ("z0*z2 - z1^2", "z1*z3 - z2^2", "z0*z3 - z1*z2")]
+
+
+@pytest.mark.parametrize("F", REDUCE_FIELDS, ids=REDUCE_IDS)
+def test_reduce_basis_of_a_divided_basis_is_its_reduced_basis(F, monkeypatch):
+    """The twisted cubic times (z0..z3): its basis divided by the z3 powers
+    is a Groebner basis of the cubic (Bayer-Stillman), not a reduced one."""
+    S = ring(F, 4)
+    curve = _moved_twisted_cubic(S)
+    gb = groebner_basis([g * z for g in curve for z in S.vars()])
+    divided, any_divided = _divide_last_power(gb, S)
+    assert any_divided
+    want = groebner_basis(divided)
+    assert want == groebner_basis(curve)
+    _no_spair(monkeypatch)
+    assert reduce_basis(divided) == want
+
+
+@pytest.mark.parametrize("F", REDUCE_FIELDS, ids=REDUCE_IDS)
+def test_reduce_basis_drops_redundant_elements_and_reduces_tails(F, monkeypatch):
+    S = ring(F, 4)
+    gb = groebner_basis(_moved_twisted_cubic(S))
+    g0, g1, g2 = gb  # leads descending, all quadrics
+    z0, _, _, z3 = S.vars()
+    three = F.of(3)
+    # the same leads with unreduced tails and other lead coefficients, a
+    # duplicate, and elements whose leads a quadric's lead divides
+    messy = [(g0 + g2.scale(F.of(2))).scale(three), g1, g2 + g2, (g1 + g2).scale(three),
+             z0 * g1 + z3 * g2, g0 * g0]
+    assert groebner_basis(messy) == gb
+    _no_spair(monkeypatch)
+    assert reduce_basis(messy) == gb
+    assert reduce_basis([S.zero]) == []

@@ -188,10 +188,15 @@ def _count_bases(monkeypatch):
 
 @pytest.mark.parametrize("name,bases", [
     ("finite length", 1),            # the basis itself shows finite length
-    ("coordinate point", 2),         # + the moved basis, where no element is divided
+    # the unmoved try is refused (dividing by z3 drops the point), + the
+    # moved basis, where no element is divided
+    ("coordinate point", 2),
     ("saturated curve", 1),          # z3 a non-zerodivisor
-    ("two points, one on z3 = 0", 2),  # + the basis after z3 -> z3 + sum c_i z_i
-    ("curve times (z0..z3)", 3),     # + the moved basis, divided, + the basis moved back
+    # the unmoved try is refused (it drops the point on z3 = 0), + the basis
+    # after z3 -> z3 + sum c_i z_i
+    ("two points, one on z3 = 0", 2),
+    # the input's basis, divided by its z3 powers, then `reduce_basis`
+    ("curve times (z0..z3)", 1),
 ])
 def test_groebner_calls_per_branch(monkeypatch, name, bases):
     I = _inputs(GF(10007))[name]
@@ -202,8 +207,9 @@ def test_groebner_calls_per_branch(monkeypatch, name, bases):
 
 def _zero_draws(monkeypatch, refused):
     """Make the first `refused` draws of the moved variable zero, so that
-    h = z_last; later draws come from the stream as before.  Returns the
-    list of draws made."""
+    h = z_last, which is tried before any draw, unmoved, and refused on the
+    inputs used here; later draws come from the stream as before.  Returns
+    the list of draws made."""
     real = ideals._small_coefficients
     draws = []
 
@@ -218,8 +224,8 @@ def _zero_draws(monkeypatch, refused):
 
 def test_a_refused_certificate_draws_again(monkeypatch):
     """With h = z_last, I : h^oo drops the point of I on z3 = 0 and its
-    Hilbert polynomial is 1, not 2: the draw is refused and the next one
-    gives the saturation."""
+    Hilbert polynomial is 1, not 2: the unmoved try and the zero draw are
+    refused, and the next draw gives the saturation."""
     I = _inputs(GF(10007))["two points, one on z3 = 0"]
     draws = _zero_draws(monkeypatch, 1)
     got = sat_irrelevant(I)
@@ -253,6 +259,24 @@ def test_a_part_by_a_non_zerodivisor_reuses_the_basis_of_the_input():
         part = _saturate_variable(I, i)
         assert part._gb.get(groebner.GREVLEX) == gb0
         assert tuple(groebner.groebner_basis(list(part.gens))) == gb0
+
+
+def _special_locus_by_minors(psi, J):
+    """The reference: J's generators plus every nonzero 2x2 Jacobian minor
+    of psi, saturated."""
+    return sat_irrelevant(IdealHandle(list(J.gens) + hudson._jacobian_minors(psi.components),
+                                      psi.ring))
+
+
+@pytest.mark.parametrize("label", [l for l in families.FAMILY_LABELS
+                                   if not l.startswith("ruled")])
+def test_the_special_locus_is_the_saturation_of_j_and_all_its_minors(label):
+    """J's basis plus the minors independent modulo J give the ideal that J
+    plus every minor gives, so the same reduced basis."""
+    psi, _ = families.build(label, 1, GF(1000003))
+    J = psi.base_ideal()
+    got = hudson.special_locus(psi, J)
+    _same(got, _special_locus_by_minors(psi, J))
 
 
 def test_analyze_map_saturates_the_base_ideal_once(monkeypatch):
