@@ -277,7 +277,8 @@ def is_birational(psi: RationalMap, rng: Rng, trials: int = 5):
 def _fiber_degree(psi: RationalMap, rng: Rng):
     """(degree, dimension) of the fiber of psi through a random point x:
     Fib = (y_j psi_i - y_i psi_j) for y = psi(x), without its components
-    in the base locus, i.e. Fib : (psi)^oo.
+    in the base locus, i.e. Fib : (psi)^oo.  Fib is generated by the three
+    members c . psi for c in a basis of the vectors with c . y = 0.
 
     That saturation equals Fib : psi_i^oo for the first i with y_i != 0,
     for fibers of any dimension.  I : g^oo keeps exactly the primary
@@ -302,12 +303,8 @@ def _fiber_degree(psi: RationalMap, rng: Rng):
             break
     if x is None:
         raise DegenerateInput("could not sample a point off the base locus")
-    gens = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            g = psi.components[i].scale(y[j]) - psi.components[j].scale(y[i])
-            if g:
-                gens.append(g)
+    # the minors y_j psi_i - y_i psi_j span the net {c . psi : c . y = 0}
+    gens = [g for g in (psi.member(c) for c in linalg.nullspace(F, [list(y)], 4)) if g]
     i = next(i for i, v in enumerate(y) if v != F.zero)
     h = saturate_by_poly(IdealHandle(gens, R), psi.components[i]).hilbert()
     if h.dimension <= 0:

@@ -1,10 +1,21 @@
-"""Buchberger's algorithm with the Gebauer-Moeller pair update and resource
-limits.
+"""Groebner bases by two paths, with resource limits.
 
-A new basis element is paired only with the elements whose lead no later
-lead divides, and its new pairs are thinned by the product criterion and
-Gebauer-Moeller's criteria M and F; the chain criterion is applied when a
-pair is popped.
+* `groebner_basis(gens, order)` -- Buchberger's algorithm with the
+  Gebauer-Moeller pair update, for a list of generators.  A new basis
+  element is paired only with the elements whose lead no later lead
+  divides, and its new pairs are thinned by the product criterion and
+  Gebauer-Moeller's criteria M and F; the chain criterion is applied when a
+  pair is popped.  Every grevlex basis of an ideal's generators comes from
+  here.
+* `extend_basis(basis, f, order)` -- the basis of (basis) + (f) when
+  `basis` is already a Groebner basis for `order`, by signatures with f as
+  the one new generator, so that no pair reduces to zero on a known
+  syzygy.  Every Rabinowitsch elimination (`ideals._rabinowitsch`) comes
+  from here: I's grevlex basis lifted to k[t, z] is a Groebner basis for
+  ElimBlock(1), extended by t*g - 1.
+
+Both end in the same reduction pass (`_reduced`, also `reduce_basis`), and a
+reduced basis is unique, so the two paths give identical bases.
 
 The engine works on term lists [(key, monomial, coeff), ...] sorted
 descending by the active order key; prime-field coefficients get a dedicated
@@ -39,8 +50,11 @@ class Budget:
     that pass the pair criteria and get reduced, not every pair of basis
     elements; the Gebauer-Moeller update leaves fewer such pairs than the
     product and chain criteria alone, so a given budget admits larger
-    computations than it did with those two.  `max_degree` bounds the
-    degree of a reduced pair's lcm."""
+    computations than it did with those two.  In `extend_basis` it counts
+    the candidates that pass the signature criteria, which skip every pair
+    that would reduce to zero on a known syzygy, so a given `max_pairs` now
+    admits larger eliminations than Buchberger's pairs did.  `max_degree`
+    bounds the degree of a reduced pair's lcm, or of a candidate's lead."""
 
     __slots__ = ("max_pairs", "max_degree")
 
@@ -280,6 +294,137 @@ def groebner_basis(gens: list, order: MonomialOrder = GREVLEX) -> list:
             add_element(eng.make_monic(s))
 
     return _reduced(eng, G)
+
+
+def extend_basis(basis: list, f: Polynomial, order: MonomialOrder = GREVLEX) -> list:
+    """The reduced Groebner basis of (basis) + (f), when `basis` is already a
+    Groebner basis for `order`, computed by signatures with f as the one new
+    generator.
+
+    An element r = a*f + (an element of (basis)) has signature u_r, the
+    lead of a; the elements of `basis` have the empty signature, below
+    every u.  Signatures s are taken in increasing order from the J-pairs:
+    (lcm / lead r) * u_r for a new r and an element of `basis` whose leads
+    are not coprime, and the larger of the two for two new elements (none
+    when they are equal).  A signature is skipped when a known syzygy
+    signature divides it: a lead of `basis` (F5 criterion), the Koszul
+    signature max(lead(r) * u_q, lead(q) * u_r) of two new elements when
+    the two differ, or a signature whose candidate reduced to zero.
+    Otherwise the candidate (s / u_r) * r, for the latest new r with
+    u_r | s (f itself for s = 1), is reduced regularly: by `basis` always,
+    by a new r only where the multiple's signature lies below s.  It is
+    dropped when its lead is singular top-reducible once regular reduction
+    has stopped, since a new element of the same signature covers it, and
+    is a new element otherwise.  When every signature is done, `basis` and
+    the new elements are a Groebner basis (Eder and Faugere, "A survey on
+    signature-based algorithms for computing Groebner bases", J. Symbolic
+    Comput. 80, 2017), reduced as `groebner_basis` reduces its own.
+
+    Each candidate counts as one pair against `current_limits()`, and a
+    candidate whose lead degree exceeds its `max_degree` raises BudgetError,
+    as a pair's lcm does in `groebner_basis`."""
+    basis = [g for g in basis if g]
+    if not f:
+        return reduce_basis(basis, order)
+    ring = f.ring
+    if any(g.ring != ring for g in basis):
+        raise ValueError("mixed rings in generator list")
+    budget = _LIMITS.get()
+    eng = _Engine(ring, order)
+    key, mdeg, mlcm, guard = eng.key, ring.mdeg, ring.mlcm, ring.guard
+
+    G = sorted((eng.make_monic(eng.to_list(g)) for g in basis), key=lambda l: l[0][0])
+    known = [(g[0][1], g) for g in G]
+    new: list = []  # (lead, term list, signature, key(signature) - key(lead))
+    syzygies = [lm for lm, _ in known]
+    pending = [(key(0), 0)]  # heap of (key, signature); f itself has signature 1
+    npairs = 0
+    last = None
+    while pending:
+        sk, s = heapq.heappop(pending)
+        sg = s | guard
+        if s == last or any((sg - z) & guard == guard for z in syzygies):
+            continue
+        last = s
+        if new:
+            _, r, u, _ = next(e for e in reversed(new) if (sg - e[2]) & guard == guard)
+            dk, shift = sk - key(u), s - u
+            work = [(k + dk, m + shift, c) for k, m, c in r]
+            npairs += 1
+            if npairs > budget.max_pairs:
+                raise BudgetError(f"pair budget {budget.max_pairs} exceeded")
+            if mdeg(work[0][1]) > budget.max_degree:
+                raise BudgetError(f"degree {mdeg(work[0][1])} exceeds budget {budget.max_degree}")
+        else:
+            work = eng.make_monic(eng.to_list(f))
+        work = _regular_reduce(eng, work, sk, known, new)
+        if work is None:
+            continue
+        if not work:
+            syzygies.append(s)
+            continue
+        work = eng.make_monic(work)
+        lk, lr = work[0][0], work[0][1]
+        ratio = sk - lk
+        for lm, _ in known:
+            lcm_m = mlcm(lm, lr)
+            if lcm_m != lm + lr:
+                t = lcm_m - lr + s
+                heapq.heappush(pending, (key(t), t))
+        # key(x * u_y) - key(y * u_x) = ratio_y - ratio_x for two new
+        # elements: the side with the larger ratio gives the J-pair and the
+        # Koszul signature, and equal ratios give neither
+        for lq, _, uq, ratio_q in new:
+            if ratio > ratio_q:
+                t = mlcm(lq, lr) - lr + s
+                syzygies.append(lq + s)
+            elif ratio < ratio_q:
+                t = mlcm(lq, lr) - lq + uq
+                syzygies.append(lr + uq)
+            else:
+                continue
+            heapq.heappush(pending, (key(t), t))
+        new.append((lr, work, s, ratio))
+    return _reduced(eng, G + [r for _, r, _, _ in new])
+
+
+def _regular_reduce(eng: _Engine, work: list, sk: int, known: list, new: list):
+    """Regular reduction of the term list `work` of signature key `sk` for
+    `extend_basis`: each term is reduced by the first lead of `known` that
+    divides it, else by the first new element whose multiple has a smaller
+    signature, else moves to the output.  Returns [] when `work` reduces to
+    zero, and None when its final lead is singular top-reducible: some new
+    element's multiple has that lead and the signature `sk`.
+
+    A multiple t*r of the new element r with lead l and signature u has the
+    signature key key(t*u) = key(m) + key(u) - key(l) when t*l = m, so the
+    test compares the stored key(u) - key(l) with sk - key(m)."""
+    guard = eng.ring.guard
+    merge, arith = eng.merge, eng.arith
+    out: list = []
+    i = 0
+    while i < len(work):
+        wk, m, c = work[i]
+        mg = m | guard
+        for lm, g in known:
+            if (mg - lm) & guard == guard:
+                work = merge(work, i, g, wk - g[0][0], m - lm, c, arith)
+                i = 0
+                break
+        else:
+            bound = sk - wk
+            for lm, g, _, ratio in new:
+                if ratio < bound and (mg - lm) & guard == guard:
+                    work = merge(work, i, g, wk - g[0][0], m - lm, c, arith)
+                    i = 0
+                    break
+            else:
+                if not out and any(ratio == bound and (mg - lm) & guard == guard
+                                   for lm, _, _, ratio in new):
+                    return None
+                out.append(work[i])
+                i += 1
+    return out
 
 
 def reduce_basis(basis: list, order: MonomialOrder = GREVLEX) -> list:

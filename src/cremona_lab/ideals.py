@@ -16,7 +16,11 @@ constructions used throughout:
   generators, exact with no draw; one quotient by a combination of them
   would not do, as (z0^2, z1^2) : (z0, z1) shows.  The analysis does not
   call it;
-* saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t);
+* saturation I:g^oo -- Rabinowitsch trick (t*g - 1, eliminate t), as
+  I's grevlex basis lifted to k[t, z], a Groebner basis for ElimBlock(1),
+  extended by t*g - 1 with signatures (`groebner.extend_basis`), so no pair
+  reduces to zero on a known syzygy; I's grevlex basis is computed first
+  when it is not cached;
 * saturation I:J^oo  -- I:g^oo when J has one generator g; otherwise one
   Rabinowitsch saturation K = I:h^oo by a generic combination h of J's
   generators (degrees padded by a linear form, drawn from a fixed
@@ -87,7 +91,8 @@ from math import comb
 
 from . import linalg, univar
 from .fields import GF, GF2, Field
-from .groebner import Reducer, current_limits, exact_divide, groebner_basis, reduce_basis
+from .groebner import (Reducer, current_limits, exact_divide, extend_basis, groebner_basis,
+                       reduce_basis)
 from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
@@ -258,14 +263,17 @@ def saturate_by_poly(I: IdealHandle, g: Polynomial) -> IdealHandle:
 
 
 def _rabinowitsch(I: IdealHandle, g: Polynomial) -> IdealHandle:
-    """(I : g^oo) = (I + (t*g - 1)) meet k[z], for any polynomial g."""
+    """(I : g^oo) = (I + (t*g - 1)) meet k[z], for any polynomial g.  I's
+    grevlex basis lifted to k[t, z] is a Groebner basis for ElimBlock(1),
+    which is grevlex on t-free monomials, so the elimination basis is that
+    basis extended by t*g - 1 (`extend_basis`)."""
     R = I.ring
     S = _scratch_ring(R)
-    t = S.var(0)
     lift = [i + 1 for i in range(R.nvars)]
-    gens = [f.map_vars(S, lift) for f in I.gens]
-    gens.append(t * g.map_vars(S, lift) - S.one)
-    return eliminate(IdealHandle(gens, S), 1)
+    basis = [f.map_vars(S, lift) for f in I.groebner()]
+    f = S.var(0) * g.map_vars(S, lift) - S.one
+    elim = ElimBlock(1)
+    return eliminate(IdealHandle(basis + [f], S).with_basis(elim, extend_basis(basis, f, elim)), 1)
 
 
 # the draws of `saturate` and `sat_irrelevant` before they give up

@@ -74,12 +74,17 @@ def _grevlex_key(m: int, idxs, shift: int) -> int:
 
 
 class Grevlex(MonomialOrder):
+    """Graded reverse lex.  `_grevlex_key` over every variable in closed
+    form: the degree field stays in place, and each exponent byte e becomes
+    127 - e, which is the packed exponents subtracted from all 127s."""
+
     kind = "grevlex"
 
     def key_func(self, ring):
-        idxs = tuple(reversed(range(ring.nvars)))
         shift = ring.deg_shift
-        return lambda m: _grevlex_key(m, idxs, shift)
+        low = (1 << shift) - 1
+        top = sum(EXP_MAX << (EXP_BITS * i) for i in range(ring.nvars))
+        return lambda m: ((m >> shift) << shift) + top - (m & low)
 
 
 class Lex(MonomialOrder):
@@ -171,12 +176,11 @@ class Ring:
         if len(self.names) != nvars:
             raise PolyError("name count mismatch")
         self.deg_shift = EXP_BITS * nvars
-        self.guard = sum(0x80 << (EXP_BITS * i) for i in range(nvars)) | (
-            0x8000 << self.deg_shift
-        )
+        self._exponents = (1 << self.deg_shift) - 1
+        self._top_bits = sum(0x80 << (EXP_BITS * i) for i in range(nvars))
+        self.guard = self._top_bits | (0x8000 << self.deg_shift)
         self.order = GREVLEX
         self._grevlex_key = GREVLEX.key_func(self)
-        self._key_cache: dict = {}
 
     def __eq__(self, other):
         return (
@@ -219,27 +223,28 @@ class Ring:
         return ((b | g) - a) & g == g
 
     def mlcm(self, a: int, b: int) -> int:
-        m = 0
-        d = 0
-        for i in range(self.nvars):
-            e = max((a >> (EXP_BITS * i)) & EXP_MASK, (b >> (EXP_BITS * i)) & EXP_MASK)
-            m |= e << (EXP_BITS * i)
-            d += e
-        return m | (d << self.deg_shift)
+        """lcm(a, b), byte by byte: (a_i + 128) - b_i has its top bit set
+        exactly when a_i >= b_i.  The degree is the byte sum, which is that
+        sum mod 255 while it stays below 255."""
+        low, shift = self._exponents, self.deg_shift
+        ea, eb = a & low, b & low
+        pick_a = ((((ea | self._top_bits) - eb) & self._top_bits) >> 7) * EXP_MASK
+        m = (ea & pick_a) | (eb & (low ^ pick_a))
+        if (a >> shift) + (b >> shift) < 255:
+            return m | ((m % 255) << shift)
+        return m | (sum((m >> (EXP_BITS * i)) & EXP_MASK for i in range(self.nvars)) << shift)
 
     def key(self, m: int) -> int:
-        k = self._key_cache.get(m)
-        if k is None:
-            k = self._grevlex_key(m)
-            self._key_cache[m] = k
-        return k
+        """The grevlex key of the monomial m."""
+        return self._grevlex_key(m)
 
     # -- polynomial constructors
 
     def poly(self, term_dict: dict) -> "Polynomial":
         F = self.field
+        key = self._grevlex_key
         items = [(m, c) for m, c in term_dict.items() if c != F.zero]
-        items.sort(key=lambda t: self.key(t[0]), reverse=True)
+        items.sort(key=lambda t: key(t[0]), reverse=True)
         return Polynomial(self, tuple(items))
 
     def from_exp_terms(self, terms: Iterable) -> "Polynomial":
@@ -302,15 +307,14 @@ class Ring:
         return f
 
 
-# held weakly: a scan draws a fresh prime per sample, and every ring keeps a
-# monomial-key cache, so strong references would grow for the whole process
+# held weakly: a scan draws a fresh prime per sample, so strong references
+# would keep a ring per prime for the whole process
 _ring_cache: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def ring(field: Field, nvars: int, names: tuple | None = None) -> Ring:
     """The ring over `field` in `nvars` variables, shared while it is in use.
-    Default names are spelled out first, so that equal rings are one object
-    and share one monomial-key cache."""
+    Default names are spelled out first, so that equal rings are one object."""
     key = (field, nvars, tuple(names) if names else tuple(f"z{i}" for i in range(nvars)))
     R = _ring_cache.get(key)
     if R is None:
@@ -523,15 +527,17 @@ class Polynomial:
             for _ in range(maxe[i]):
                 ps.append(ps[-1] * lin[i])
             powers.append(ps)
-        acc = R.zero
+        acc: dict = {}
+        add, mul, zero = F.add, F.mul, F.zero
         for m, c in self.terms:
-            t = R.constant(c)
+            t = R.one
             for i in range(R.nvars):
                 e = (m >> (EXP_BITS * i)) & EXP_MASK
                 if e:
                     t = t * powers[i][e]
-            acc = acc + t
-        return acc
+            for mm, cc in t.terms:
+                acc[mm] = add(acc.get(mm, zero), mul(c, cc))
+        return R.poly(acc)
 
     def map_field(self, ring2: Ring) -> "Polynomial":
         """Push coefficients through ring2.field.of (e.g. Q -> GF(p) reduction)."""

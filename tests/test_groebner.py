@@ -3,8 +3,8 @@ import pytest
 from cremona_lab import groebner
 from cremona_lab.fields import GF, GF2, QQ
 from cremona_lab.groebner import (Budget, BudgetError, Reducer, current_limits, exact_divide,
-                                  groebner_basis, limits, normal_form, reduce_basis,
-                                  spoly_reduces_to_zero)
+                                  extend_basis, groebner_basis, limits, normal_form,
+                                  reduce_basis, spoly_reduces_to_zero)
 from cremona_lab.ideals import _divide_last_power
 from cremona_lab.poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, parse_poly, ring
 from cremona_lab.rng import Rng
@@ -247,3 +247,47 @@ def test_reduce_basis_drops_redundant_elements_and_reduces_tails(F, monkeypatch)
     _no_spair(monkeypatch)
     assert reduce_basis(messy) == gb
     assert reduce_basis([S.zero]) == []
+
+
+def _extension_inputs(F, k):
+    """Input k: a random grevlex basis of two or three forms in four
+    variables, that basis lifted to k[t, z0..z3] and t*g - 1 for a random g
+    of degree 1 to 3."""
+    S = ring(F, 4)
+    T = ring(F, 5, ("t",) + S.names)
+    rng = Rng(7, f"extend-{k}")
+    gens = [S.random_poly(2 + (i + k) % 2, rng.split(f"g{i}")) for i in range(2 + k % 2)]
+    gb = groebner_basis(gens)
+    lifted = [h.map_vars(T, [1, 2, 3, 4]) for h in gb]
+    g = S.random_poly(1 + k % 3, rng.split("h"))
+    return gb, lifted, T.var(0) * g.map_vars(T, [1, 2, 3, 4]) - T.one
+
+
+@pytest.mark.parametrize("F", REDUCE_FIELDS, ids=REDUCE_IDS)
+def test_extend_basis_is_the_reduced_basis_of_the_extended_ideal(F):
+    """Over GF(p), Q and GF(p^2): a grevlex basis lifted to k[t, z] extended
+    by t*g - 1 for ElimBlock(1) (a Rabinowitsch elimination), and a grevlex
+    basis extended by a form, give Buchberger's reduced bases."""
+    for k in range(6):
+        gb, lifted, f = _extension_inputs(F, k)
+        assert extend_basis(lifted, f, ElimBlock(1)) == groebner_basis(lifted + [f], ElimBlock(1))
+        form = ring(F, 4).random_poly(2 + k % 2, Rng(8, f"extend-form-{k}"))
+        assert extend_basis(gb, form) == groebner_basis(gb + [form])
+
+
+def test_extend_basis_of_a_member_or_an_empty_basis():
+    gb = groebner_basis(TWISTED)
+    assert extend_basis(gb, TWISTED[0] * pp("z3 + z1")) == gb
+    assert extend_basis(gb, R.zero) == gb
+    assert extend_basis([], TWISTED[1].scale(5)) == [TWISTED[1].monic()]
+    assert extend_basis(gb, pp("z0 + 2")) == groebner_basis(TWISTED + [pp("z0 + 2")])
+    assert extend_basis(gb, R.one) == [R.one]
+
+
+def test_extend_basis_is_held_to_the_limits():
+    _, lifted, f = _extension_inputs(GF(10007), 1)
+    assert extend_basis(lifted, f, ElimBlock(1))
+    with pytest.raises(BudgetError, match="pair budget 1 exceeded"), limits(Budget(max_pairs=1)):
+        extend_basis(lifted, f, ElimBlock(1))
+    with pytest.raises(BudgetError, match="exceeds budget 4"), limits(Budget(max_degree=4)):
+        extend_basis(lifted, f, ElimBlock(1))

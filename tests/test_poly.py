@@ -5,9 +5,9 @@ import pytest
 
 from cremona_lab import linalg
 from cremona_lab.fields import GF, QQ
-from cremona_lab.poly import (GREVLEX, LEX, ElimBlock, ParseError, PolyError,
-                              WeightedGrevlex, _ring_cache, parse_poly, print_poly,
-                              ring)
+from cremona_lab.poly import (EXP_MAX, GREVLEX, LEX, ElimBlock, ParseError, PolyError,
+                              WeightedGrevlex, _grevlex_key, _ring_cache, parse_poly,
+                              print_poly, ring)
 from cremona_lab.rng import Rng, random_prime
 
 FQ = ring(QQ, 4)
@@ -192,6 +192,34 @@ def test_grevlex_reference_comparisons():
     assert key(m(1, 0, 0, 0)) > key(m(0, 0, 0, 1))  # z0 > z3
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_grevlex_key_is_the_closed_form_of_the_byte_loop(n):
+    """key(m) = ((m >> s) << s) + sum_i 127 * 2^(8i) - (m & (2^s - 1)) for
+    s = deg_shift: the byte loop `_grevlex_key` over every variable."""
+    R = ring(GF(10007), n)
+    s = R.deg_shift
+    top = sum(EXP_MAX << (8 * i) for i in range(n))
+    key = GREVLEX.key_func(R)
+    rng = Rng(5, f"closed-grevlex-{n}")
+    for _ in range(500):
+        m = R.pack([rng.randrange(EXP_MAX + 1) for _ in range(n)])
+        want = _grevlex_key(m, tuple(reversed(range(n))), s)
+        assert key(m) == R.key(m) == want == ((m >> s) << s) + top - (m & ((1 << s) - 1))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_mlcm_takes_the_larger_exponent_of_each_variable(n):
+    """The byte-parallel lcm against the exponents, with exponents up to
+    127, so that degree sums of 255 and more take the second branch."""
+    R = ring(GF(10007), n)
+    rng = Rng(6, f"mlcm-{n}")
+    for k in range(400):
+        top = 8 if k % 2 else EXP_MAX + 1
+        a = [rng.randrange(top) for _ in range(n)]
+        b = [rng.randrange(top) for _ in range(n)]
+        assert R.mlcm(R.pack(a), R.pack(b)) == R.pack([max(x, y) for x, y in zip(a, b)])
+
+
 def test_gf_q_consistency_of_ops():
     # integer-coefficient inputs: arithmetic commutes with reduction mod p
     p = 10007
@@ -236,8 +264,8 @@ def test_a_dropped_ring_leaves_the_cache_without_the_cyclic_collector():
 
 def test_equal_rings_are_one_object():
     # an elimination moves its result into ring(F, n, names[k:]); with the
-    # default names spelled out that must be the caller's ring itself, or the
-    # two would keep separate monomial-key caches
+    # default names spelled out that must be the caller's ring itself, not a
+    # second object that only compares equal
     names = ("z0", "z1", "z2", "z3")
     assert ring(GF(10007), 4, names) is FP
     assert ring(GF(10007), 4, list(names)) is FP

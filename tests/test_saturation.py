@@ -175,14 +175,22 @@ def test_non_homogeneous_input_is_refused():
 
 
 def _count_bases(monkeypatch):
+    """The orders of the Groebner bases `ideals` computes: a
+    `groebner_basis` call, or an `extend_basis` call, which extends a known
+    basis (a Rabinowitsch elimination)."""
     calls = []
-    real = ideals.groebner_basis
+    real, real_extend = ideals.groebner_basis, ideals.extend_basis
 
     def counted(gens, order=groebner.GREVLEX):
         calls.append(order)
         return real(gens, order)
 
+    def counted_extend(basis, f, order=groebner.GREVLEX):
+        calls.append(order)
+        return real_extend(basis, f, order)
+
     monkeypatch.setattr(ideals, "groebner_basis", counted)
+    monkeypatch.setattr(ideals, "extend_basis", counted_extend)
     return calls
 
 
@@ -315,11 +323,11 @@ def test_an_invariants_analysis_saturates_only_the_base_ideal(monkeypatch):
 
 def _limits_seen(monkeypatch) -> dict:
     """The Groebner limits in force at each call of `groebner_basis`, of
-    `ideals._certified` and of `ideals._powers_in`, wrapped in every module
-    that binds them."""
+    `extend_basis`, of `ideals._certified` and of `ideals._powers_in`,
+    wrapped in every module that binds them."""
     seen = {}
-    for home, name in ((groebner, "groebner_basis"), (ideals, "_certified"),
-                       (ideals, "_powers_in")):
+    for home, name in ((groebner, "groebner_basis"), (groebner, "extend_basis"),
+                       (ideals, "_certified"), (ideals, "_powers_in")):
         real = getattr(home, name)
         seen[name] = []
 
@@ -555,7 +563,8 @@ def test_the_liaison_residual_saturation_is_the_quotient_on_every_stratum():
 
 def test_the_split_costs_three_bases(monkeypatch):
     """line_preimage_split on an E8 map: Gamma's grevlex basis and one
-    Rabinowitsch elimination each for C1 and C2.  Their bases come
+    Rabinowitsch elimination each for C1 and C2, each extending Gamma's
+    basis by signatures (`groebner.extend_basis`).  Their bases come
     attached, so the Hilbert data, the linkage check and the identities
     cost nothing more, and no normal-form certificate is run."""
     psi, _ = families.build("E8", 1, GF(1000003))
@@ -572,6 +581,25 @@ def test_the_split_costs_three_bases(monkeypatch):
     assert len(calls) == 3
     assert certificates == []
     assert (c1.degree, c2.degree) == (4, 5)
+
+
+def test_no_candidate_of_the_split_reduces_to_zero(monkeypatch):
+    """The signature criteria leave no reduction to zero in E8's split at
+    seed 1: every candidate of its two eliminations becomes a new element
+    or is dropped as singular top-reducible."""
+    psi, _ = families.build("E8", 1, GF(1000003))
+    results = []
+    real = groebner._regular_reduce
+
+    def counted(*args):
+        out = real(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(groebner, "_regular_reduce", counted)
+    _, c1, c2 = line_preimage_split(psi, Rng(1, "split"))
+    assert (c1.degree, c2.degree) == (4, 5)
+    assert results and [] not in results
 
 
 def test_the_strict_transform_is_the_reference_saturation_on_every_stratum():
