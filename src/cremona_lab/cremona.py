@@ -369,7 +369,7 @@ def genus_of_map(psi: RationalMap, rng: Rng) -> int:
         S = psi.random_member(sub)
         M = linalg.random_invertible(F, 4, sub.split("plane"))
         plane = [row[:3] + [F.zero] for row in M]
-        cubic = S.substitute_linear(plane, check_invertible=False).map_vars(R3, (0, 1, 2, 0))
+        cubic = S.substitute_linear(plane, check_invertible=False).drop_last_vars(R3)
         if not cubic or not cubic.is_homogeneous() or cubic.total_degree() != 3:
             continue
         h = IdealHandle(cubic.partials(), R3).hilbert()

@@ -21,7 +21,12 @@ The engine works on term lists [(key, monomial, coeff), ...] sorted
 descending by the active order key; prime-field coefficients get a dedicated
 arithmetic path (plain ints mod p).  Order keys are affine in the exponent
 vector, so multiplying a list by a monomial adds one key difference to each
-stored key and no key is recomputed.
+stored key and no key is recomputed.  Every key is a closed form on the
+packed monomial (grevlex and ElimBlock(k) alike), cheap enough that the
+engine keeps no cache of them.  A polynomial's stored terms are already
+grevlex-descending, so under grevlex a term list is the terms with their
+keys, in stored order, and a result is the list with its keys dropped; only
+other orders sort, once per input and once per result.
 
 Limits turn runaway computations into explicit errors: classification code
 must be able to tell "expensive" from "wrong".  They are a scoped setting
@@ -149,35 +154,25 @@ class _Engine:
 
     def __init__(self, ring: Ring, order: MonomialOrder):
         self.ring = ring
-        self.order = order
-        self.keyf = ring._grevlex_key if order == GREVLEX else order.key_func(ring)
-        self.cache: dict = {}
+        self.grevlex = order == GREVLEX
+        self.keyf = ring._grevlex_key if self.grevlex else order.key_func(ring)
         F = ring.field
         p = F.char if isinstance(F, GF) else 0
         self.gf_p = p
         # the merge and its last argument, picked once for the field
         self.merge, self.arith = (_merge_sub_gf, p) if p else (_merge_sub_gen, F)
 
-    def key(self, m: int) -> int:
-        k = self.cache.get(m)
-        if k is None:
-            k = self.keyf(m)
-            self.cache[m] = k
-        return k
-
     def to_list(self, f: Polynomial) -> list:
-        keyf, cache = self.keyf, self.cache
-        out = []
-        for m, c in f.terms:
-            k = cache.get(m)
-            if k is None:
-                k = keyf(m)
-                cache[m] = k
-            out.append((k, m, c))
-        out.sort(reverse=True)
-        return out
+        """f's terms with their keys, descending.  Stored terms are already
+        grevlex-descending, so under grevlex they keep their order."""
+        keyf = self.keyf
+        out = [(keyf(m), m, c) for m, c in f.terms]
+        return out if self.grevlex else sorted(out, reverse=True)
 
     def from_list(self, lst: list) -> Polynomial:
+        """The polynomial of a term list; a grevlex list is in stored order."""
+        if self.grevlex:
+            return Polynomial(self.ring, tuple([(m, c) for _, m, c in lst]))
         return self.ring.poly({m: c for _, m, c in lst})
 
     def reduce_full(self, work: list, G: list) -> list:
@@ -204,7 +199,7 @@ class _Engine:
 
     def spoly(self, f: list, g: list, lcm_m: int) -> list:
         """S-polynomial of two monic term lists."""
-        lk = self.key(lcm_m)
+        lk = self.keyf(lcm_m)
         df, sf = lk - f[0][0], lcm_m - f[0][1]
         shifted = [(k + df, m + sf, c) for k, m, c in f]
         return self.merge(shifted, 0, g, lk - g[0][0], lcm_m - g[0][1], self.ring.field.one,
@@ -263,7 +258,7 @@ def groebner_basis(gens: list, order: MonomialOrder = GREVLEX) -> list:
                 kept.append((i, lcm_m))
         for i, lcm_m in kept:
             if lcm_m != lead[i] + lh:
-                heapq.heappush(pending, (mdeg(lcm_m), eng.key(lcm_m), i, h, lcm_m))
+                heapq.heappush(pending, (mdeg(lcm_m), eng.keyf(lcm_m), i, h, lcm_m))
         active[:] = [i for i in active if not mdiv(lh, lead[i])]
         active.append(h)
 
@@ -331,7 +326,7 @@ def extend_basis(basis: list, f: Polynomial, order: MonomialOrder = GREVLEX) -> 
         raise ValueError("mixed rings in generator list")
     budget = _LIMITS.get()
     eng = _Engine(ring, order)
-    key, mdeg, mlcm, guard = eng.key, ring.mdeg, ring.mlcm, ring.guard
+    key, mdeg, mlcm, guard = eng.keyf, ring.mdeg, ring.mlcm, ring.guard
 
     G = sorted((eng.make_monic(eng.to_list(g)) for g in basis), key=lambda l: l[0][0])
     known = [(g[0][1], g) for g in G]

@@ -6,11 +6,14 @@ ideal itself, never of its saturation: an ideal and its saturation by the
 irrelevant ideal share dimension, degree and p_a), and `nf` / `contains`
 (one cached `Reducer`).  `eliminate` is the one reader of elimination
 ideals: the part of the reduced ElimBlock(k) basis free of the first k
-variables, in the smaller ring and attached as its grevlex basis.  Only the
+variables, in the smaller ring and attached as its grevlex basis.  It finds
+that part with one mask of the first k exponent bytes and moves it with
+`Polynomial.shift_vars`, m >> 8k on each packed monomial.  Only the
 certificate of `sat_irrelevant` reads Hilbert data off a bare basis.  The
 constructions used throughout:
 
-* intersection   -- t * I + (1-t) * J in a scratch ring, eliminate t;
+* intersection   -- t * I + (1-t) * J in a scratch ring k[t, z], eliminate
+  t; I and J are lifted as `_rabinowitsch` lifts, by `shift_vars`;
 * quotient I:g   -- (I meet (g)) / g;
 * quotient I:J   -- the intersection of the quotients I:g by J's
   generators, exact with no draw; one quotient by a combination of them
@@ -20,7 +23,9 @@ constructions used throughout:
   I's grevlex basis lifted to k[t, z], a Groebner basis for ElimBlock(1),
   extended by t*g - 1 with signatures (`groebner.extend_basis`), so no pair
   reduces to zero on a known syzygy; I's grevlex basis is computed first
-  when it is not cached;
+  when it is not cached.  t is variable 0 of k[t, z], so the lift is
+  m << 8 on each packed monomial (`Polynomial.shift_vars`), with the terms
+  in the same order and no exponent unpacked;
 * saturation I:J^oo  -- I:g^oo when J has one generator g; otherwise one
   Rabinowitsch saturation K = I:h^oo by a generic combination h of J's
   generators (degrees padded by a linear form, drawn from a fixed
@@ -93,7 +98,7 @@ from . import linalg, univar
 from .fields import GF, GF2, Field
 from .groebner import (Reducer, current_limits, exact_divide, extend_basis, groebner_basis,
                        reduce_basis)
-from .poly import GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
+from .poly import EXP_BITS, GREVLEX, ElimBlock, MonomialOrder, Polynomial, Ring, ring
 from .rng import Rng
 
 
@@ -215,9 +220,8 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     S = _scratch_ring(R)
     t = S.var(0)
     one_minus_t = S.one - t
-    lift = [i + 1 for i in range(R.nvars)]
-    gens = [t * g.map_vars(S, lift) for g in I.gens]
-    gens += [one_minus_t * g.map_vars(S, lift) for g in J.gens]
+    gens = [t * g.shift_vars(S, 1) for g in I.gens]
+    gens += [one_minus_t * g.shift_vars(S, 1) for g in J.gens]
     return eliminate(IdealHandle(gens, S), 1)
 
 
@@ -266,12 +270,11 @@ def _rabinowitsch(I: IdealHandle, g: Polynomial) -> IdealHandle:
     """(I : g^oo) = (I + (t*g - 1)) meet k[z], for any polynomial g.  I's
     grevlex basis lifted to k[t, z] is a Groebner basis for ElimBlock(1),
     which is grevlex on t-free monomials, so the elimination basis is that
-    basis extended by t*g - 1 (`extend_basis`)."""
-    R = I.ring
-    S = _scratch_ring(R)
-    lift = [i + 1 for i in range(R.nvars)]
-    basis = [f.map_vars(S, lift) for f in I.groebner()]
-    f = S.var(0) * g.map_vars(S, lift) - S.one
+    basis extended by t*g - 1 (`extend_basis`).  t is variable 0, so the
+    lift is a shift of each packed monomial (`shift_vars`)."""
+    S = _scratch_ring(I.ring)
+    basis = [f.shift_vars(S, 1) for f in I.groebner()]
+    f = S.var(0) * g.shift_vars(S, 1) - S.one
     elim = ElimBlock(1)
     return eliminate(IdealHandle(basis + [f], S).with_basis(elim, extend_basis(basis, f, elim)), 1)
 
@@ -522,15 +525,17 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
     the part of I's reduced ElimBlock(k) basis free of the first k
     variables.  ElimBlock(k) restricted to those monomials is grevlex, so
     that part is the reduced grevlex basis of the elimination ideal and is
-    attached as its cached basis."""
+    attached as its cached basis.  An element is free of the first k
+    variables when no term has a bit under the mask of their bytes, and it
+    moves to the smaller ring by m >> 8k (`shift_vars`)."""
     R = I.ring
     n = R.nvars
     if k <= 0 or k >= n:
         raise ValueError("elimination count out of range")
     R2 = ring(R.field, n - k, R.names[k:])
-    var_map = [0] * k + list(range(n - k))
-    out = [g.map_vars(R2, var_map) for g in I.groebner(ElimBlock(k))
-           if all(all(R.mexp(m, i) == 0 for i in range(k)) for m, _ in g.terms)]
+    front = (1 << (EXP_BITS * k)) - 1
+    out = [g.shift_vars(R2, -k) for g in I.groebner(ElimBlock(k))
+           if not any(m & front for m, _ in g.terms)]
     return IdealHandle(out, R2).with_basis(GREVLEX, out)
 
 

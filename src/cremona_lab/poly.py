@@ -6,9 +6,20 @@ monomials is then integer addition, and divisibility is a masked subtraction
 (one guard bit per byte).  Exponents are capped at 127, far above the degree
 budget any computation here is allowed to reach.
 
+In a ring of n variables the byte of z_i sits at bit 8i and the degree field
+at bit 8n (`Ring.deg_shift`), right above the last byte.  So ring changes
+that keep the variables in order are shifts of the whole int, degree field
+included: m << 8k is m with k variables put in front (the t of k[t, z]), and
+m >> 8k drops the first k variables of a monomial free of them.  Dropping the
+last variables of a monomial free of them keeps the low bytes and moves the
+degree field down.  No exponent is unpacked.
+
 A polynomial stores its terms sorted descending under its ring's canonical
-order (grevlex); Groebner code re-sorts internally when working under other
-orders.
+order (grevlex).  Grevlex compares the degree first and the first variables
+last, so the term order survives each of those ring changes, multiplication
+by a monomial, and division by the power of a variable that every term
+holds.  The Groebner engine relies on it: it reads a polynomial's terms in
+grevlex order as they are, and re-sorts only under other orders.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from __future__ import annotations
 import weakref
 from typing import Iterable
 
-from .fields import Field, QQ
+from .fields import GF, Field, QQ
 from .rng import Rng
 
 EXP_BITS = 8
@@ -103,7 +114,16 @@ class Lex(MonomialOrder):
 
 
 class ElimBlock(MonomialOrder):
-    """Eliminates the first k variables: block (grevlex, grevlex)."""
+    """Eliminates the first k variables: block (grevlex, grevlex).
+
+    The key is the front block's grevlex key over the back block's, each in
+    the closed form of `Grevlex`: a block's exponent bytes e become 127 - e
+    under the block's degree.  The back degree is the total degree less the
+    front degree d1.  d1 is the byte sum of the front bytes x, taken with no
+    loop: the even and the odd bytes of x go to 16-bit lanes and add up, and
+    a multiplication by 1 + 2^16 + 2^32 + ... sums the lanes into the top
+    one.  Lane sums stay below 127 * 9 < 2^16, so nothing carries and d1 is
+    exact for every exponent."""
 
     kind = "elim"
 
@@ -114,17 +134,24 @@ class ElimBlock(MonomialOrder):
         return (self.k,)
 
     def key_func(self, ring):
-        k, n = self.k, ring.nvars
-        front = tuple(reversed(range(k)))
-        back = tuple(reversed(range(k, n)))
+        k, n, s = self.k, ring.nvars, ring.deg_shift
+        front = EXP_BITS * k
+        back_deg = EXP_BITS * (n - k)
         back_bits = 16 + EXP_BITS * (n - k + 1)
+        low = (1 << front) - 1
+        back = ((1 << s) - 1) ^ low
+        top = sum(EXP_MAX << (EXP_BITS * i) for i in range(k)) << back_bits
+        top += sum(EXP_MAX << (EXP_BITS * i) for i in range(n - k))
+        lanes = (k + 1) // 2
+        even = sum(EXP_MASK << (16 * j) for j in range(lanes))
+        ones = sum(1 << (16 * j) for j in range(lanes))
+        top_lane = 16 * (lanes - 1)
 
         def key(m):
-            d1 = sum((m >> (EXP_BITS * i)) & EXP_MASK for i in range(k))
-            k1 = _grevlex_key(m, front, 0) | (d1 << (EXP_BITS * k))
-            d2 = (m >> ring.deg_shift) - d1
-            k2 = _grevlex_key(m, back, 0) | (d2 << (EXP_BITS * (n - k)))
-            return (k1 << back_bits) | k2
+            x = m & low
+            d1 = ((((x & even) + ((x >> EXP_BITS) & even)) * ones) >> top_lane) & 0xFFFF
+            return (((d1 << front) - x) << back_bits) + top + (
+                ((m >> s) - d1) << back_deg) - ((m & back) >> front)
 
         return key
 
@@ -241,11 +268,13 @@ class Ring:
     # -- polynomial constructors
 
     def poly(self, term_dict: dict) -> "Polynomial":
-        F = self.field
-        key = self._grevlex_key
-        items = [(m, c) for m, c in term_dict.items() if c != F.zero]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+        """The polynomial with these {monomial: coefficient} terms, zero
+        coefficients dropped.  One sort, on m ^ low for the exponent mask
+        low: that is (degree << deg_shift) + low - (exponent bytes), the
+        grevlex key less a constant."""
+        zero, low = self.field.zero, self._exponents
+        items = sorted([(m ^ low, m, c) for m, c in term_dict.items() if c != zero], reverse=True)
+        return Polynomial(self, tuple([(m, c) for _, m, c in items]))
 
     def from_exp_terms(self, terms: Iterable) -> "Polynomial":
         d: dict = {}
@@ -429,22 +458,11 @@ class Polynomial:
             return self.scale(other)
         self._check(other)
         F = self.ring.field
-        mul, add, zero = F.mul, F.add, F.zero
-        d: dict = {}
         if len(self.terms) > len(other.terms):
             a, b = other.terms, self.terms
         else:
             a, b = self.terms, other.terms
-        for m1, c1 in a:
-            for m2, c2 in b:
-                m = m1 + m2
-                p = mul(c1, c2)
-                s = add(d.get(m, zero), p)
-                if s == zero:
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return self.ring.poly(d)
+        return self.ring.poly(_settled(_mul_into({}, a, b, F), F))
 
     def scale(self, c) -> "Polynomial":
         F = self.ring.field
@@ -507,37 +525,40 @@ class Polynomial:
         return [self.partial(i) for i in range(self.ring.nvars)]
 
     def substitute_linear(self, M, check_invertible: bool = True) -> "Polynomial":
-        """f(M z): each variable z_i is replaced by sum_j M[i][j] z_j."""
+        """f(M z): each variable z_i is replaced by sum_j M[i][j] z_j.
+
+        The powers of the linear forms and the products of the powers are
+        {monomial: coefficient} dicts, each product of a prefix z_0^e_0 ...
+        z_i^e_i of a term built once, and the result is sorted once."""
         from . import linalg
 
         R = self.ring
         F = R.field
         if check_invertible and linalg.det(F, M) == F.zero:
             raise PolyError("singular substitution matrix")
-        lin = [R.linear_form([F.of(c) for c in M[i]]) for i in range(R.nvars)]
-        maxe = [0] * R.nvars
-        for m, _ in self.terms:
-            for i in range(R.nvars):
-                e = (m >> (EXP_BITS * i)) & EXP_MASK
-                if e > maxe[i]:
-                    maxe[i] = e
-        powers = []
-        for i in range(R.nvars):
-            ps = [R.one]
-            for _ in range(maxe[i]):
-                ps.append(ps[-1] * lin[i])
-            powers.append(ps)
+        n, zero, one = R.nvars, F.zero, {0: F.one}
+        unit = [(1 << (EXP_BITS * j)) | (1 << R.deg_shift) for j in range(n)]
+        lin = [[(unit[j], c) for j, c in enumerate(map(F.of, M[i])) if c != zero]
+               for i in range(n)]
+        powers = [[one] for _ in range(n)]
+        prefixes = {0: one}  # exponent bytes of z_0^e_0 ... z_i^e_i -> its image
         acc: dict = {}
-        add, mul, zero = F.add, F.mul, F.zero
         for m, c in self.terms:
-            t = R.one
-            for i in range(R.nvars):
+            t, part = one, 0
+            for i in range(n):
                 e = (m >> (EXP_BITS * i)) & EXP_MASK
-                if e:
-                    t = t * powers[i][e]
-            for mm, cc in t.terms:
-                acc[mm] = add(acc.get(mm, zero), mul(c, cc))
-        return R.poly(acc)
+                if not e:
+                    continue
+                part |= e << (EXP_BITS * i)
+                got = prefixes.get(part)
+                if got is None:
+                    ps = powers[i]
+                    while len(ps) <= e:
+                        ps.append(_settled(_mul_into({}, ps[-1].items(), lin[i], F), F))
+                    got = prefixes[part] = _settled(_mul_into({}, t.items(), ps[e].items(), F), F)
+                t = got
+            _mul_into(acc, ((0, c),), t.items(), F)
+        return R.poly(_settled(acc, F))
 
     def map_field(self, ring2: Ring) -> "Polynomial":
         """Push coefficients through ring2.field.of (e.g. Q -> GF(p) reduction)."""
@@ -563,6 +584,59 @@ class Polynomial:
                     exps[var_map[i]] += e
             d[ring2.pack(exps)] = F2.of(c)
         return ring2.poly(d)
+
+    def shift_vars(self, ring2: Ring, k: int) -> "Polynomial":
+        """This polynomial in ring2, over the same field, with variable i sent
+        to variable i + k: for k > 0 ring2 has k more variables in front
+        (the t of k[t, z]); for k < 0 it lacks the first -k variables, which
+        must not occur here.  Each monomial moves by 8k bits, its degree
+        field with it, and the terms keep their order (see the module
+        docstring): `map_vars` with the map i -> i + k, in closed form."""
+        if ring2.field != self.ring.field or ring2.nvars != self.ring.nvars + k:
+            raise PolyError("shift_vars needs the same field and nvars + k variables")
+        if k >= 0:
+            b = EXP_BITS * k
+            return Polynomial(ring2, tuple([(m << b, c) for m, c in self.terms]))
+        b = -EXP_BITS * k
+        return Polynomial(ring2, tuple([(m >> b, c) for m, c in self.terms]))
+
+    def drop_last_vars(self, ring2: Ring) -> "Polynomial":
+        """This polynomial in ring2, over the same field and the first
+        ring2.nvars variables of this ring; the others must not occur here.
+        Their bytes are zero, so each monomial keeps its low bytes and its
+        degree field moves down, and the terms keep their order."""
+        if ring2.field != self.ring.field or ring2.nvars > self.ring.nvars:
+            raise PolyError("drop_last_vars needs the same field and fewer variables")
+        low, s, s2 = ring2._exponents, self.ring.deg_shift, ring2.deg_shift
+        return Polynomial(ring2, tuple([((m & low) | ((m >> s) << s2), c) for m, c in self.terms]))
+
+
+def _mul_into(acc: dict, a, b, F: Field) -> dict:
+    """acc + a * b, into acc, for a and b sequences of (monomial, coefficient)
+    pairs.  Over GF(p) the coefficients are summed as plain ints and left
+    unreduced, for `_settled` to reduce once."""
+    get = acc.get
+    if isinstance(F, GF):
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    else:
+        mul, add, zero = F.mul, F.add, F.zero
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = m1 + m2
+                acc[m] = add(get(m, zero), mul(c1, c2))
+    return acc
+
+
+def _settled(acc: dict, F: Field) -> dict:
+    """The terms of `_mul_into`'s acc, reduced, with no zero coefficient."""
+    if isinstance(F, GF):
+        p = F.p
+        return {m: r for m, c in acc.items() if (r := c % p)}
+    zero = F.zero
+    return {m: c for m, c in acc.items() if c != zero}
 
 
 # ------------------------------------------------------------ text format

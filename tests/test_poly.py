@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cremona_lab import linalg
-from cremona_lab.fields import GF, QQ
+from cremona_lab.fields import GF, GF2, QQ
 from cremona_lab.poly import (EXP_MAX, GREVLEX, LEX, ElimBlock, ParseError, PolyError,
                               WeightedGrevlex, _grevlex_key, _ring_cache, parse_poly,
                               print_poly, ring)
@@ -270,3 +270,109 @@ def test_equal_rings_are_one_object():
     assert ring(GF(10007), 4, names) is FP
     assert ring(GF(10007), 4, list(names)) is FP
     assert ring(GF(10007), 4, ("a", "b", "c", "d")) is not FP
+
+
+# ------------------------------------------- closed forms on packed monomials
+
+CLOSED_FORM_FIELDS = [GF(10007), QQ, GF2(10007)]
+
+
+@pytest.mark.parametrize("F", CLOSED_FORM_FIELDS, ids=repr)
+def test_the_lift_and_the_projection_are_map_vars_in_closed_form(F):
+    """shift_vars(S, k) is map_vars with i -> i + k, terms and order alike:
+    the lift into k[t, z] (m << 8), the projection of t-free polynomials
+    back (m >> 8k), and drop_last_vars for polynomials free of z_last."""
+    R = ring(F, 4)
+    S = ring(F, 5, ("t@",) + R.names)
+    T = ring(F, 6, ("s@", "t@") + R.names)
+    R3 = ring(F, 3, R.names[:3])
+    rng = Rng(3, f"shift-vars-{F!r}")
+    for k in range(12):
+        f = R.random_poly(k % 4, rng.split(f"f{k}"), homogeneous=k % 2 == 0)
+        lifted = f.shift_vars(S, 1)
+        assert lifted == f.map_vars(S, [1, 2, 3, 4])
+        assert f.shift_vars(T, 2) == f.map_vars(T, [2, 3, 4, 5])
+        assert lifted.shift_vars(R, -1) == lifted.map_vars(R, [0, 0, 1, 2, 3]) == f
+        assert f.shift_vars(T, 2).shift_vars(R, -2) == f
+        plane = f.map_vars(R, [0, 1, 2, 0])  # z3 -> z0: free of z3
+        assert plane.drop_last_vars(R3) == plane.map_vars(R3, [0, 1, 2, 0])
+    with pytest.raises(PolyError):
+        f.shift_vars(T, 1)
+    with pytest.raises(PolyError):
+        f.shift_vars(ring(GF(101), 5), 1)
+    with pytest.raises(PolyError):
+        R3.one.drop_last_vars(R)
+
+
+def _elim_key_reference(k: int, R):
+    """ElimBlock(k)'s key as two byte loops: the front block's grevlex key
+    over the back block's."""
+    n = R.nvars
+    front = tuple(reversed(range(k)))
+    back = tuple(reversed(range(k, n)))
+    back_bits = 16 + 8 * (n - k + 1)
+
+    def key(m):
+        d1 = sum(R.mexp(m, i) for i in range(k))
+        k1 = _grevlex_key(m, front, 0) | (d1 << (8 * k))
+        d2 = R.mdeg(m) - d1
+        k2 = _grevlex_key(m, back, 0) | (d2 << (8 * (n - k)))
+        return (k1 << back_bits) | k2
+
+    return key
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_the_elimination_key_is_the_closed_form_of_the_byte_loops(n):
+    """For every block size k and exponents up to EXP_MAX, so that the front
+    block's degree passes 255 once k >= 3."""
+    R = ring(GF(10007), n)
+    rng = Rng(8, f"closed-elim-{n}")
+    for k in range(1, n + 1):
+        key, want = ElimBlock(k).key_func(R), _elim_key_reference(k, R)
+        mons = [R.pack([EXP_MAX] * n), R.pack([0] * n)]
+        mons += [R.pack([rng.randrange(EXP_MAX + 1) for _ in range(n)]) for _ in range(300)]
+        for m in mons:
+            assert key(m) == want(m), (k, R.unpack(m))
+
+
+def _substitute_reference(f, M):
+    """f(M z) expanded on exponent tuples, one product at a time."""
+    R = f.ring
+    F = R.field
+    n = R.nvars
+
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = F.add(out.get(e, F.zero), F.mul(ca, cb))
+        return out
+
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    forms = [{units[j]: F.of(M[i][j]) for j in range(n)} for i in range(n)]
+    acc = {}
+    for m, c in f.terms:
+        t = {(0,) * n: c}
+        for i, e in enumerate(R.unpack(m)):
+            for _ in range(e):
+                t = mul(t, forms[i])
+        for e, v in t.items():
+            acc[e] = F.add(acc.get(e, F.zero), v)
+    return R.from_exp_terms(acc.items())
+
+
+@pytest.mark.parametrize("F", CLOSED_FORM_FIELDS, ids=repr)
+def test_substitute_linear_is_the_reference_expansion(F):
+    """Invertible and singular matrices (the plane section's zero column),
+    homogeneous and not, over all three fields."""
+    R = ring(F, 4)
+    rng = Rng(9, f"substitute-{F!r}")
+    for k in range(6):
+        sub = rng.split(f"case{k}")
+        f = R.random_poly(1 + k % 4, sub.split("f"), homogeneous=k % 3 != 2)
+        M = [[F.rand(sub) for _ in range(4)] for _ in range(4)]
+        if k % 2:
+            M = [row[:3] + [F.zero] for row in M]
+        assert f.substitute_linear(M, check_invertible=False) == _substitute_reference(f, M)

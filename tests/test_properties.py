@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cremona_lab import ideals, linalg
+from cremona_lab import groebner, ideals, linalg
 from cremona_lab.fields import GF, QQ
 from cremona_lab.groebner import groebner_basis, normal_form, spoly_reduces_to_zero
 from cremona_lab.ideals import IdealHandle, hilbert_from_basis, sat_irrelevant, saturate
@@ -172,3 +172,34 @@ def test_charpoly_is_det_of_t_minus_a(n, seed, F):
         shifted = [[F.sub(t, x) if r == c else F.neg(x) for c, x in enumerate(row)]
                    for r, row in enumerate(A)]
         assert value == (linalg.det(F, shifted) if n else F.one)
+
+
+def _grevlex_descending(f) -> bool:
+    """Stored terms strictly descending under the ring's grevlex key, with no
+    zero coefficient: what `_Engine.to_list` and `from_list` read as is."""
+    keys = [f.ring.key(m) for m, _ in f.terms]
+    zero = f.ring.field.zero
+    return all(a > b for a, b in zip(keys, keys[1:])) and all(c != zero for _, c in f.terms)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(terms, terms, exps, st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+       st.permutations(range(4)))
+def test_every_operation_keeps_the_terms_grevlex_descending(ts1, ts2, e, entries, perm):
+    f, g = from_terms(ts1), from_terms(ts2)
+    z3 = R.var(3)
+    S = ring(F, 5, ("t@",) + R.names)
+    R3 = ring(F, 3, R.names[:3])
+    M = [entries[4 * i:4 * i + 4] for i in range(4)]
+    plane = [row[:3] + [0] for row in M]
+    lifted = f.shift_vars(S, 1)
+    divided, _ = ideals._divide_last_power([h for h in (f * z3 * z3, g * z3) if h], R)
+    out = [f, R.poly(dict(f.terms + g.terms)), f.scale(7), -f, f.mul_monomial(R.pack(e)),
+           f + g, f - g, f * g, f.substitute_linear(M, check_invertible=False),
+           f.map_vars(R, perm), lifted, lifted * S.var(0) - S.one, lifted.shift_vars(R, -1),
+           f.substitute_linear(plane, check_invertible=False).drop_last_vars(R3)] + divided
+    assert all(_grevlex_descending(h) for h in out)
+    eng = groebner._Engine(R, groebner.GREVLEX)
+    for h in (f, g, f * g):
+        assert eng.from_list(eng.to_list(h)) == h
+        assert eng.to_list(h) == sorted(eng.to_list(h), reverse=True)
