@@ -13,7 +13,7 @@ from .poly import GREVLEX, LEX, ElimBlock, WeightedGrevlex, Polynomial, parse_po
 from .groebner import Budget, BudgetError, groebner_basis, limits, normal_form
 from .ideals import (HilbertData, IdealHandle, eliminate, graded_piece_dim,
                      intersect, isolated_points, local_length, multiplicity_at,
-                     quotient, random_form, sat_irrelevant, saturate, split_unmixed)
+                     quotient, sat_irrelevant, saturate, split_unmixed)
 from .cremona import (MapAnalysis, RationalMap, analyze_map, birationality_certificate,
                       genus_of_map, inverse, is_birational, is_ruled,
                       line_preimage_split, new_map)

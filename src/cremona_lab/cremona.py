@@ -330,7 +330,10 @@ def birationality_certificate(psi: RationalMap, analysis: "MapAnalysis", rng: Rn
       the saturation of (psi) by the irrelevant ideal m and cuts the same
       cone (up to its vertex, which no Hilbert polynomial sees).
     Only Hilbert data is read, so nothing is saturated by m: I and I : m^oo
-    have the same Hilbert polynomial.
+    have the same Hilbert polynomial.  T is 0-dimensional, so `saturate`
+    accepts its draw h by a power of every psi_i in T + (h), with no
+    normal-form certificate.  The value 0 is an answer, not a refused draw:
+    a non-dominant map has no preimage of a generic target point.
     """
     R = psi.ring
     c1, gamma = analysis.c1, analysis.gamma
@@ -432,16 +435,16 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     Each point x off the base locus, y = psi(x), gives three linear conditions
     x_0 g_k(y) - x_k g_0(y) = 0 on the 4N coefficients of g (N degree-d'
     monomials); points come from the "graph" stream until there are at least
-    4N + 24 conditions, and `linalg.nullspace_gfp` solves them in one batch.
+    4N + 24 conditions, and `_graph_line` solves them.
     The points are drawn `need` at a time and psi is evaluated on a batch in
     one numpy pass (`_monomial_values` times psi's coefficient matrix), which
     also gives the degree-d' monomial values of the y's.  Such a product sums
     N terms below p^2, so it stays inside int64 (N p^2 < 2^63) for p < 2^20.
 
-    Exactness: the sampled kernel contains the exact one, and its basis is
-    read off the RREF, a canonical form, so equal kernels give equal vectors
-    (a line is normalised to 1 at the largest index of its support) whatever
-    the rows.  So a line is the exact one or the exact kernel is 0; then some
+    Exactness: the sampled solution space contains the exact one, and a
+    line is returned normalised to 1 at the largest index of its support, a
+    canonical form, so equal spaces give equal vectors whatever the rows.
+    So a line is the exact one or the exact space is 0; then some
     x_i g_j(psi) - x_j g_i(psi) is a nonzero form of degree 3d'+1, and by the
     Schwartz-Zippel lemma (Schwartz, J. ACM 27, 1980) each of the 5
     independent verification points passes with probability at most
@@ -481,16 +484,7 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
     else:
         raise InverseUnavailable("could not sample enough points off the base locus")
     X, Y = X[:need], Y[:need]
-    vals = _monomial_values(R, mons_d, Y, p)  # vals[s, a] = y_s^alpha_a
-    # column k*N + a holds the coefficient of monomial a in g_k
-    rows = np.zeros((3, need, 4 * N), dtype=np.int64)
-    for k in (1, 2, 3):
-        rows[k - 1, :, k * N:(k + 1) * N] = X[:, :1] * vals
-        rows[k - 1, :, :N] = -X[:, k:k + 1] * vals
-    null = linalg.nullspace_gfp(rows.reshape(-1, 4 * N), p)
-    if len(null) != 1:
-        raise InverseUnavailable(f"graph solution space has dimension {len(null)}")
-    vec = null[0]
+    vec = _graph_line(X, _monomial_values(R, mons_d, Y, p), p)
     comps_out = [R.poly({m: vec[k * N + a] for a, m in enumerate(mons_d)}) for k in range(4)]
     g = RationalMap(comps_out, dprime, label="inverse")
     # verify g o psi = id up to scalar on random points
@@ -507,6 +501,38 @@ def inverse(psi: RationalMap, dprime: int, rng: Rng | None = None) -> RationalMa
         if not _parallel(F, z, x):
             raise InverseUnavailable("candidate inverse fails point verification")
     return g
+
+
+def _graph_line(X, vals, p: int) -> list:
+    """The solution line of the graph system A_0 g_k = A_k g_0 (k = 1, 2, 3),
+    A_j = diag(X[:, j]) vals, as the list whose entry k*N + a is the
+    coefficient of monomial a in g_k, normalised to 1 at the largest index of
+    its support.  Raises InverseUnavailable, naming the dimension of the
+    solution space, unless that is 1.
+
+    Solved for g_0 alone: for W spanning the left kernel of A_0, a solution
+    has W A_k g_0 = W A_0 g_k = 0, so g_0 lies in S_0 = ker [W A_1; W A_2;
+    W A_3].  For g_0 in S_0, each A_k g_0 is orthogonal to that left kernel,
+    hence in the column space of A_0, and the g_k form a coset of ker A_0.
+    So the dimension is dim S_0 + 3 dim ker A_0.  For a line, A_0 has full
+    column rank, and the kernel of [A_0 | -A_1 g_0 | -A_2 g_0 | -A_3 g_0]
+    has its basis vector for the free column N + k - 1 holding g_k.  Each
+    product sums at most `need` terms under p^2, inside int64 for p < 2^20."""
+    import numpy as np
+
+    need, N = vals.shape
+    A = [X[:, j:j + 1] * vals % p for j in range(4)]
+    W = np.array(linalg.nullspace_gfp(A[0].T, p), dtype=np.int64).reshape(-1, need)
+    kernel = N - need + len(W)  # dim ker A_0 = N - rank A_0
+    S0 = linalg.nullspace_gfp(np.vstack([W @ A[k] % p for k in (1, 2, 3)]), p)
+    if len(S0) + 3 * kernel != 1:
+        raise InverseUnavailable(
+            f"graph solution space has dimension {len(S0) + 3 * kernel}")
+    g0 = np.array(S0[0], dtype=np.int64)
+    rest = linalg.nullspace_gfp(np.hstack([A[0]] + [(-A[k] @ g0 % p)[:, None] for k in (1, 2, 3)]), p)
+    vec = np.concatenate([g0] + [np.array(v[:N], dtype=np.int64) for v in rest])
+    last = int(vec.nonzero()[0][-1])
+    return (vec * pow(int(vec[last]), p - 2, p) % p).tolist()
 
 
 def _monomial_values(R, mons, X, p: int):

@@ -29,10 +29,11 @@ constructions used throughout:
 * saturation I:J^oo  -- I:g^oo when J has one generator g; otherwise one
   Rabinowitsch saturation K = I:h^oo by a generic combination h of J's
   generators (degrees padded by a linear form, drawn from a fixed
-  stream), accepted when a normal-form certificate shows g^N k in I for
-  every generator g of J and k of K.  A refused draw is redrawn a bounded
-  number of times, then DegenerateInput is raised.  The result is the
-  reduced grevlex basis of I:J^oo, whatever the draw;
+  stream), accepted for a 0-dimensional I when every generator of J has
+  a power in I + (h), and otherwise when a normal-form certificate shows
+  g^N k in I for every generator g of J and k of K.  A refused draw is
+  redrawn a bounded number of times, then DegenerateInput is raised.  The
+  result is the reduced grevlex basis of I:J^oo, whatever the draw;
 * the split of an unmixed I -- `split_unmixed` gives I:J^oo and the
   residual I:(I:J^oo)^oo from one Rabinowitsch saturation each, by generic
   combinations of J's generators and of the first part's, accepted by
@@ -291,15 +292,26 @@ def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     nonzero generator g gives `saturate_by_poly(I, g)`.  Otherwise the saturation
     is K = I : h^oo for one combination h = sum_i c_i l^(D - d_i) g_i of
     J's generators, padded to the top degree D (l and the c_i drawn from
-    the fixed stream "saturate-combination").  I : J^oo lies in K because
-    h lies in J.  K lies in I : J^oo when `_certified` shows that every
-    generator g of J has g^N k in I for every generator k of K.  Then K,
-    which `eliminate` returns as its reduced grevlex basis, is returned.  A
-    refused draw is followed by another from the same stream; after
+    the fixed stream "saturate-combination"), which `eliminate` returns as
+    its reduced grevlex basis.  I : h^oo keeps exactly the primary
+    components of I whose prime does not contain h (Atiyah-Macdonald,
+    ch. 4), and h lies in J, so K = I : J^oo when every associated prime of
+    I that contains h contains J.  The draw is accepted by one of two exact
+    checks, chosen by the dimension of I:
+    - dimension at most 0: every generator of J has a power in I + (h)
+      (`_powers_in` on I's basis extended by h), made before the
+      elimination.  A prime that contains h contains I + (h), hence J.  It
+      is also necessary: if K = I : J^oo, every point of I on V(h) lies on
+      V(J), and so does the irrelevant prime;
+    - otherwise `_certified` shows g^N k in I for every generator g of J
+      and k of K.  The power check would refuse every draw when a curve of
+      I lies off V(J), since the curve meets V(h).
+    Both accept every draw with K = I : J^oo up to the degree limit of
+    `groebner.current_limits()`, so the result does not depend on the draw.
+    A refused draw is followed by another from the same stream; after
     `_SAT_DRAWS` draws are refused, DegenerateInput is raised.  A
     BudgetError is not caught.  The liaison split does not come here: its
-    input is unmixed, and `split_unmixed` accepts its draws by linkage,
-    with no certificate.
+    input is unmixed, and `split_unmixed` accepts its draws by linkage.
     """
     _same_ring(I, J)
     gens = [g for g in J.gens if g]
@@ -308,12 +320,19 @@ def saturate(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     if len(gens) == 1:
         return saturate_by_poly(I, gens[0])
     rng = Rng(0, "saturate-combination")
+    points = I.hilbert().dimension <= 0
     for _ in range(_SAT_DRAWS):
-        K = _rabinowitsch(I, _generic_combination(gens, rng))
-        if _certified(I, K, gens):
-            return K
-    raise DegenerateInput("saturate: the normal-form certificate refused "
-                          f"{_SAT_DRAWS} draws of the combination")
+        h = _generic_combination(gens, rng)
+        if points:
+            cut = IdealHandle(list(I.gens) + [h], I.ring)
+            if _powers_in(cut.with_basis(GREVLEX, extend_basis(list(I.groebner()), h)), gens):
+                return _rabinowitsch(I, h)
+        else:
+            K = _rabinowitsch(I, h)
+            if _certified(I, K, gens):
+                return K
+    raise DegenerateInput(f"saturate: the {'power check' if points else 'normal-form certificate'} "
+                          f"refused {_SAT_DRAWS} draws of the combination")
 
 
 def split_unmixed(I: IdealHandle, J: IdealHandle) -> tuple:
@@ -410,9 +429,10 @@ def _certified(I: IdealHandle, K: IdealHandle, gens: list) -> bool:
     in I : J^oo.  r <- NF(g * r) modulo I's grevlex basis, from r = NF(k),
     reaches 0 after N steps.  False when some g^N k would exceed the degree
     limit of `groebner.current_limits()` first.  Only `saturate` calls it,
-    which the analysis runs for Theta (`isolated_points`), the
-    birationality certificate and the F-curve lines; the liaison split is
-    checked by linkage instead (`split_unmixed`)."""
+    for an I of positive dimension: in the analysis, Theta
+    (`isolated_points`) and the F-curve lines.  A 0-dimensional I, as the
+    birationality certificate's, is checked by powers in I + (h) instead,
+    and the liaison split by linkage (`split_unmixed`)."""
     max_degree = current_limits().max_degree
     for k in K.gens:
         start = I.nf(k)
@@ -1196,42 +1216,7 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str):
                 yield forms
 
 
-# ---------------------------------------------------------- random forms
-
-
-def random_form(R: Ring, degree: int, rng: Rng, constraints=()):
-    """Uniform sample from the space of degree-d forms satisfying linear
-    constraints; deterministic per rng stream.
-
-    Constraints: ("point", p) vanish at p; ("point_power", p, k) lie in
-    I_p^k; ("ideal", IdealHandle) lie in the ideal's degree-d piece.
-    Raises DegenerateInput when the solution space is zero.
-    """
-    F = R.field
-    mons = R.monomials_of_degree(degree)
-    rows = []
-    for c in constraints:
-        kind = c[0]
-        if kind == "point":
-            rows.append(_eval_monomials(R, mons, c[1]))
-        elif kind == "point_power":
-            rows.extend(_point_power_rows(R, mons, c[1], c[2]))
-        elif kind == "ideal":
-            span, _ = piece_span(c[1], degree)
-            if not span:
-                raise DegenerateInput("ideal has empty degree piece")
-            rows.extend(linalg.nullspace(F, [list(r) for r in span], len(mons)))
-        else:
-            raise ValueError(f"unknown constraint {kind!r}")
-    basis = linalg.nullspace(F, rows, len(mons)) if rows else \
-        [[F.one if i == j else F.zero for i in range(len(mons))] for j in range(len(mons))]
-    if not basis:
-        raise DegenerateInput("empty solution space")
-    vec = [F.zero] * len(mons)
-    for b in basis:
-        c = F.rand(rng)
-        vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-    return vectors_to_polys([vec], mons, R)[0], len(basis)
+# ---------------------------------------------------------- monomial values
 
 
 def _eval_monomials(R: Ring, mons, p):
@@ -1244,34 +1229,3 @@ def _eval_monomials(R: Ring, mons, p):
                 v = F.mul(v, p[i])
         row.append(v)
     return row
-
-
-def _point_power_rows(R: Ring, mons, p, k):
-    """Vanishing to order k at p: all partial derivatives of order < k."""
-    from itertools import combinations_with_replacement
-
-    F = R.field
-    rows = []
-    for order in range(k):
-        for combo in combinations_with_replacement(range(R.nvars), order):
-            row = []
-            for m in mons:
-                exps = list(R.unpack(m))
-                coef = F.one
-                ok = True
-                for i in combo:
-                    if exps[i] == 0:
-                        ok = False
-                        break
-                    coef = F.mul(coef, F.of(exps[i]))
-                    exps[i] -= 1
-                if not ok:
-                    row.append(F.zero)
-                    continue
-                v = coef
-                for i in range(R.nvars):
-                    for _ in range(exps[i]):
-                        v = F.mul(v, p[i])
-                row.append(v)
-            rows.append(row)
-    return rows

@@ -426,28 +426,39 @@ class Polynomial:
             raise PolyError("field/ring mismatch")
 
     def __add__(self, other):
-        self._check(other)
-        F = self.ring.field
-        d = dict(self.terms)
-        for m, c in other.terms:
-            s = F.add(d.get(m, F.zero), c)
-            if s == F.zero:
-                d.pop(m, None)
-            else:
-                d[m] = s
-        return self.ring.poly(d)
+        return self._merged(other, self.ring.field.add, None)
 
     def __sub__(self, other):
+        return self._merged(other, self.ring.field.sub, self.ring.field.neg)
+
+    def _merged(self, other, op, alone) -> "Polynomial":
+        """self op other in one merge of the two term tuples, both
+        grevlex-descending (by m ^ low for the exponent mask low, the key
+        `Ring.poly` sorts by), so the result comes out in order.  A term of
+        other alone gets alone(d), or stays d when alone is None."""
         self._check(other)
-        F = self.ring.field
-        d = dict(self.terms)
-        for m, c in other.terms:
-            s = F.sub(d.get(m, F.zero), c)
-            if s == F.zero:
-                d.pop(m, None)
+        R = self.ring
+        low, zero = R._exponents, R.field.zero
+        a, b = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ma, mb = a[i][0], b[j][0]
+            if ma == mb:
+                c = op(a[i][1], b[j][1])
+                if c != zero:
+                    out.append((ma, c))
+                i += 1
+                j += 1
+            elif ma ^ low > mb ^ low:
+                out.append(a[i])
+                i += 1
             else:
-                d[m] = s
-        return self.ring.poly(d)
+                out.append(b[j] if alone is None else (mb, alone(b[j][1])))
+                j += 1
+        out += a[i:]
+        out += b[j:] if alone is None else [(m, alone(c)) for m, c in b[j:]]
+        return Polynomial(R, tuple(out))
 
     def __neg__(self):
         F = self.ring.field
@@ -511,15 +522,20 @@ class Polynomial:
         return acc
 
     def partial(self, i: int) -> "Polynomial":
+        """d/dz_i.  Dividing by z_i keeps the grevlex order of the terms
+        divisible by it, so the kept terms stay in order; a coefficient
+        e * c that is 0 in the field is dropped."""
         F = self.ring.field
-        d: dict = {}
-        step = 1 << (EXP_BITS * i)
-        dstep = 1 << self.ring.deg_shift
+        zero = F.zero
+        step = (1 << (EXP_BITS * i)) + (1 << self.ring.deg_shift)
+        terms = []
         for m, c in self.terms:
             e = (m >> (EXP_BITS * i)) & EXP_MASK
             if e:
-                d[m - step - dstep] = F.mul(c, F.of(e))
-        return self.ring.poly(d)
+                c = F.mul(c, F.of(e))
+                if c != zero:
+                    terms.append((m - step, c))
+        return Polynomial(self.ring, tuple(terms))
 
     def partials(self) -> list:
         return [self.partial(i) for i in range(self.ring.nvars)]

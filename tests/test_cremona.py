@@ -93,6 +93,14 @@ def test_non_dominant_control():
     assert verdict == "no"
 
 
+def test_the_non_dominant_control_has_certificate_zero():
+    # the image is the quadric y0 y3 = y1 y2, so a generic target point has
+    # no preimage: 0 is the certificate's answer here, not a refused draw
+    psi = special_examples(QQ)["segre-squares"].reduce_mod(1000003)
+    an = analyze_map(psi, seed=7)
+    assert (an.birational, an.fiber_degree, an.certificate) == ("no", None, 0)
+
+
 def test_degree_three_fiber_control():
     psi = special_examples(QQ)["dJ-smooth-S"].reduce_mod(P)
     an = analyze_map(psi, seed=7)
@@ -162,14 +170,70 @@ def test_inverse_wrong_degree_error_texts(dprime, dim):
 
 
 def test_inverse_rejects_a_wrong_line_by_point_verification(monkeypatch):
+    # the solved line, with its first coefficient moved, is a wrong candidate
     psi = _e8_big()
     assert inverse(psi, 4, Rng(1, "inverse")).degree == 4
-    exact = linalg.nullspace_gfp
-    monkeypatch.setattr(linalg, "nullspace_gfp",
-                        lambda rows, p: [[(v[0] + 1) % p] + v[1:] for v in exact(rows, p)])
+    exact = cremona._graph_line
+    monkeypatch.setattr(cremona, "_graph_line",
+                        lambda X, vals, p: [(v + (i == 0)) % p
+                                            for i, v in enumerate(exact(X, vals, p))])
     with pytest.raises(InverseUnavailable,
                        match="^candidate inverse fails point verification$"):
         inverse(psi, 4, Rng(1, "inverse"))
+
+
+def _graph_by_full_system(X, vals, p):
+    """The reference: the 3 need x 4N graph system x_0 g_k(y) - x_k g_0(y) = 0
+    (k = 1, 2, 3) in one `linalg.nullspace_gfp` solve, column k*N + a for
+    monomial a of g_k."""
+    import numpy as np
+
+    need, N = vals.shape
+    rows = np.zeros((3, need, 4 * N), dtype=np.int64)
+    for k in (1, 2, 3):
+        rows[k - 1, :, k * N:(k + 1) * N] = X[:, :1] * vals
+        rows[k - 1, :, :N] = -X[:, k:k + 1] * vals
+    return linalg.nullspace_gfp(rows.reshape(-1, 4 * N), p)
+
+
+@pytest.mark.parametrize("label,dprime", [("ruled_3_2", 2), ("E4", 3), ("E8", 4), ("E24", 5)])
+def test_the_graph_solve_for_g0_is_the_full_system(monkeypatch, label, dprime):
+    from cremona_lab.families import build
+
+    psi, _ = build(label, 1, GF(1000003))
+    seen = []
+    real = cremona._graph_line
+    monkeypatch.setattr(cremona, "_graph_line",
+                        lambda X, vals, p: seen.append((X, vals, p)) or real(X, vals, p))
+    inverse(psi, dprime, Rng(1, "inverse"))
+    (X, vals, p), = seen
+    assert [real(X, vals, p)] == _graph_by_full_system(X, vals, p)
+
+
+@pytest.mark.parametrize("case", ["image-in-a-plane", "x0-zero-at-most-points"])
+def test_a0_without_full_column_rank_gives_the_dimension_of_the_full_system(case):
+    # dimension dim S_0 + 3 dim ker A_0, with ker A_0 != 0: for values of
+    # quadrics at points of the plane y3 = 0, or with the rows of A_0 = 0
+    # wherever x0 = 0
+    import random
+
+    import numpy as np
+
+    p, rnd = 10007, random.Random(case)
+    mons = R.monomials_of_degree(2)
+    need = -(-(4 * len(mons) + 24) // 3)
+    X, Y = (np.array([[rnd.randrange(p) for _ in range(4)] for _ in range(need)], dtype=np.int64)
+            for _ in range(2))
+    if case == "image-in-a-plane":
+        Y[:, 3] = 0
+    else:
+        X[:need - len(mons) + 2, 0] = 0
+    vals = cremona._monomial_values(R, mons, Y, p)
+    assert linalg.nullspace_gfp(X[:, :1] * vals, p)  # A_0 has a kernel
+    dim = len(_graph_by_full_system(X, vals, p))
+    assert dim > 1
+    with pytest.raises(InverseUnavailable, match=f"^graph solution space has dimension {dim}$"):
+        cremona._graph_line(X, vals, p)
 
 
 @pytest.mark.parametrize("label,dprime,digest", [

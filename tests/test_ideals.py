@@ -2,9 +2,8 @@ import pytest
 
 from cremona_lab import groebner, ideals
 from cremona_lab.fields import GF
-from cremona_lab.ideals import (DegenerateInput, IdealHandle, eliminate,
-                                hilbert_from_basis, intersect, line_forms, quotient, random_form,
-                                sat_irrelevant, saturate, unit_ideal)
+from cremona_lab.ideals import (IdealHandle, eliminate, hilbert_from_basis, intersect, line_forms,
+                                quotient, sat_irrelevant, saturate, unit_ideal)
 from cremona_lab.poly import ElimBlock, parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -108,67 +107,6 @@ def test_quotient_strips_one_component():
     I = IdealHandle(list(I.gens), R)
     got = quotient(I, IdealHandle([pp("z0"), pp("z1")]))
     assert got.equals(IdealHandle([pp("z2"), pp("z3")], R))
-
-
-def test_random_form_determinism_and_constraints():
-    f1, _ = random_form(R, 1, Rng(42, "x"))
-    f2, _ = random_form(R, 1, Rng(42, "x"))
-    assert f1 == f2
-    p = (F.zero, F.zero, F.zero, F.one)
-    f, dim = random_form(R, 3, Rng(1), [("point_power", p, 2)])
-    # all coefficients of z3^3 and z3^2 z_i vanish
-    assert f.coeff_of((0, 0, 0, 3)) == F.zero
-    for i in range(3):
-        e = [0, 0, 0, 2]
-        e[i] += 1
-        assert f.coeff_of(tuple(e)) == F.zero
-    assert dim == 16
-
-
-def test_random_form_through_8_points_dimension():
-    # independent oracle: exact row reduction of the 8 x 10 interpolation
-    # matrix (appendix arithmetic: 10 quadric monomials minus rank)
-    rng = Rng(5)
-    pts = [tuple(F.rand(rng) for _ in range(4)) for _ in range(8)]
-    mons = R.monomials_of_degree(2)
-    rows = []
-    for p in pts:
-        row = []
-        for m in mons:
-            v = F.one
-            for i in range(4):
-                for _ in range(R.mexp(m, i)):
-                    v = F.mul(v, p[i])
-            row.append(v)
-        rows.append(row)
-    # plain Gaussian elimination, independent of cremona_lab.linalg
-    mat = [r[:] for r in rows]
-    rank = 0
-    for c in range(10):
-        piv = next((i for i in range(rank, 8) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = F.inv(mat[rank][c])
-        mat[rank] = [F.mul(x, inv) for x in mat[rank]]
-        for i in range(8):
-            if i != rank and mat[i][c] != 0:
-                fct = mat[i][c]
-                mat[i] = [F.sub(x, F.mul(fct, y)) for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    expected_dim = 10 - rank
-    assert expected_dim == 2  # frozen from this oracle
-    f, dim = random_form(R, 2, Rng(2), [("point", p) for p in pts])
-    assert dim == expected_dim
-    for p in pts:
-        assert f.evaluate(list(p)) == F.zero
-
-
-def test_random_form_empty_space():
-    rng = Rng(3)
-    pts = [tuple(F.rand(rng) for _ in range(4)) for _ in range(5)]
-    with pytest.raises(DegenerateInput):
-        random_form(R, 1, Rng(3, "sample"), [("point", p) for p in pts])
 
 
 def test_line_forms_through_two_points():

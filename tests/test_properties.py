@@ -174,6 +174,27 @@ def test_charpoly_is_det_of_t_minus_a(n, seed, F):
         assert value == (linalg.det(F, shifted) if n else F.one)
 
 
+def _summed(f, g, op) -> dict:
+    """{monomial: coefficient} of f op g, for `Ring.poly` to sort."""
+    d = dict(f.terms)
+    zero = f.ring.field.zero
+    for m, c in g.terms:
+        d[m] = op(d.get(m, zero), c)
+    return d
+
+
+def _reference_partial(f, i):
+    """d/dz_i on exponent tuples, sorted by `Ring.poly`."""
+    R, F = f.ring, f.ring.field
+    d = {}
+    for m, c in f.terms:
+        e = list(R.unpack(m))
+        if e[i]:
+            e[i] -= 1
+            d[R.pack(e)] = F.mul(c, F.of(e[i] + 1))
+    return R.poly(d)
+
+
 def _grevlex_descending(f) -> bool:
     """Stored terms strictly descending under the ring's grevlex key, with no
     zero coefficient: what `_Engine.to_list` and `from_list` read as is."""
@@ -198,7 +219,13 @@ def test_every_operation_keeps_the_terms_grevlex_descending(ts1, ts2, e, entries
            f + g, f - g, f * g, f.substitute_linear(M, check_invertible=False),
            f.map_vars(R, perm), lifted, lifted * S.var(0) - S.one, lifted.shift_vars(R, -1),
            f.substitute_linear(plane, check_invertible=False).drop_last_vars(R3)] + divided
+    # over GF(3) the term z0^3 has derivative 3 z0^2 = 0, which is dropped
+    cubed = ring(GF(3), 4).from_exp_terms(ts1 + [((3, 0, 0, 0), 1)])
+    partials = f.partials() + cubed.partials()
+    out += partials
     assert all(_grevlex_descending(h) for h in out)
+    assert f + g == R.poly(_summed(f, g, F.add)) and f - g == R.poly(_summed(f, g, F.sub))
+    assert partials == [_reference_partial(h, i) for h in (f, cubed) for i in range(4)]
     eng = groebner._Engine(R, groebner.GREVLEX)
     for h in (f, g, f * g):
         assert eng.from_list(eng.to_list(h)) == h

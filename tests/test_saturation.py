@@ -431,32 +431,102 @@ def test_the_certificate_degree_cap_is_the_current_limit():
         assert not _certified(I, K, gens)
 
 
-def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
-    """I = I_P meet I_Q with P = (1:2:3:5), Q = (1:1:1:1); g1 vanishes at P
-    only, g2 at neither, so I : g1^oo = I_Q is strictly larger than
-    I : (g1, g2)^oo = I."""
+def _two_points_and_two_quadrics():
+    """I = I_P meet I_Q with P = (1:2:3:5), Q = (1:1:1:1), and J = (g1, g2)
+    with g1 vanishing at P only and g2 at neither: I : g1^oo = I_Q is
+    strictly larger than I : (g1, g2)^oo = I."""
     R = ring(GF(10007), 4)
     I = intersect(_ideal(R, ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0")),
                   _ideal(R, ("z1 - z0", "z2 - z0", "z3 - z0")))
-    J = _ideal(R, ("z1^2 + z2*z3 - 19*z0^2", "z0^2 + z1^2 + z2^2 + z3^2"))
+    return I, _ideal(R, ("z1^2 + z2*z3 - 19*z0^2", "z0^2 + z1^2 + z2^2 + z3^2"))
+
+
+def test_the_certificate_rejects_a_saturation_by_one_generator(monkeypatch):
+    """`_certified` refuses I : g1^oo and accepts I : g2^oo; in saturate, a
+    first combination that is only g1 is refused (I is 0-dimensional, so
+    by the power check) and the next draw from the stream gives I."""
+    I, J = _two_points_and_two_quadrics()
     g1, g2 = J.gens
     too_big = saturate_by_poly(I, g1)
     assert not too_big.equals(I)
     assert not _certified(I, too_big, [g1, g2])
     assert _certified(I, saturate_by_poly(I, g2), [g1, g2])
-    # a first combination that is only g1 is refused; the next draw from
-    # the stream gives I
-    real = ideals._generic_combination
-    draws = []
-
-    def first_is_g1(gens, rng):
-        draws.append(real(gens, rng))
-        return gens[0] if len(draws) == 1 else draws[-1]
-
-    monkeypatch.setattr(ideals, "_generic_combination", first_is_g1)
+    draws = _forced_draws(monkeypatch, {0: g1})
     got = saturate(I, J)
     assert len(draws) == 2 and draws[0] != draws[1]
     assert got.gens == _saturate_by_parts(_fresh(I), J).groebner() and got.equals(I)
+
+
+def test_the_power_check_refuses_a_first_draw_of_one_generator(monkeypatch):
+    """I is 0-dimensional, so a draw h is accepted when every generator of J
+    has a power in I + (h), and `_certified` is not called.  h = g1 vanishes
+    at P, where g2 does not, so g2 has no power in I + (g1): the draw is
+    refused before any elimination, and the next draw is accepted."""
+    I, J = _two_points_and_two_quadrics()
+    checks, eliminated = [], []
+    real_powers, real_rabinowitsch = ideals._powers_in, ideals._rabinowitsch
+
+    def checked(K, gens):
+        checks.append(real_powers(K, gens))
+        return checks[-1]
+
+    def elimination(I, g):
+        eliminated.append(g)
+        return real_rabinowitsch(I, g)
+
+    monkeypatch.setattr(ideals, "_powers_in", checked)
+    monkeypatch.setattr(ideals, "_rabinowitsch", elimination)
+    monkeypatch.setattr(ideals, "_certified", lambda *args: pytest.fail("_certified called"))
+    draws = _forced_draws(monkeypatch, {0: J.gens[0]})
+    got = saturate(I, J)
+    assert checks == [False, True] and eliminated == [draws[1]]
+    assert got.equals(I)
+    checks.clear()
+    draws = _forced_draws(monkeypatch, dict.fromkeys(range(ideals._SAT_DRAWS), J.gens[0]))
+    with pytest.raises(DegenerateInput, match="^saturate: the power check refused "):
+        saturate(I, J)
+    assert checks == [False] * ideals._SAT_DRAWS and len(draws) == ideals._SAT_DRAWS
+
+
+def _points(F, spec):
+    """The intersection of the ideals of the points named in `spec`: P =
+    (1:2:3:5) or Q = (1:1:1:1), P2 for the square of I_P."""
+    R = ring(F, 4)
+    ideal_of = {"P": ("z1 - 2*z0", "z2 - 3*z0", "z3 - 5*z0"),
+                "Q": ("z1 - z0", "z2 - z0", "z3 - z0")}
+    parts = []
+    for name in spec:
+        I = _ideal(R, ideal_of[name[0]])
+        parts.append(_product(I, I) if name.endswith("2") else I)
+    out = parts[0]
+    for part in parts[1:]:
+        out = intersect(out, part)
+    return out
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["gf", "q"])
+@pytest.mark.parametrize("spec,by", [
+    pytest.param(("P", "Q"), "P", id="PQ-by-P"), pytest.param(("P2", "Q"), "Q", id="P2Q-by-Q"),
+    pytest.param(("P2", "Q"), "P", id="P2Q-by-P"), pytest.param(("P", "Q", "m"), "Q", id="PQm-by-Q")])
+def test_saturate_of_a_zero_dimensional_ideal_matches_the_reference(monkeypatch, F, spec, by):
+    """Points, a fat point and an embedded component at the vertex ("m":
+    the product with (z0, ..., z3)), saturated by the ideal of one point:
+    the power check's route gives the reference's reduced grevlex basis,
+    and `_certified` is not called."""
+    I = _points(F, [s for s in spec if s != "m"])
+    if "m" in spec:
+        I = _product(I, _irrelevant(I.ring))
+    I = _fresh(I)
+    J = _points(F, by)
+    J = IdealHandle(list(J.gens), J.ring)
+    assert I.hilbert().dimension == 0 and len(J.gens) == 3
+    monkeypatch.setattr(ideals, "_certified", lambda *args: pytest.fail("_certified called"))
+    got = saturate(I, J)
+    monkeypatch.undo()
+    want = _saturate_by_parts(_fresh(I), J)
+    assert got.gens == want.groebner()
+    assert got.equals(_points(F, [s for s in spec if s not in ("m",) and s[0] != by]))
+    _cached_basis_is_exact(got)
 
 
 def test_every_refused_saturate_draw_raises_degenerate_input(monkeypatch):
@@ -625,8 +695,8 @@ def _cubic_and_two_lines():
 
 
 def _forced_draws(monkeypatch, forced):
-    """Generic combinations in call order, h1 then h2 for each pair of
-    `split_unmixed`: the k-th is replaced by forced[k] when given (the
+    """Generic combinations in call order (h1 then h2 for each pair of
+    `split_unmixed`): the k-th is replaced by forced[k] when given (the
     stream is drawn as before).  Returns the list of draws made."""
     real = ideals._generic_combination
     draws = []
@@ -788,7 +858,8 @@ def _two_step_certificate_value(T, an):
     ("E2", 0, 6), ("E13", 2, 4), ("ruled_3_4", 4, 5), ("cube", 0, 0)])
 def test_the_certificate_takes_one_saturation(monkeypatch, name, theta, c2):
     """One saturate(T, (psi)) gives the value of stripping C1 meet C2 and
-    then Theta."""
+    then Theta.  T is 0-dimensional, so its draw is accepted by the power
+    check and `_certified` is not called."""
     psi = _bir_map(name)
     an = analyze_map(psi, seed=1, trials=0, with_certificate=False)
     assert (an.theta_count, an.c2.degree) == (theta, c2)
@@ -800,6 +871,7 @@ def test_the_certificate_takes_one_saturation(monkeypatch, name, theta, c2):
         return real(I, J)
 
     monkeypatch.setattr(cremona, "saturate", counted)
+    monkeypatch.setattr(ideals, "_certified", lambda *args: pytest.fail("_certified called"))
     got = cremona.birationality_certificate(psi, an, Rng(1, "cert"))
     monkeypatch.undo()
     assert len(calls) == 1 and calls[0][1].gens == psi.ideal().gens
