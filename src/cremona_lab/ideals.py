@@ -47,38 +47,37 @@ constructions used throughout:
   accepted when its Hilbert polynomial equals I's: S/I^sat has no
   finite-length submodule, so any K strictly larger than I^sat has a
   smaller Hilbert polynomial.  Only when some component of I^sat, embedded
-  or not, lies in z_last = 0 is this refused; then it moves
-  z_last -> z_last + sum c_i z_i (the c_i from a fixed stream), takes one
-  grevlex basis and divides and checks the same way.  A refused draw is
-  redrawn a bounded number of times, then DegenerateInput is raised.  The
-  result is the reduced grevlex basis of I^sat, whatever the route.
+  or not, lies in z_last = 0 is this refused; then K = I : h^oo is one
+  Rabinowitsch saturation by h = z_last + sum c_i z_i (the c_i from a fixed
+  stream), which contains I^sat for any nonzero linear h and is checked
+  the same way.  A refused draw is redrawn a bounded number of times, then
+  DegenerateInput is raised.  The result is the reduced grevlex basis of
+  I^sat, whatever the route.
 
 Zero-dimensional schemes are read off one algebra, `IdealHandle.algebra`:
-the matrices M_j of multiplication by z_j / h on k[x]/I in a chart h = 1,
-built from the cached grevlex basis with no further Groebner basis.  Two
-exact checks pick the chart:
+the matrices M_j of multiplication by z_j / z_last on k[x]/I in the chart
+z_last = 1.  Setting z_last = 1 in a grevlex basis keeps each lead but for
+its z_last power (Bayer-Stillman), so the standard monomials are a basis of
+the chart algebra, for an unsaturated I too.  The chart holds every point
+exactly when their number equals the degree of I; then it is also the
+chart of I^sat, so no point work saturates.  The chart of I's cached basis
+is taken when it holds every point, with no further Groebner basis;
+otherwise I is moved by z_last -> z_last + sum c_i z_i (the c_i from a
+fixed stream) and the chart of one grevlex basis of the moved ideal is
+taken.  The algebra keeps the shift: points are moved back, and a point
+given to `local_length` is moved forward.
 
-* z_last = 1.  Setting z_last = 1 in the grevlex basis keeps each lead but
-  for its z_last power (Bayer-Stillman), so the standard monomials are a
-  basis of the chart algebra, for an unsaturated I too.  The chart holds
-  every point exactly when their number equals the degree of I.  An
-  unsaturated I keeps this chart even when it misses points: `local_length`
-  needs only the chart of its point;
-* otherwise, for a saturated I, a generic h = sum h_i z_i.  For d with
-  HF(d) = deg I, let X_j : (S/I)_d -> (S/I)_{d+1} be multiplication by z_j.
-  H = sum h_i X_i is invertible exactly when h vanishes at no point, and
-  then M_j = X_j H^-1.
-
-By Stickelberger's theorem chi_l = det(t - M_l) = prod (t - l(q)/h(q))^len(q)
-over the points q, for a linear form l drawn from a fixed stream.  The
-separation certificate: the kernel W of M_l - lam is invariant under every
-M_j, and it lies at one point exactly when each M_j restricted to W is a
-scalar plus a nilpotent map (the scalar is its trace over dim W; the degree
-is kept below the characteristic).  `extract_points` reads the GF(p) points
-off the roots of chi_l in GF(p) and the GF(p^2) points off its irreducible
-quadratic factors, so no rational point is found twice; each point is
-checked on the generators.  `local_length` is the multiplicity of the root
-l(p)/h(p) once its kernel lies at p.  A draw that fails the certificate is
+By Stickelberger's theorem
+chi_l = det(t - M_l) = prod (t - l(q)/q_last)^len(q) over the points q of
+the chart, for a linear form l drawn from a fixed stream.  The separation
+certificate: the kernel W of M_l - lam is invariant under every M_j, and it
+lies at one point exactly when each M_j restricted to W is a scalar plus a
+nilpotent map (the scalar is its trace over dim W; the degree is kept below
+the characteristic).  `extract_points` reads the GF(p) points off the roots
+of chi_l in GF(p) and the GF(p^2) points off its irreducible quadratic
+factors, so no rational point is found twice; each point is checked on the
+generators.  `local_length` is the multiplicity of the root l(q)/q_last
+once its kernel lies at the point.  A draw that fails the certificate is
 redrawn a bounded number of times, then DegenerateInput names the stage.
 `count_points` needs no draw: it is the rank of the trace form
 (f, g) -> Tr(M_fg), exact because every length is below the
@@ -462,16 +461,16 @@ def sat_irrelevant(I: IdealHandle) -> IdealHandle:
     S/I^sat has no finite-length submodule, so a nonzero K/I^sat has a
     nonzero Hilbert polynomial and K would have a smaller one.
 
-    The first try is I's own basis, with no move: it costs one division and
-    one Hilbert series, and it is refused exactly when some component of
-    I^sat, embedded or not, lies in z_last = 0.  Then I is moved by
-    z_last -> z_last + sum c_i z_i, the c_i drawn from the fixed stream
-    "sat-irrelevant-certificate", the division is made on one grevlex basis
-    of the moved ideal, and K moved back is I : h^oo for another nonzero
-    linear form h; an accepted K is returned as the reduced grevlex basis of
-    K moved back.  A refused draw is followed by another from the same
-    stream; after `_SAT_DRAWS` draws are refused, DegenerateInput is raised.
-    A BudgetError is not caught.
+    The first try is I's own basis: it costs one division and one Hilbert
+    series, and it is refused exactly when some component of I^sat,
+    embedded or not, lies in z_last = 0.  Then K = I : h^oo is one
+    Rabinowitsch elimination (`_rabinowitsch`) by h = z_last + sum c_i z_i,
+    the c_i drawn from the fixed stream "sat-irrelevant-certificate" (a
+    zero draw is h = z_last again), accepted by the same Hilbert polynomial
+    check and returned as the reduced grevlex basis the elimination gives.
+    A refused draw is followed by another from the same stream; after
+    `_SAT_DRAWS` draws are refused, DegenerateInput is raised.  A
+    BudgetError is not caught.
     """
     R = I.ring
     if not I.gens:
@@ -485,27 +484,17 @@ def sat_irrelevant(I: IdealHandle) -> IdealHandle:
     n = R.nvars
     if not any(R.mexp(g.lead()[0], n - 1) for g in gb0):
         return _saturated_basis(gb0, R)
-    K, _ = _divide_last_power(gb0, R)
+    K = _divide_last_power(gb0, R)
     if _same_hilbert_polynomial(hilbert_from_basis(K, R), h0):
         return _saturated_basis(reduce_basis(K), R)
     F = R.field
     rng = Rng(0, "sat-irrelevant-certificate")
     for _ in range(_SAT_DRAWS):
-        coeffs = _small_coefficients(F, rng, n - 1)
-        move = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
-        back = [row[:] for row in move]
-        move.append(coeffs + [F.one])
-        back.append([F.neg(c) for c in coeffs] + [F.one])
-        K, divided = _divide_last_power(
-            groebner_basis([g.substitute_linear(move, check_invertible=False) for g in gb0]), R)
-        if not divided:  # K is the moved I: I is saturated
-            return _saturated_basis(gb0, R)
-        hK = hilbert_from_basis(K, R)
-        if _same_hilbert_polynomial(hK, h0):
-            gb = groebner_basis([g.substitute_linear(back, check_invertible=False) for g in K])
-            return _saturated_basis(gb, R)
+        K = _rabinowitsch(I, R.linear_form(_small_coefficients(F, rng, n - 1) + [F.one]))
+        if _same_hilbert_polynomial(K.hilbert(), h0):
+            return _saturated_basis(K.gens, R)
     raise DegenerateInput("sat_irrelevant: the Hilbert polynomial certificate refused "
-                          f"{_SAT_DRAWS} draws of the moved variable")
+                          f"{_SAT_DRAWS} draws of the linear form h")
 
 
 def _saturated_basis(gb, R: Ring) -> IdealHandle:
@@ -522,22 +511,20 @@ def _same_hilbert_polynomial(a: HilbertData, b: HilbertData) -> bool:
         a.hp(k) == b.hp(k) for k in range(start, start + a.dimension + 1))
 
 
-def _divide_last_power(gb, R: Ring) -> tuple:
-    """Each element of a grevlex basis divided by its power of z_last, and
-    whether any was divisible.  For a homogeneous ideal that is a Groebner
-    basis of I : z_last^oo (Bayer-Stillman): in grevlex z_last divides a
-    homogeneous form exactly when it divides its lead."""
+def _divide_last_power(gb, R: Ring) -> list:
+    """Each element of a grevlex basis divided by its power of z_last.  For
+    a homogeneous ideal that is a Groebner basis of I : z_last^oo
+    (Bayer-Stillman): in grevlex z_last divides a homogeneous form exactly
+    when it divides its lead."""
     n = R.nvars
     step = (1 << (8 * (n - 1))) + (1 << R.deg_shift)
     out = []
-    divided = False
     for g in gb:
         e = min(R.mexp(m, n - 1) for m, _ in g.terms)
         if e:
-            divided = True
             g = Polynomial(R, tuple((m - e * step, c) for m, c in g.terms))
         out.append(g)
-    return out, divided
+    return out
 
 
 def eliminate(I: IdealHandle, k: int) -> IdealHandle:
@@ -761,42 +748,37 @@ def point_frame(R: Ring, p) -> list:
 
 def local_length(I: IdealHandle, p) -> int:
     """Length of the component at the point p of the 0-dimensional scheme
-    defined by I, read off I's algebra (`IdealHandle.algebra`): for a draw
-    l, the multiplicity of the root lam = l(p)/h(p) of chi_l, accepted when
-    the kernel of M_l - lam lies at the one point p (`_point_of`).  Then
-    no other point shares the value lam, so the multiplicity is p's length;
-    a kernel at one other point shows that p is off the scheme, and lam no
+    defined by I, read off I's algebra (`IdealHandle.algebra`), in whose
+    coordinates p is q (`_Algebra.to_chart`): for a draw l, the
+    multiplicity of the root lam = l(q)/q_last of chi_l, accepted when the
+    kernel of M_l - lam lies at the one point q (`_point_of`).  Then no
+    other point shares the value lam, so the multiplicity is p's length; a
+    kernel at one other point shows that p is off the scheme, and lam no
     root at all gives 0 too.  A kernel at two points is a refused draw;
     after `_DRAWS` refused draws DegenerateInput is raised.
 
-    I is not saturated: the chart z_last = 1 of I and of its saturation is
-    the same algebra.  When that chart misses a point of the scheme and p
-    lies on z_last = 0, p is first moved to e_last by `point_frame`.  On a
-    complete algebra h vanishes at no point of the scheme, so h(p) = 0
-    gives length 0."""
-    R = I.ring
+    I need not be saturated: the algebra's chart z_last = 1 holds every
+    point, so it is also the chart of I's saturation, and q_last = 0 puts p
+    off the scheme, with length 0."""
     h = I.hilbert()
     if h.dimension > 0:
         raise DegenerateInput("local_length requires a 0-dimensional scheme")
     if h.dimension == -1:
         return 0
-    F = R.field
+    F = I.ring.field
     alg = I.algebra()
-    if not alg.complete and p[-1] == F.zero:
-        e_last = (F.zero,) * (R.nvars - 1) + (F.one,)
-        return local_length(I.substituted(point_frame(R, p)), e_last)
-    hp = linalg.dot(F, alg.h, p)
-    if hp == F.zero:
+    q = alg.to_chart(p)
+    if q[-1] == F.zero:
         return 0
     for k in range(_DRAWS):
         ell, M, chi = alg.draw(k)
-        lam = F.div(linalg.dot(F, ell, p), hp)
+        lam = F.div(linalg.dot(F, ell, q), q[-1])
         mult = _root_multiplicity(chi, lam, F)
         if not mult:
             return 0
-        q = _point_of(alg.mats, M, lam, F)
-        if q is not None:
-            return mult if q == _normalize_point(p, F) else 0
+        got = _point_of(alg.mats, M, lam, F)
+        if got is not None:
+            return mult if got == q else 0
     raise DegenerateInput(f"local_length: {_DRAWS} draws of l did not separate the point")
 
 
@@ -832,34 +814,42 @@ def multiplicity_at(C: IdealHandle, p, rng: Rng) -> int:
 
 # ----------------------------------------- 0-dimensional scheme analysis
 
-# the draws of the generic form l (and of the chart form h) before the point
-# work gives up; over GF(11) a draw separates four points about half the time
+# the draws of the generic form l (and of the chart's shift) before the
+# point work gives up; over GF(11) a draw separates four points about half
+# the time
 _DRAWS = 8
 
 
 class _Algebra:
-    """k[x]/I of a 0-dimensional scheme in the chart h = 1: the matrices
-    `mats`[j] of multiplication by z_j / h on a basis of the algebra, row b
-    of each holding the coordinates of (z_j / h) * b.  The basis element b
-    is the function prod_j (z_j / h)^e_j for the exponents e in `basis`.
-    `h` holds the coefficients of the linear form h; `complete` says that
-    the chart holds every point of the scheme.
+    """k[x]/I of a 0-dimensional scheme in the chart z_last = 1 of I moved
+    by z_last -> z_last + sum c_i z_i, for the c_i in `shift` (all 0 when
+    the chart of I itself holds every point): the matrices `mats`[j] of
+    multiplication by z_j / z_last on a basis of the algebra, row b of each
+    holding the coordinates of (z_j / z_last) * b, with `mats`[-1] the
+    identity.  The basis element b is the function prod_j (z_j / z_last)^e_j
+    for the exponents e in `basis`.  A point p of the scheme is the point
+    q = `to_chart(p)` of the chart, and `_from_chart` moves q back to p.
 
     `draw(k)` is the k-th generic form l of the fixed stream
     "zero-dim-ell-k", with M_l = sum_j l_j M_j and chi_l = det(t - M_l),
-    cached.  By Stickelberger's theorem chi_l = prod (t - l(q)/h(q))^len(q)
+    cached.  By Stickelberger's theorem chi_l = prod (t - l(q)/q_last)^len(q)
     over the points q of the chart, and the evaluation vectors (b(q))_b of
-    the points span the kernels of M_l - l(q)/h(q)."""
+    the points span the kernels of M_l - l(q)/q_last."""
 
-    __slots__ = ("field", "basis", "h", "mats", "complete", "_draws")
+    __slots__ = ("field", "basis", "shift", "mats", "_draws")
 
-    def __init__(self, field: Field, basis: list, h: list, mats: list, complete: bool):
+    def __init__(self, field: Field, basis: list, shift: list, mats: list):
         self.field = field
         self.basis = basis
-        self.h = h
+        self.shift = shift
         self.mats = mats
-        self.complete = complete
         self._draws: dict = {}
+
+    def to_chart(self, p) -> tuple:
+        """The point p of the scheme in the chart's coordinates, normalized:
+        its last coordinate is p_last - sum c_i p_i."""
+        F = self.field
+        return _from_chart(F, [F.neg(c) for c in self.shift], p)
 
     def draw(self, k: int) -> tuple:
         """(coefficients of l, M_l, chi_l) for the k-th draw."""
@@ -908,17 +898,19 @@ def _combine(F: Field, coeffs: list, mats: list) -> list:
 
 
 def _build_algebra(I: IdealHandle) -> _Algebra:
-    """The algebra of a 0-dimensional I, read off its grevlex basis with no
-    further Groebner basis.
+    """The algebra of a 0-dimensional I, read off a grevlex basis.
 
     Setting z_last = 1 in a grevlex basis keeps each lead but for its z_last
     power (Bayer-Stillman), so it is a grevlex basis of the chart z_last = 1,
     for an unsaturated I too.  Its standard monomials B are a basis of the
     chart algebra, whose length |B| equals the degree of I exactly when no
-    point lies on z_last = 0.  That chart is taken when it is complete, or
-    when I is not flagged saturated (`local_length` needs only p's chart);
-    otherwise `_graded_algebra` builds the algebra of a generic chart.
-    DegenerateInput is raised when the degree is not below the
+    point lies on z_last = 0; then the chart holds every point, and it is
+    the chart of I's saturation too.  The chart of I's own basis is tried
+    first, with no further Groebner basis.  When it is short, I is moved by
+    z_last -> z_last + sum c_i z_i, the c_i drawn from the fixed stream
+    "zero-dim-chart", and the chart of one grevlex basis of the moved ideal
+    is tried; after `_DRAWS` short charts DegenerateInput is raised.
+    DegenerateInput is also raised when the degree is not below the
     characteristic, where local lengths and squarefree parts could be
     divisible by p."""
     R = I.ring
@@ -931,11 +923,23 @@ def _build_algebra(I: IdealHandle) -> _Algebra:
         raise DegenerateInput(f"zero-dimensional algebra: degree {hd.degree} is not below "
                               f"the characteristic {F.char}")
     A = ring(F, n - 1, R.names[:-1])
-    chart = [_dehomogenize_last(g, A) for g in I.groebner(GREVLEX)]
-    normal = _normal_set([g.lead()[0] for g in chart], A)
-    complete = len(normal) == hd.degree
-    if not complete and I.saturated:
-        return _graded_algebra(I, hd)
+    gb = I.groebner(GREVLEX)
+    shift = [F.zero] * (n - 1)
+    rng = Rng(0, "zero-dim-chart")
+    for draw in range(_DRAWS + 1):
+        if draw:
+            shift = _small_coefficients(F, rng, n - 1)
+            move = [[F.one if r == c else F.zero for c in range(n)] for r in range(n - 1)]
+            move.append(shift + [F.one])
+            gb = groebner_basis([g.substitute_linear(move, check_invertible=False)
+                                 for g in I.groebner(GREVLEX)])
+        chart = [_dehomogenize_last(g, A) for g in gb]
+        normal = _normal_set([g.lead()[0] for g in chart], A)
+        if len(normal) == hd.degree:
+            break
+    else:
+        raise DegenerateInput(f"zero-dimensional algebra: the chart z_last = 1 missed a point "
+                              f"after {_DRAWS} draws of the shift")
     index = {m: i for i, m in enumerate(normal)}
     reduce = Reducer(chart, GREVLEX)
     D = len(normal)
@@ -954,8 +958,17 @@ def _build_algebra(I: IdealHandle) -> _Algebra:
             M.append(row)
         mats.append(M)
     mats.append([[F.one if r == c else F.zero for c in range(D)] for r in range(D)])
-    return _Algebra(F, [A.unpack(b) + (0,) for b in normal], [F.zero] * (n - 1) + [F.one],
-                    mats, complete)
+    return _Algebra(F, [A.unpack(b) + (0,) for b in normal], shift, mats)
+
+
+def _from_chart(K: Field, shift: list, q) -> tuple:
+    """The point q with sum_i shift_i q_i added to its last coordinate,
+    normalized: a point of the chart of `_Algebra` back in I's coordinates,
+    for the shift over the field K of q."""
+    last = q[-1]
+    for c, x in zip(shift, q):
+        last = K.add(last, K.mul(c, x))
+    return _normalize_point(tuple(q[:-1]) + (last,), K)
 
 
 def _dehomogenize_last(g: Polynomial, A: Ring) -> Polynomial:
@@ -982,52 +995,6 @@ def _normal_set(leads: list, A: Ring) -> list:
     return out
 
 
-def _graded_algebra(I: IdealHandle, hd: HilbertData) -> _Algebra:
-    """The algebra of a saturated 0-dimensional I in the chart h = 1 of a
-    generic linear form h.  For d with HF(d) = deg, the maps
-    X_j : (S/I)_d -> (S/I)_{d+1}, multiplication by z_j, are read off normal
-    forms.  H = sum_i h_i X_i is invertible exactly when h vanishes at no
-    point (I saturated), and then M_j = X_j H^-1 is multiplication by z_j / h
-    on (S/I)_d.  h is drawn from the fixed stream "zero-dim-h"; a singular H
-    is redrawn, and after `_DRAWS` singular draws DegenerateInput is
-    raised."""
-    R = I.ring
-    F = R.field
-    n = R.nvars
-    leads = [g.lead()[0] for g in I.groebner(GREVLEX)]
-    d = 0
-    while hd.hf(d) != hd.degree:
-        d += 1
-
-    def standard(k):
-        return [m for m in R.monomials_of_degree(k)
-                if not any(R.mdivides(lead, m) for lead in leads)]
-
-    low = standard(d)
-    index = {m: i for i, m in enumerate(standard(d + 1))}
-    X = []
-    for j in range(n):
-        step = R.pack([int(i == j) for i in range(n)])
-        rows = []
-        for b in low:
-            row = [F.zero] * len(low)
-            for m, c in I.nf(Polynomial(R, ((b + step, F.one),))).terms:
-                row[index[m]] = c
-            rows.append(row)
-        X.append(rows)
-    rng = Rng(0, "zero-dim-h")
-    for _ in range(_DRAWS):
-        h = _small_coefficients(F, rng, n)
-        try:
-            Hinv = linalg.inverse(F, _combine(F, h, X))
-        except ZeroDivisionError:  # h vanishes at a point of the scheme
-            continue
-        return _Algebra(F, [R.unpack(b) for b in low], h,
-                        [linalg.mat_mul(F, Xj, Hinv) for Xj in X], True)
-    raise DegenerateInput(f"zero-dimensional algebra: {_DRAWS} draws of the chart form h "
-                          "each vanish at a point")
-
-
 def _root_multiplicity(f: list, a, F: Field) -> int:
     """How often t - a divides f."""
     k = 0
@@ -1046,11 +1013,12 @@ def count_points(I: IdealHandle) -> int:
     the points independent, so its rank counts the points whose length is
     nonzero in the field: all of them, as lengths are at most the degree,
     which is below the characteristic (`_build_algebra`).  Exact, with no
-    draw."""
-    Isat = I if I.saturated else sat_irrelevant(I)
-    if Isat.is_unit():
+    draw of l.  I need not be saturated: the algebra's chart holds every
+    point, so it is the chart of I's saturation too, and a finite-length I
+    has no point."""
+    if I.hilbert().dimension == -1:
         return 0
-    alg = Isat.algebra()
+    alg = I.algebra()
     F = alg.field
     mats = alg.basis_matrices()
     tau = [_trace(F, Mb) for Mb in mats]
@@ -1066,15 +1034,17 @@ def extract_points(I: IdealHandle, rng: Rng):
     The points of one draw l (`_points_of_draw`, rng splitting the roots)
     are returned; a draw whose l does not separate the points, or that gives
     a point off the scheme, is refused, and after `_DRAWS` refused draws
-    DegenerateInput is raised."""
-    Isat = I if I.saturated else sat_irrelevant(I)
-    if Isat.is_unit():
+    DegenerateInput is raised.  I need not be saturated: the algebra's
+    chart holds every point (`_build_algebra`), and I and its saturation
+    have the same points."""
+    dimension = I.hilbert().dimension
+    if dimension == -1:
         return [], []
-    if Isat.hilbert().dimension != 0:
+    if dimension != 0:
         raise DegenerateInput("extract_points requires a 0-dimensional scheme")
-    alg = Isat.algebra()
+    alg = I.algebra()
     for k in range(_DRAWS):
-        got = _points_of_draw(alg, k, Isat, rng.split(f"roots-{k}"))
+        got = _points_of_draw(alg, k, I, rng.split(f"roots-{k}"))
         if got is not None:
             return got
     raise DegenerateInput(f"extract_points: {_DRAWS} draws of l were refused (no separation)")
@@ -1085,7 +1055,8 @@ def _points_of_draw(alg: _Algebra, k: int, I: IdealHandle, rng: Rng):
     when the draw is refused.  Each root in GF(p) (or Q) gives a rational
     point and each irreducible quadratic factor of chi_l over GF(p) a pair
     of conjugate GF(p^2) points, so no rational point is found twice.  Every
-    point is checked on the generators of I."""
+    point is moved back to I's coordinates (`_from_chart`) and checked on
+    the generators of I."""
     F = alg.field
     _, M, chi = alg.draw(k)
     if isinstance(F, GF):
@@ -1095,7 +1066,10 @@ def _points_of_draw(alg: _Algebra, k: int, I: IdealHandle, rng: Rng):
     pts = []
     for lam in roots:
         q = _point_of(alg.mats, M, lam, F)
-        if q is None or not _on_scheme(I.gens, q):
+        if q is None:
+            return None
+        q = _from_chart(F, alg.shift, q)
+        if not _on_scheme(I.gens, q):
             return None
         pts.append(q)
     ext = []
@@ -1105,20 +1079,24 @@ def _points_of_draw(alg: _Algebra, k: int, I: IdealHandle, rng: Rng):
         gens2 = [g.map_field(R2) for g in I.gens]
         mats2 = [[[F2.lift(x) for x in row] for row in A] for A in alg.mats]
         M2 = [[F2.lift(x) for x in row] for row in M]
+        shift2 = [F2.lift(c) for c in alg.shift]
         for quad in quads:
             q = _point_of(mats2, M2, univar.quadratic_roots(quad, F, F2)[1][0], F2)
-            if q is None or not _on_scheme(gens2, q):
+            if q is None:
+                return None
+            q = _from_chart(F2, shift2, q)
+            if not _on_scheme(gens2, q):
                 return None
             ext += [q, tuple((a, F.neg(b)) for a, b in q)]  # and its conjugate
     return sorted(pts), sorted(ext)
 
 
 def _point_of(mats: list, M: list, lam, K: Field) -> tuple | None:
-    """The point q with l(q)/h(q) = lam, from the kernel W of M - lam (over
-    the field K of lam), or None when l does not separate two points there.
-    W is invariant under every M_j.  Restricted to W, M_j is q_j / h(q)
-    plus a nilpotent map when W lies at one point, so q_j / h(q) is its
-    trace over dim W (dim W <= degree < char); two points in W show as a
+    """The point q of the chart with l(q)/q_last = lam, from the kernel W of
+    M - lam (over the field K of lam), or None when l does not separate two
+    points there.  W is invariant under every M_j.  Restricted to W, M_j is
+    q_j / q_last plus a nilpotent map when W lies at one point, so
+    q_j / q_last is its trace over dim W (dim W <= degree < char); two points in W show as a
     restriction with a second eigenvalue, which the nilpotency test refuses.
     nullspace gives each basis vector a 1 at its own free column (its last
     nonzero entry) and 0 at the others', so the restriction's coordinates
@@ -1194,15 +1172,17 @@ def candidate_lines(C: IdealHandle, rng: Rng, plane_label: str):
     generic planes (drawn from the streams `{plane_label}-0` and `-1`),
     extract the field-rational points of each section and yield the linear
     forms of the line through every pair of distinct points, one from each
-    section.  Yields nothing when a section is empty or not finite; the
-    caller decides which candidate actually lies on the scheme."""
+    section.  The sections are not saturated: `extract_points` reads their
+    points off a chart that holds every point.  Yields nothing when a
+    section is empty or not finite; the caller decides which candidate
+    actually lies on the scheme."""
     R = C.ring
     F = R.field
     samples = []
     for k in range(2):
         sub = rng.split(f"{plane_label}-{k}")
         plane = R.linear_form([F.rand(sub) for _ in range(R.nvars)])
-        cut = sat_irrelevant(IdealHandle(list(C.gens) + [plane], R))
+        cut = IdealHandle(list(C.gens) + [plane], R)
         if cut.hilbert().dimension != 0:
             return
         pts, _ = extract_points(cut, sub.split("pts"))

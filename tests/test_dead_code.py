@@ -14,10 +14,13 @@ A second scan keeps the raw readers of Groebner bases (`hilbert_from_basis`,
 other module reads those facts through `IdealHandle`.  A third finds no
 `budget` parameter outside `groebner` but `cli.analysis_report` (the
 Groebner limits are a scoped setting, `groebner.limits`), and a fourth keeps
-`quotient` and `intersect` out of the analysis modules.
+`quotient` and `intersect` out of the analysis modules.  A last check
+reads the benchmark's files and finds every name they bind in the package.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import cremona_lab
@@ -173,3 +176,40 @@ def test_the_analysis_imports_no_quotient_or_intersection():
                   if isinstance(node, ast.ImportFrom) for alias in node.names
                   if alias.name in ("quotient", "intersect")]
     assert found == []
+
+
+def _perfbench_literal(file: str, name: str):
+    """The literal value a module of the benchmark assigns to `name`."""
+    tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{file} assigns no {name}")
+
+
+def _package_attr(dotted: str):
+    mod, attr = dotted.split(".")
+    return getattr(importlib.import_module(f"cremona_lab.{mod}"), attr, None)
+
+
+def test_every_name_the_benchmark_binds_exists():
+    """The tracer wraps each function of `tracer.TARGETS`, its test expects
+    each from-import of `test_tracer.SPOT_CHECKS` to bind the wrapped
+    function, and the workloads pass keywords to `IdealHandle`.  A change
+    to the package that drops one of them would break the benchmark, which
+    tier-1 does not run, so it fails here."""
+    targets = _perfbench_literal("tracer.py", "TARGETS")
+    missing = [f"{mod}.{fn}" for mod, fns in targets.items() for fn in fns
+               if not callable(_package_attr(f"{mod}.{fn}"))]
+    spots = _perfbench_literal("test_tracer.py", "SPOT_CHECKS")
+    missing += [f"{mod}.{attr}" for mod, attr, span in spots if _package_attr(span) is None
+                or _package_attr(f"{mod}.{attr}") is not _package_attr(span)]
+    assert targets and spots and missing == []
+    keywords = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "IdealHandle":
+                keywords |= {k.arg for k in node.keywords}
+    assert "saturated" in keywords
+    assert keywords <= set(inspect.signature(cremona_lab.ideals.IdealHandle).parameters)

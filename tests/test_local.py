@@ -13,10 +13,10 @@ import pytest
 
 from cremona_lab import groebner, ideals, linalg, univar
 from cremona_lab.fields import GF, GF2, QQ
-from cremona_lab.ideals import (DegenerateInput, IdealHandle, count_points, eliminate,
-                                extract_points, hilbert_from_basis,
-                                intersect, isolated_points, local_length,
-                                multiplicity_at, point_frame, sat_irrelevant, saturate)
+from cremona_lab.ideals import (DegenerateInput, IdealHandle, candidate_lines, count_points,
+                                eliminate, extract_points, hilbert_from_basis, intersect,
+                                isolated_points, local_length, multiplicity_at, point_frame,
+                                sat_irrelevant, saturate)
 from cremona_lab.poly import parse_poly, ring
 from cremona_lab.rng import Rng
 
@@ -364,10 +364,12 @@ def test_fat_point_is_found_once_with_length_four():
 
 
 def test_points_on_the_last_hyperplane_use_a_generic_chart():
+    """The chart z3 = 1 of I misses the points on z3 = 0, so the algebra is
+    the chart of I moved by a generic shift z3 -> z3 + sum c_i z_i."""
     R = ring(GF(10007), 4)
     I = _cases(R.field)["points on z3 = 0"]
     alg = I.algebra()
-    assert alg.complete and alg.h[:3] != [0, 0, 0]
+    assert any(alg.shift) and len(alg.basis) == I.hilbert().degree
     assert count_points(I) == 4
 
 
@@ -429,7 +431,86 @@ def test_point_work_on_a_cached_basis_makes_no_groebner_basis(monkeypatch):
 
     monkeypatch.setattr(ideals, "groebner_basis", refuse)
     monkeypatch.setattr(groebner, "groebner_basis", refuse)
-    assert I.algebra().complete  # the chart z3 = 1 holds every point
+    assert not any(I.algebra().shift)  # the chart z3 = 1 of I holds every point
     pts, ext = extract_points(I, Rng(1))
     assert count_points(I) == len(pts) + len(ext) == 4
     assert all(local_length(I, q) == 1 for q in pts)
+
+
+def _two_points_meet_cube(F):
+    """The points (1:2:3:0) and (1:1:1:1) meet (z0, ..., z3)^3: unsaturated,
+    with its grevlex basis cached by `intersect`."""
+    R = ring(F, 4)
+    o, i = F.zero, F.one
+    points = [(i, F.of(2), F.of(3), o), (i, i, i, i)]
+    two = intersect(IdealHandle([parse_poly(t, R) for t in ("z1 - 2*z0", "z2 - 3*z0", "z3")], R),
+                    IdealHandle([parse_poly(t, R) for t in ("z1 - z0", "z2 - z0", "z3 - z0")], R))
+    cube = IdealHandle([a * b * c for a in R.vars() for b in R.vars() for c in R.vars()], R)
+    return intersect(two, cube), sorted(points)
+
+
+@pytest.mark.parametrize("F", [GF(10007), QQ], ids=["GF(10007)", "Q"])
+def test_an_unsaturated_input_with_a_point_on_z3_0_matches_the_reference(F):
+    """The chart z3 = 1 of I misses (1:2:3:0), so the algebra is a shifted
+    chart of I, which is the chart of I's saturation."""
+    I, points = _two_points_meet_cube(F)
+    assert not I.saturated and I.hilbert().degree == 2
+    assert any(I.algebra().shift)
+    assert extract_points(I, Rng(1)) == (points, [])
+    assert count_points(I) == _ref_count(I, Rng(4)) == 2
+    for q in points:
+        assert local_length(I, q) == _ref_local_length(I, q) == 1
+    o, i = F.zero, F.one
+    assert local_length(I, (i, o, o, o)) == _ref_local_length(I, (i, o, o, o)) == 0
+
+
+def test_point_work_on_an_unsaturated_input_saturates_nothing(monkeypatch):
+    I, points = _two_points_meet_cube(GF(10007))
+    lines = [IdealHandle([pp("z0"), pp("z1")], R), IdealHandle([pp("z2"), pp("z3")], R)]
+    C = intersect(intersect(*lines), IdealHandle([a * b for a in R.vars() for b in R.vars()], R))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("point work saturated its input")
+
+    monkeypatch.setattr(ideals, "sat_irrelevant", refuse)
+    assert extract_points(I, Rng(1)) == (points, [])
+    assert count_points(I) == 2
+    assert [local_length(I, q) for q in points] == [1, 1]
+    found = {IdealHandle(forms, R).groebner() for forms in candidate_lines(C, Rng(3), "plane")}
+    assert {L.groebner() for L in lines} <= found
+
+
+def _zero_shifts(monkeypatch, nvars, refused):
+    """Make the first `refused` draws of the chart's shift (the only draws
+    of nvars - 1 coefficients the point work makes) zero.  Returns the list
+    of shifts drawn."""
+    real = ideals._small_coefficients
+    draws = []
+
+    def drawn(F_, rng, k):
+        out = real(F_, rng, k)
+        if k != nvars - 1:
+            return out
+        draws.append(out)
+        return [F_.zero] * k if len(draws) <= refused else out
+
+    monkeypatch.setattr(ideals, "_small_coefficients", drawn)
+    return draws
+
+
+def test_a_zero_chart_shift_is_redrawn_then_refused(monkeypatch):
+    """A zero shift gives the chart z3 = 1 of I again, which misses the
+    points on z3 = 0: it is redrawn, and after `_DRAWS` refused draws
+    DegenerateInput names the stage."""
+    F = GF(10007)
+    I = _cases(F)["points on z3 = 0"]
+    want = extract_points(IdealHandle(list(I.gens), I.ring), Rng(1))
+    draws = _zero_shifts(monkeypatch, 4, 2)
+    alg = I.algebra()
+    assert len(draws) == 3 and alg.shift == draws[-1]
+    assert extract_points(I, Rng(1)) == want and count_points(I) == 4
+    J = IdealHandle(list(I.gens), I.ring)
+    draws = _zero_shifts(monkeypatch, 4, ideals._DRAWS)
+    with pytest.raises(DegenerateInput, match="^zero-dimensional algebra: "):
+        count_points(J)
+    assert len(draws) == ideals._DRAWS

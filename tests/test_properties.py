@@ -214,7 +214,7 @@ def test_every_operation_keeps_the_terms_grevlex_descending(ts1, ts2, e, entries
     M = [entries[4 * i:4 * i + 4] for i in range(4)]
     plane = [row[:3] + [0] for row in M]
     lifted = f.shift_vars(S, 1)
-    divided, _ = ideals._divide_last_power([h for h in (f * z3 * z3, g * z3) if h], R)
+    divided = ideals._divide_last_power([h for h in (f * z3 * z3, g * z3) if h], R)
     out = [f, R.poly(dict(f.terms + g.terms)), f.scale(7), -f, f.mul_monomial(R.pack(e)),
            f + g, f - g, f * g, f.substitute_linear(M, check_invertible=False),
            f.map_vars(R, perm), lifted, lifted * S.var(0) - S.one, lifted.shift_vars(R, -1),

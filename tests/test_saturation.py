@@ -107,10 +107,11 @@ def _saturate_variable(I, i):
     perm[i], perm[n - 1] = perm[n - 1], perm[i]
     # z_{n-1} is already cheapest: the permutation is the identity
     moved = I if i == n - 1 else IdealHandle([g.map_vars(R, perm) for g in I.gens], R)
-    out, divided = ideals._divide_last_power(moved.groebner(groebner.GREVLEX), R)
+    gb = list(moved.groebner(groebner.GREVLEX))
+    out = ideals._divide_last_power(gb, R)
     part = IdealHandle([g.map_vars(R, perm) for g in out], R)
     known = I._gb.get(groebner.GREVLEX)
-    if not divided and known is not None:
+    if out == gb and known is not None:
         # no lead divisible by z_i: z_i is a non-zerodivisor mod I, the part is I
         part.with_basis(groebner.GREVLEX, known)
     return part
@@ -370,7 +371,9 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     """Two full-level scans per stratum, members at seeds 1 + k and
     9001 + k (Hudson, fiber oracle and certificate included), with every
     sat_irrelevant, saturate and split_unmixed call checked against its
-    reference route.
+    reference route.  Each route of sat_irrelevant is checked: the input's
+    own basis, its basis divided by the z_last powers, and the Rabinowitsch
+    elimination of a draw.
     An invariants scan saturates little by the irrelevant ideal beyond the
     base ideal, so it would check too few."""
     real = ideals.sat_irrelevant
@@ -379,11 +382,25 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
     checked = []
     checked_saturate = []
     checked_split = []
+    steps = {"_divide_last_power": 0, "_rabinowitsch": 0}
+    for name in steps:
+        def counted(*args, real_step=getattr(ideals, name), name=name):
+            steps[name] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(ideals, name, counted)
 
     def compared(I):
+        before = dict(steps)
         got = real(I)
+        if steps["_rabinowitsch"] > before["_rabinowitsch"]:
+            route = "Rabinowitsch draw"
+        elif steps["_divide_last_power"] > before["_divide_last_power"]:
+            route = "divided basis"
+        else:
+            route = "own basis"
         _same(got, _sat_irrelevant_by_parts(IdealHandle(list(I.gens), I.ring)))
-        checked.append(I)
+        checked.append(route)
         return got
 
     def compared_saturate(I, J):
@@ -414,7 +431,8 @@ def test_every_saturation_of_a_scan_matches_the_reference(monkeypatch):
         for k, fam in enumerate(families.FAMILY_LABELS):
             rec = cli.scan_one(fam, seed + k, random_prime(rng.split(f"p{k}")), level="full")
             assert rec["ok"], rec
-    assert len(checked) > 100, len(checked)
+    assert set(checked) == {"own basis", "divided basis", "Rabinowitsch draw"}, checked
+    assert len(checked) >= 2 * len(families.FAMILY_LABELS), len(checked)
     assert len(checked_saturate) >= 3 * len(families.FAMILY_LABELS), len(checked_saturate)
     assert len(checked_split) >= 2 * len(families.FAMILY_LABELS), len(checked_split)
 
